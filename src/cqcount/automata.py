@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DecompositionError,
@@ -19,7 +20,9 @@ from .errors import (
 from .homsolver import sol_bag
 from .qmodel import Database, Query, build_hypergraph, validate_pair
 from .widths import (
+    Hypergraph,
     TreeDecomposition,
+    _postorder,
     _vkey,
     fhw_exact_small,
     fhw_of_td,
@@ -27,9 +30,6 @@ from .widths import (
     make_nice,
     treewidth_heuristic,
 )
-
-Outcome = tuple  # () leaf-accept, (s,) one child, (s1, s2) two children
-
 
 @dataclass(frozen=True)
 class LabeledTree:
@@ -65,16 +65,7 @@ class LabeledTree:
         return len(self.labels)
 
     def postorder(self) -> list[int]:
-        out, stack = [], [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                out.append(t)
-                continue
-            stack.append((t, True))
-            for c in reversed(self.children[t]):
-                stack.append((c, False))
-        return out
+        return _postorder(self.root, self.children)
 
 
 @dataclass(frozen=True)
@@ -328,6 +319,27 @@ def count_slice_exact(
 # End-to-end pipeline
 # ---------------------------------------------------------------------------
 
+class FhwCount(NamedTuple):
+    """The answer count, and the fhw of the decomposition it was counted on."""
+
+    count: int
+    fhw: Fraction
+    exact: bool
+
+
+def fhw_decomposition(
+    h: Hypergraph, vertex_limit: int
+) -> tuple[Fraction, TreeDecomposition, bool]:
+    """(width, decomposition, exact): the exact fractional hypertreewidth
+    search when h has at most vertex_limit vertices, otherwise the min-fill
+    heuristic's decomposition and its fractional hypertreewidth."""
+    if len(h.vertices) <= vertex_limit:
+        width, td = fhw_exact_small(h, vertex_limit)
+        return width, td, True
+    _, td = treewidth_heuristic(h)
+    return fhw_of_td(h, td), td, False
+
+
 def count_answers_fhw_pipeline(
     q: Query,
     d: Database,
@@ -336,27 +348,24 @@ def count_answers_fhw_pipeline(
     exact_width_vertex_limit: int = 8,
     node_limit: int = 10_000,
     frontier_limit: int = 2_000_000,
-) -> int:
+) -> FhwCount:
     """Exact answer count of a plain conjunctive query via the automaton.
 
-    Decomposes the query hypergraph (exact fractional hypertreewidth for
-    small hypergraphs, min-fill heuristic otherwise), refuses instances over
-    fhw_limit when one is set, and counts the slice of the automaton built on
-    the nice decomposition. All limits surface as LimitExceededError.
+    Decomposes the query hypergraph with fhw_decomposition, refuses
+    instances over fhw_limit when one is set, and counts the slice of the
+    automaton built on the nice decomposition. All limits surface as
+    LimitExceededError.
     """
     if not q.is_plain_cq():
         raise UnsupportedQueryError("the decomposition pipeline needs a plain CQ")
     validate_pair(q, d)
     h = build_hypergraph(q)
-    if len(h.vertices) <= exact_width_vertex_limit:
-        width, td = fhw_exact_small(h, exact_width_vertex_limit)
-    else:
-        _, td = treewidth_heuristic(h)
-        width = fhw_of_td(h, td)
+    width, td, exact = fhw_decomposition(h, exact_width_vertex_limit)
     if fhw_limit is not None and width > fhw_limit:
         raise LimitExceededError(
             f"fractional hypertreewidth {width} exceeds the limit {fhw_limit}"
         )
     ntd = make_nice(h, td)
     aut = build_automaton(q, d, ntd, state_limit)
-    return count_slice_exact(aut, ntd.n_nodes, node_limit, frontier_limit)
+    count = count_slice_exact(aut, ntd.n_nodes, node_limit, frontier_limit)
+    return FhwCount(count, width, exact)

@@ -68,6 +68,8 @@ DEFAULT_LIMITS: dict[str, int | None] = {
     "fhw_vertex_limit": 8,
     "fhw_limit": None,
 }
+# The limits whose code paths read None as "no limit".
+NULLABLE_LIMITS = frozenset({"state_limit", "fhw_limit"})
 
 REPORT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -106,9 +108,29 @@ class RunConfig:
     limits: dict = field(default_factory=dict)
 
     def limit(self, key: str):
-        if key in self.limits:
-            return self.limits[key]
-        return DEFAULT_LIMITS[key]
+        return limit_value(self.limits, key)
+
+
+def limit_value(limits: dict, key: str):
+    """The value of a limit: its override in `limits`, else its default."""
+    return limits[key] if key in limits else DEFAULT_LIMITS[key]
+
+
+def _check_limit(key, value, source: str):
+    """A validated limit override; QueryValidationError names the key otherwise."""
+    if key not in DEFAULT_LIMITS:
+        raise QueryValidationError(
+            f"unknown limit {key!r} {source}; known: {', '.join(sorted(DEFAULT_LIMITS))}"
+        )
+    if value is None and key in NULLABLE_LIMITS:
+        return None
+    least = 1 if key == "oracle_cap" else 0
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "none or an integer" if key in NULLABLE_LIMITS else "an integer"
+        raise QueryValidationError(
+            f"limit {key!r} {source} must be {kind} >= {least}, got {value!r}"
+        )
+    return value
 
 
 def _load_limits(pairs: list[str] | None) -> dict:
@@ -116,21 +138,24 @@ def _load_limits(pairs: list[str] | None) -> dict:
     env_path = os.environ.get(LIMITS_ENV_VAR)
     if env_path:
         try:
-            limits.update(json.loads(Path(env_path).read_text(encoding="utf-8")))
+            doc = json.loads(Path(env_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise DatabaseParseError(f"cannot read limits file {env_path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise QueryValidationError(
+                f"limits file {env_path} must hold a JSON object of key: value"
+            )
+        for key, value in doc.items():
+            limits[key] = _check_limit(key, value, f"in limits file {env_path}")
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep:
             raise QueryValidationError(f"--limit expects key=value, got {pair!r}")
-        if key not in DEFAULT_LIMITS:
-            raise QueryValidationError(
-                f"unknown limit {key!r}; known: {', '.join(sorted(DEFAULT_LIMITS))}"
-            )
-        limits[key] = None if value.lower() in ("none", "null") else int(value)
-    for key in limits:
-        if key not in DEFAULT_LIMITS:
-            raise QueryValidationError(f"unknown limit {key!r} in limits file")
+        try:
+            value = int(value)
+        except ValueError:
+            value = None if value.lower() in ("none", "null") else value
+        limits[key] = _check_limit(key, value, "in --limit")
     return limits
 
 
@@ -191,8 +216,7 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
         )
     elif cfg.method == "fhw":
         fhw_limit = cfg.limit("fhw_limit")
-        h = build_hypergraph(q)
-        report["count"] = automata.count_answers_fhw_pipeline(
+        result = automata.count_answers_fhw_pipeline(
             q,
             d,
             fhw_limit=Fraction(fhw_limit) if fhw_limit is not None else None,
@@ -201,15 +225,8 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             node_limit=cfg.limit("node_limit"),
             frontier_limit=cfg.limit("frontier_limit"),
         )
-        if len(h.vertices) <= cfg.limit("fhw_vertex_limit"):
-            width, _ = widths.fhw_exact_small(h, cfg.limit("fhw_vertex_limit"))
-            report["widths"] = {"fhw": _frac_str(width), "exact": True}
-        else:
-            w, td = widths.treewidth_heuristic(h)
-            report["widths"] = {
-                "fhw": _frac_str(widths.fhw_of_td(h, td)),
-                "exact": False,
-            }
+        report["count"] = result.count
+        report["widths"] = {"fhw": _frac_str(result.fhw), "exact": result.exact}
     else:
         raise QueryValidationError(f"unknown method {cfg.method!r}")
 
@@ -231,43 +248,27 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
     q, _ = normalize_equalities(q)
     h = build_hypergraph(q)
 
-    def get(key):
-        return limits[key] if key in limits else DEFAULT_LIMITS[key]
-
     out: dict = {"query": q.name, "measures": {}}
     for measure in measures:
         entry: dict = {}
         try:
             if measure == "tw":
-                if len(h.vertices) <= get("tw_vertex_limit"):
-                    value, td = widths.treewidth_exact(h, get("tw_vertex_limit"))
-                    entry = {
-                        "value": value,
-                        "exact": True,
-                        "decomposition": td.to_doc(),
-                    }
+                vertex_limit = limit_value(limits, "tw_vertex_limit")
+                exact = len(h.vertices) <= vertex_limit
+                if exact:
+                    value, td = widths.treewidth_exact(h, vertex_limit)
                 else:
                     value, td = widths.treewidth_heuristic(h)
-                    entry = {
-                        "value": value,
-                        "exact": False,
-                        "decomposition": td.to_doc(),
-                    }
+                entry = {"value": value, "exact": exact, "decomposition": td.to_doc()}
             elif measure == "fhw":
-                if len(h.vertices) <= get("fhw_vertex_limit"):
-                    value, td = widths.fhw_exact_small(h, get("fhw_vertex_limit"))
-                    entry = {
-                        "value": _frac_str(value),
-                        "exact": True,
-                        "decomposition": td.to_doc(),
-                    }
-                else:
-                    _, td = widths.treewidth_heuristic(h)
-                    entry = {
-                        "value": _frac_str(widths.fhw_of_td(h, td)),
-                        "exact": False,
-                        "decomposition": td.to_doc(),
-                    }
+                value, td, exact = automata.fhw_decomposition(
+                    h, limit_value(limits, "fhw_vertex_limit")
+                )
+                entry = {
+                    "value": _frac_str(value),
+                    "exact": exact,
+                    "decomposition": td.to_doc(),
+                }
             elif measure == "rho":
                 value, weights = widths.fractional_edge_cover_number(h)
                 entry = {

@@ -420,12 +420,6 @@ class Database:
     def signature(self) -> frozenset[RelationSymbol]:
         return frozenset(self.relations)
 
-    def symbol(self, name: str) -> RelationSymbol | None:
-        for sym in self.relations:
-            if sym.name == name:
-                return sym
-        return None
-
     @staticmethod
     def make(
         domain: Sequence[Value],

@@ -41,7 +41,7 @@ from .qmodel import (
     oriented_disequalities,
     validate_pair,
 )
-from .widths import make_nice, treewidth_exact
+from .widths import _bits, make_nice, treewidth_exact
 
 HOM_BACKENDS = ("bruteforce", "td-dp")
 
@@ -108,9 +108,6 @@ class ImplicitAnswerHypergraph:
         if self._answers is None:
             self._answers = enumerate_answers_bruteforce(self.query, self.database)
         return self._answers
-
-    def edge_count_bruteforce(self) -> int:
-        return len(self.answers())
 
     def evaluator(self, backend: str) -> "_Evaluator":
         if backend not in HOM_BACKENDS:
@@ -223,7 +220,7 @@ class _Evaluator:
         for m in dom:
             if not m:
                 return None
-        order = sorted(range(n), key=lambda i: _popcount(dom[i]))
+        order = sorted(range(n), key=lambda i: dom[i].bit_count())
         rank = {x: k for k, x in enumerate(order)}
         due: list[list] = [[] for _ in range(n)]
         for idxs, facts, negated in self.higher:
@@ -264,17 +261,6 @@ class _Evaluator:
             # Re-derive the witness from the final masks is fragile; rebuild it.
             return tuple(values[assigned[i]] for i in range(n))
         return None
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

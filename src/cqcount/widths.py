@@ -23,6 +23,20 @@ def _vkey(v):
     return (v.__class__.__name__, repr(v))
 
 
+def _postorder(root: int, children: Sequence[Sequence[int]]) -> list[int]:
+    """Node ids of a rooted tree, children strictly before parents, left to right."""
+    out, stack = [], [(root, False)]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            out.append(t)
+            continue
+        stack.append((t, True))
+        for c in reversed(children[t]):
+            stack.append((c, False))
+    return out
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A finite hypergraph: vertex set plus a set of nonempty hyperedges."""
@@ -137,16 +151,7 @@ class TreeDecomposition:
 
     def postorder(self) -> list[int]:
         """Children strictly before parents, left to right."""
-        out, stack = [], [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                out.append(t)
-                continue
-            stack.append((t, True))
-            for c in reversed(self.children[t]):
-                stack.append((c, False))
-        return out
+        return _postorder(self.root, self.children)
 
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
@@ -215,10 +220,6 @@ class TreeDecomposition:
         return TreeDecomposition.make(
             root, children, bags, guards if any_guard else None
         )
-
-
-def td_width(td: TreeDecomposition) -> int:
-    return td.width()
 
 
 def is_valid_td(h: Hypergraph, td: TreeDecomposition) -> bool:

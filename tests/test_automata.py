@@ -221,7 +221,7 @@ def test_answer_trees_are_accepted():
 def test_unsatisfiable_query_counts_zero():
     q = parse_query("phi(x) :- U(x), W(x)")
     d = Database.make([0, 1], {"U": (1, [(0,)]), "W": (1, [(1,)])})
-    assert count_answers_fhw_pipeline(q, d) == 0
+    assert count_answers_fhw_pipeline(q, d).count == 0
 
 
 def test_automaton_requires_plain_cq():
@@ -265,7 +265,7 @@ def test_pipeline_triangle_query():
         [0, 1, 2, 3],
         {"E": (2, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0), (0, 3)])},
     )
-    assert count_answers_fhw_pipeline(q, d, state_limit=None) == (
+    assert count_answers_fhw_pipeline(q, d, state_limit=None).count == (
         count_answers_bruteforce(q, d)
     )
 
@@ -273,7 +273,7 @@ def test_pipeline_triangle_query():
 def test_pipeline_matches_bruteforce_small_corpus():
     for seed in range(30):
         q, d = plain_cq_instance(seed)
-        got = count_answers_fhw_pipeline(q, d, state_limit=None)
+        got = count_answers_fhw_pipeline(q, d, state_limit=None).count
         assert got == count_answers_bruteforce(q, d), seed
 
 

@@ -228,6 +228,74 @@ def test_limits_file_from_environment(capsys, tmp_path, monkeypatch, instance):
     assert doc["count"] == 6
 
 
+FPTRAS = ["--method", "fptras", "--epsilon", "0.25", "--delta", "0.1", "--seed", "11"]
+
+
+@pytest.mark.parametrize("limit, method", [
+    ("oracle_cap=0", FPTRAS),  # used to divide by zero
+    ("enum_budget=none", ["--method", "exact"]),
+    ("probe_budget=none", FPTRAS),
+    ("enum_budget=-1", ["--method", "exact"]),  # used to be accepted silently
+])
+def test_exit_validation_bad_limit_flag(capsys, instance, limit, method):
+    code, _, err = run(capsys, [
+        "count", "--query", instance["query"], "--db", instance["db"],
+        *method, "--limit", limit,
+    ])
+    assert code == EXIT_VALIDATION
+    assert limit.partition("=")[0] in err
+
+
+@pytest.mark.parametrize("content, named", [
+    ({"oracle_cap": "x"}, "oracle_cap"),
+    ([1, 2], "JSON object"),
+])
+def test_exit_validation_bad_limits_file(
+    capsys, tmp_path, monkeypatch, instance, content, named
+):
+    limits = tmp_path / "limits.json"
+    limits.write_text(json.dumps(content), encoding="utf-8")
+    monkeypatch.setenv(LIMITS_ENV_VAR, str(limits))
+    code, _, err = run(capsys, [
+        "count", "--query", instance["query"], "--db", instance["db"], *FPTRAS,
+    ])
+    assert code == EXIT_VALIDATION
+    assert named in err
+
+
+def test_exit_budget_fhw_limit(capsys, tmp_path, instance):
+    query = tmp_path / "tri.txt"
+    query.write_text("q(x, y, z) :- E(x, y), E(y, z), E(z, x)", encoding="utf-8")
+    code, _, err = run(capsys, [
+        "count", "--query", str(query), "--db", instance["db"],
+        "--method", "fhw", "--limit", "fhw_limit=1",
+    ])
+    assert code == EXIT_BUDGET
+    assert "hypertreewidth" in err
+
+
+@pytest.mark.parametrize("atoms, exact, fhw", [
+    ("E(x0, x1), E(x1, x2), E(x2, x0)", True, "3/2"),
+    # 10 variables, over the default fhw_vertex_limit of 8: heuristic branch
+    (", ".join(f"E(x{i}, x{i + 1})" for i in range(9)), False, "1"),
+])
+def test_count_and_analyze_report_the_same_fhw(
+    capsys, tmp_path, instance, atoms, exact, fhw
+):
+    query = tmp_path / "q.txt"
+    query.write_text(f"q(x0, x2) :- {atoms}", encoding="utf-8")
+    count = ["count", "--query", str(query), "--db", instance["db"]]
+    code, counted, _ = run(capsys, count + ["--method", "fhw"])
+    assert code == EXIT_OK
+    assert counted["widths"] == {"fhw": fhw, "exact": exact}
+    _, reference, _ = run(capsys, count + ["--method", "exact"])
+    assert counted["count"] == reference["count"]
+    code, analyzed, _ = run(capsys, ["analyze", "--query", str(query), "--measures", "fhw"])
+    assert code == EXIT_OK
+    assert analyzed["measures"]["fhw"]["value"] == fhw
+    assert analyzed["measures"]["fhw"]["exact"] is exact
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

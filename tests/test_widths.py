@@ -20,7 +20,6 @@ from cqcount import (
     is_valid_td,
     make_nice,
     mu_width,
-    td_width,
     treewidth_exact,
     treewidth_heuristic,
 )
@@ -177,7 +176,7 @@ def test_is_valid_td_rejects_missing_vertex():
 def test_is_valid_td_accepts_triangle_bag():
     td = TreeDecomposition.make(0, [()], [frozenset({0, 1, 2})])
     assert is_valid_td(TRIANGLE, td)
-    assert td_width(td) == 2
+    assert td.width() == 2
 
 
 def test_tree_decomposition_make_rejects_cycles():
