@@ -165,71 +165,61 @@ def build_automaton(
     if not q.is_plain_cq():
         raise UnsupportedQueryError("the automaton construction needs a plain CQ")
     validate_pair(q, d)
-    h = build_hypergraph(q)
     if not td.is_nice():
         raise DecompositionError("decomposition must be nice")
-    if not is_valid_td(h, td):
+    if not is_valid_td(build_hypergraph(q), td):
         raise DecompositionError("decomposition is not valid for the query hypergraph")
 
     free = set(q.free_vars)
     bag_order = [tuple(sorted(td.bags[t], key=_vkey)) for t in range(td.n_nodes)]
-    sols: dict[frozenset, set[tuple]] = {}
+    sols: dict[tuple, set[tuple]] = {}
 
     def sol(t: int) -> set[tuple]:
-        bag = td.bags[t]
-        got = sols.get(bag)
+        order = bag_order[t]
+        got = sols.get(order)
         if got is None:
-            got = sol_bag(q, d, tuple(sorted(bag, key=_vkey)))
-            sols[bag] = got
+            got = sols[order] = sol_bag(q, d, order)
             if state_limit is not None and len(got) > state_limit:
                 raise LimitExceededError(
-                    f"bag {sorted(bag, key=_vkey)} has {len(got)} partial solutions, "
+                    f"bag {list(order)} has {len(got)} partial solutions, "
                     f"limit is {state_limit}"
                 )
         return got
 
     def label(t: int, alpha: tuple):
-        order = bag_order[t]
-        return (t, tuple(v for x, v in zip(order, alpha) if x in free))
+        return (t, tuple(v for x, v in zip(bag_order[t], alpha) if x in free))
 
-    states = set()
-    alphabet = set()
     transitions: dict[tuple, set] = {}
 
-    def add(s, lbl, outcome) -> None:
-        states.add(s)
-        alphabet.add(lbl)
-        transitions.setdefault((s, lbl), set()).add(outcome)
-        for c in outcome:
-            states.add(c)
+    def add(t: int, alpha: tuple, outcome: tuple) -> None:
+        transitions.setdefault(((t, alpha), label(t, alpha)), set()).add(outcome)
 
     for t in range(td.n_nodes):
         kids = td.children[t]
-        order = bag_order[t]
-        for alpha in sol(t):
-            s = (t, alpha)
-            lbl = label(t, alpha)
-            if not kids:
-                add(s, lbl, ())
-            elif len(kids) == 2:
-                add(s, lbl, ((kids[0], alpha), (kids[1], alpha)))
-            else:
-                c = kids[0]
-                corder = bag_order[c]
-                if td.bags[c] < td.bags[t]:  # introduce
-                    keep = dict(zip(order, alpha))
-                    child_alpha = tuple(keep[x] for x in corder)
-                    if child_alpha in sol(c):
-                        add(s, lbl, ((c, child_alpha),))
-                else:  # forget
-                    keep_idx = [i for i, x in enumerate(corder) if x in td.bags[t]]
-                    for child_alpha in sol(c):
-                        if tuple(child_alpha[i] for i in keep_idx) == alpha:
-                            add(s, lbl, ((c, child_alpha),))
+        rows = sol(t)
+        # Leaf and join states pass their row to every child. An empty table
+        # emits nothing; leaving its child's table to the child's own node
+        # keeps the bag that a state_limit error names.
+        if len(kids) != 1 or not rows:
+            for alpha in rows:
+                add(t, alpha, tuple((k, alpha) for k in kids))
+            continue
+        # Introduce or forget edge: one pass over the larger bag's rows, each
+        # projected onto the smaller bag and kept if it is a row there too.
+        c = kids[0]
+        big, small = (t, c) if td.bags[c] < td.bags[t] else (c, t)
+        keep = [bag_order[big].index(x) for x in bag_order[small]]
+        small_rows = sol(small)
+        for row in sol(big):
+            proj = tuple(row[i] for i in keep)
+            if proj in small_rows:
+                alpha, beta = (row, proj) if big == t else (proj, row)
+                add(t, alpha, ((c, beta),))
 
     initial = (td.root, ())
-    states.add(initial)
-    alphabet.add(label(td.root, ()))
+    states = {initial, *(s for s, _ in transitions)}
+    states.update(c for outs in transitions.values() for o in outs for c in o)
+    alphabet = {label(td.root, ()), *(lbl for _, lbl in transitions)}
     return TreeAutomaton.make(
         states, alphabet, {k: frozenset(v) for k, v in transitions.items()}, initial
     )
@@ -273,6 +263,7 @@ def count_slice_exact(
                 )
 
     layers: list[dict[frozenset, int]] = [dict() for _ in range(n_nodes + 1)]
+    left: list[list] = []
     total_entries = 0
     for lbl, ss in leaf_by_label.items():
         key = frozenset(ss)
@@ -290,17 +281,19 @@ def count_slice_exact(
             for lbl, ss in ups.items():
                 key = frozenset(ss)
                 here[key] = here.get(key, 0) + cnt
-        # two ordered children with n1 + n2 = n - 1 nodes
+        # two ordered children with n1 + n2 = n - 1 nodes; left[n1] holds the
+        # binary transitions of each set in layer n1, gathered once
+        left.append([])
+        for s1, cnt1 in layers[n - 2].items():
+            pairs: dict = {}
+            for c1 in s1:
+                for lbl, lst in binary_by_left.get(c1, {}).items():
+                    pairs.setdefault(lbl, []).extend(lst)
+            if pairs:
+                left[-1].append((s1, cnt1, pairs))
         for n1 in range(1, n - 1):
-            n2 = n - 1 - n1
-            for s1, cnt1 in layers[n1].items():
-                pairs: dict = {}
-                for c1 in s1:
-                    for lbl, lst in binary_by_left.get(c1, {}).items():
-                        pairs.setdefault(lbl, []).extend(lst)
-                if not pairs:
-                    continue
-                for s2, cnt2 in layers[n2].items():
+            for s1, cnt1, pairs in left[n1]:
+                for s2, cnt2 in layers[n - 1 - n1].items():
                     for lbl, lst in pairs.items():
                         up = {s for s, c2 in lst if c2 in s2}
                         if up:
@@ -344,7 +337,7 @@ def count_answers_fhw_pipeline(
     q: Query,
     d: Database,
     fhw_limit: Fraction | None = None,
-    state_limit: int | None = 14,
+    state_limit: int | None = 8_192,
     exact_width_vertex_limit: int = 8,
     node_limit: int = 10_000,
     frontier_limit: int = 2_000_000,

@@ -436,17 +436,19 @@ class Database:
         rels: dict[RelationSymbol, frozenset[tuple[Value, ...]]] = {}
         for name in sorted(relations):
             arity, tuples = relations[name]
-            if arity < 1:
-                raise DatabaseValidationError(f"relation {name} must have arity >= 1")
+            if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+                raise DatabaseValidationError(
+                    f"relation {name} must have an integer arity >= 1, got {arity!r}"
+                )
             facts = set()
             for t in tuples:
-                tt = tuple(t)
-                if len(tt) != arity:
+                if not isinstance(t, (list, tuple)) or len(t) != arity:
                     raise DatabaseValidationError(
-                        f"relation {name}: tuple {tt!r} does not match arity {arity}"
+                        f"relation {name}: tuple {t!r} does not match arity {arity}"
                     )
+                tt = tuple(t)
                 for v in tt:
-                    if v not in dom_set:
+                    if not isinstance(v, (str, int)) or v not in dom_set:
                         raise DatabaseValidationError(
                             f"relation {name}: value {v!r} not in domain"
                         )
@@ -482,16 +484,17 @@ def load_database(path: str | Path) -> Database:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatabaseParseError(f"database file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "domain" not in doc or "relations" not in doc:
-        raise DatabaseValidationError("database document needs 'domain' and 'relations'")
-    rels = doc["relations"]
-    if not isinstance(rels, dict):
-        raise DatabaseValidationError("'relations' must be an object")
+    rels = doc.get("relations") if isinstance(doc, dict) else None
+    if not isinstance(rels, dict) or not isinstance(doc.get("domain"), list):
+        raise DatabaseValidationError(
+            "database document needs a 'domain' list and a 'relations' object"
+        )
     spec = {}
     for name, body in rels.items():
-        if not isinstance(body, dict) or "arity" not in body or "tuples" not in body:
-            raise DatabaseValidationError(f"relation {name} needs 'arity' and 'tuples'")
-        spec[name] = (body["arity"], body["tuples"])
+        tuples = body.get("tuples") if isinstance(body, dict) else None
+        if not isinstance(tuples, list) or "arity" not in body:
+            raise DatabaseValidationError(f"relation {name} needs 'arity' and a 'tuples' list")
+        spec[name] = (body["arity"], tuples)
     return Database.make(doc["domain"], spec)
 
 

@@ -203,6 +203,8 @@ class _Evaluator:
         for (i, j), red in zip(self.diseq_pos, colour_masks):
             dom[i] &= red
             dom[j] &= self.full_mask & ~red
+        if not all(dom):
+            return None
         if self.backend == "td-dp":
             return self._find_td(dom)
         return self._find_bruteforce(dom)
@@ -217,9 +219,6 @@ class _Evaluator:
 
     def _find_bruteforce(self, dom: list[int]) -> tuple | None:
         n = self.nvars
-        for m in dom:
-            if not m:
-                return None
         order = sorted(range(n), key=lambda i: dom[i].bit_count())
         rank = {x: k for k, x in enumerate(order)}
         due: list[list] = [[] for _ in range(n)]

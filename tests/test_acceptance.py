@@ -1,4 +1,4 @@
-"""Acceptance suite: ten desk-scale correctness gates, one per criterion.
+"""Acceptance suite: eleven desk-scale correctness gates, one per criterion.
 
 Each test prints a single ``[criterion NN] PASS/FAIL`` line (visible under
 ``pytest -s`` or in the captured-output section) and then asserts, so the
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from cqcount import (
     Hypergraph,
+    OracleStats,
     approx_count_answers,
     build_A,
     build_automaton,
@@ -364,3 +365,28 @@ def test_c10_estimator_calibration():
         failures.append(("amplified inside [18,30]", inside))
     _report(10, f"walk mean {mean:.2f} of 24; {inside}/100 amplified in [18,30]",
             failures, t0, 300)
+
+
+# ---------------------------------------------------------------------------
+# 11. The walk estimator on the colour-coding oracle hits the accuracy target
+# ---------------------------------------------------------------------------
+
+def test_c11_walk_estimator_accuracy():
+    t0 = time.time()
+    failures = []
+    within = 0
+    for seed in range(100):
+        q, d = corpus_instance(2000 + seed, max_domain=6)
+        truth = count_answers_bruteforce(q, d)
+        stats = OracleStats()
+        est = approx_count_answers(
+            q, d, 0.25, 0.1, seed=seed, stats=stats, probe_budget=0
+        )
+        if abs(est - truth) <= 0.25 * truth:
+            within += 1
+        if stats.estimator_walks == 0:
+            failures.append(("no estimator walk", seed))
+    if within < 85:
+        failures.append(("within-epsilon count", within))
+    _report(11, f"walk estimator eps=0.25 delta=0.1: {within}/100 within tolerance",
+            failures, t0, 900)

@@ -274,6 +274,60 @@ def test_exit_budget_fhw_limit(capsys, tmp_path, instance):
     assert "hypertreewidth" in err
 
 
+def test_count_fhw_default_limits_over_fourteen_values(capsys, tmp_path):
+    # A bag holding one variable has one partial solution per value, so a
+    # state_limit of 14 refused every database with more than 14 values.
+    n = 16
+    db = tmp_path / "k16.json"
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
+    dump_database(Database.make(list(range(n)), {"E": (2, edges)}), db)
+    query = tmp_path / "tri.txt"
+    query.write_text("q(x, y, z) :- E(x, y), E(y, z), E(z, x)", encoding="utf-8")
+    code, doc, err = run(capsys, [
+        "count", "--query", str(query), "--db", str(db), "--method", "fhw",
+    ])
+    assert code == EXIT_OK, err
+    assert doc["count"] == n * (n - 1) * (n - 2)
+
+
+@pytest.mark.parametrize("domain, relation, named", [
+    ([0, 1], {"arity": "2", "tuples": [[0, 1]]}, "relation F"),
+    ([0, 1], {"arity": 2.5, "tuples": []}, "relation F"),  # used to be accepted
+    ([0, 1], {"arity": 2, "tuples": 5}, "relation F"),
+    ([0, 1], {"arity": 2, "tuples": [5]}, "relation F"),
+    ([0, 1], {"arity": 2, "tuples": [[[1], 0]]}, "relation F"),
+    (5, {"arity": 2, "tuples": [[0, 1]]}, "domain"),
+], ids=["str-arity", "float-arity", "int-tuples", "int-tuple", "list-value", "int-domain"])
+def test_exit_validation_malformed_database(
+    capsys, tmp_path, instance, domain, relation, named
+):
+    # F is malformed; the query reads only the well-formed E.
+    good = {"arity": 2, "tuples": [[0, 1]]}
+    db = tmp_path / "bad.json"
+    db.write_text(
+        json.dumps({"domain": domain, "relations": {"E": good, "F": relation}}),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, [
+        "count", "--query", instance["plain"], "--db", str(db), "--method", "exact",
+    ])
+    assert code == EXIT_VALIDATION
+    assert named in err
+
+
+@pytest.mark.parametrize("which", ["query", "db"])
+def test_exit_parse_not_utf8(capsys, tmp_path, instance, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("q(é) :- E(é, y)".encode("latin-1"))
+    files = {"query": instance["plain"], "db": instance["db"], which: str(bad)}
+    code, doc, err = run(capsys, [
+        "count", "--query", files["query"], "--db", files["db"], "--method", "exact",
+    ])
+    assert code == EXIT_PARSE
+    assert doc is None
+    assert "utf-8" in err
+
+
 @pytest.mark.parametrize("atoms, exact, fhw", [
     ("E(x0, x1), E(x1, x2), E(x2, x0)", True, "3/2"),
     # 10 variables, over the default fhw_vertex_limit of 8: heuristic branch
