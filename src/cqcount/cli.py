@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -63,10 +64,19 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #   4-cycle   8,100: 0.24 s   65,536: 1.55 s   262,144: 5.7 s
 #   8-path    3,072: 0.69 s   8,190: 2.01 s   32,772: 12.2 s
 # 2**13 rows keeps each of these builds within about 2 s.
+# walk_budget caps the walks of one fptras estimator run, 48 pilot walks plus
+# m*g (m = 67 at delta 0.1, g >= 8 from the pilot variance). Walks per run,
+# Python 3.11, 2-vCPU Xeon:
+#   c11 corpus (probe_budget 0)     100 runs: median 584, max 8,289; 0.05 ms/walk
+#   c10 (hampath(K4), exact oracle) 100 runs: median 858, max 912; 0.09 ms/walk
+#   p3-32-walk-* benchmark ops       27 runs: median 2,795, max 4,671; 0.30 ms/walk
+#   c02 corpus: no run leaves the exact probe
+# 100,000 is 12x the largest run and about 30 s at 0.3 ms/walk.
 DEFAULT_LIMITS: dict[str, int | None] = {
     "enum_budget": 10_000_000,
     "probe_budget": 20_000,
     "oracle_cap": 50_000,
+    "walk_budget": 100_000,
     "state_limit": 8_192,
     "node_limit": 10_000,
     "frontier_limit": 2_000_000,
@@ -76,6 +86,8 @@ DEFAULT_LIMITS: dict[str, int | None] = {
 }
 # The limits whose code paths read None as "no limit".
 NULLABLE_LIMITS = frozenset({"state_limit", "fhw_limit"})
+# fhw_limit also takes a rational p/q: fractional hypertreewidth is rational.
+_RATIONAL_RE = re.compile(r"\d+/[1-9]\d*")
 
 REPORT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -130,9 +142,13 @@ def _check_limit(key, value, source: str):
         )
     if value is None and key in NULLABLE_LIMITS:
         return None
+    if key == "fhw_limit" and isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        return Fraction(value)
     least = 1 if key == "oracle_cap" else 0
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         kind = "none or an integer" if key in NULLABLE_LIMITS else "an integer"
+        if key == "fhw_limit":
+            kind = "none, an integer or p/q"
         raise QueryValidationError(
             f"limit {key!r} {source} must be {kind} >= {least}, got {value!r}"
         )
@@ -211,6 +227,7 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             stats=stats,
             probe_budget=cfg.limit("probe_budget"),
             initial_cap=cfg.limit("oracle_cap"),
+            walk_budget=cfg.limit("walk_budget"),
         )
         report.update(
             estimate=estimate,

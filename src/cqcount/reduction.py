@@ -2,12 +2,13 @@
 
 Each answer of the query is one hyperedge over ell disjoint copies of the
 domain (one layer per free variable); the hyperedges are never materialized.
-Edge-freeness of a sub-box is decided by colour coding: disequalities are
-replaced by sampled two-colourings, and each sample needs one homomorphism
-check between a decorated query structure and a decorated layered database
-structure. Counting then reduces to edge-freeness queries alone: an exact
-recursive halving counter and a random-walk estimator with median-of-means
-amplification sit on top.
+Edge-freeness of a sub-box is decided by colour coding: the disequality graph
+is covered by cliques once, each sample draws one colouring of the domain per
+clique and pins the clique's i-th variable to colour class i, and each sample
+needs one homomorphism check between a decorated query structure and a
+decorated layered database structure. Counting then reduces to edge-freeness
+queries alone: an exact recursive halving counter and a random-walk estimator
+with median-of-means amplification sit on top.
 
 Both homomorphism backends answer a layer-decorated check without building
 the layered structure: tagged relations ignore layer indices, so the check
@@ -184,12 +185,28 @@ class _Evaluator:
         self.diseq_pos = [
             (pos[a], pos[b]) for a, b in oriented_disequalities(q)
         ]
+        self.cliques = clique_cover(self.diseq_pos)
+        # Disequality (a, b) of a clique takes the class of a as its red mask.
+        slot = {}
+        for c, clique in enumerate(self.cliques):
+            for (i, a), (_, b) in itertools.combinations(enumerate(clique), 2):
+                slot[a, b] = (c, i)
+        self.red_slots = [slot[p] for p in self.diseq_pos]
 
         if backend == "td-dp":
             self._a = build_A(q)
             self._b = build_B(q, d)
             _, td = treewidth_exact(structure_hypergraph(self._a))
             self._td = make_nice(structure_hypergraph(self._a), td)
+
+    def red_masks(self, classes) -> list[int]:
+        """Per-disequality red masks of one colouring per clique.
+
+        classes[c][i] is the value mask of colour class i of clique c. Red
+        (a, b) = class a and blue = its complement leave exactly class i to
+        the clique's i-th variable, because the classes partition the domain.
+        """
+        return [classes[c][i] for c, i in self.red_slots]
 
     def find(self, layer_masks, colour_masks) -> tuple | None:
         """Witness assignment (values, var order) or None.
@@ -399,13 +416,60 @@ def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:
     ]
 
 
-def repetitions(n_diseq: int, delta_prime: float) -> int:
-    """Colour samples needed for one-sided failure probability delta_prime."""
+def clique_cover(pairs) -> list[tuple[int, ...]]:
+    """Greedy edge-disjoint clique cover of a graph given by oriented pairs.
+
+    Each uncovered pair, in the given order, starts a clique that grows in
+    vertex order by every vertex joined to all members by uncovered pairs; a
+    triangle-free graph gets one K2 per pair, in order.
+    """
+    uncovered = set(pairs)
+    vertices = sorted({v for pair in pairs for v in pair})
+    cover = []
+    for pair in pairs:
+        if pair not in uncovered:
+            continue
+        clique = list(pair)
+        for v in vertices:
+            if v not in clique and all(
+                (min(u, v), max(u, v)) in uncovered for u in clique
+            ):
+                clique.append(v)
+        clique.sort()
+        uncovered.difference_update(itertools.combinations(clique, 2))
+        cover.append(tuple(clique))
+    return cover
+
+
+def clique_repetitions(sizes, delta_prime: float) -> int:
+    """Colour samples needed for one-sided failure probability delta_prime
+    when each clique K_k of the cover gets one k-colouring: an answer
+    survives a sample with probability prod k^-k."""
     if not 0 < delta_prime < 1:
         raise ValueError("delta_prime must lie in (0, 1)")
-    if n_diseq == 0:
+    if not sizes:
         return 1
-    return math.ceil(math.log(1 / delta_prime)) * 4**n_diseq
+    return math.ceil(math.log(1 / delta_prime)) * math.prod(k**k for k in sizes)
+
+
+def repetitions(n_diseq: int, delta_prime: float) -> int:
+    """Colour samples for n_diseq disequalities covered by K2s (4 each)."""
+    return clique_repetitions((2,) * n_diseq, delta_prime)
+
+
+def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
+    """A uniform k-colouring of the width domain values as k class masks.
+
+    A K2 takes one getrandbits draw whose set bits are class 0, the draw
+    per disequality that a triangle-free query has always made.
+    """
+    if k == 2:
+        red = rng.getrandbits(width)
+        return [red, ~red & ((1 << width) - 1)]
+    classes = [0] * k
+    for idx in range(width):
+        classes[rng.randrange(k)] |= 1 << idx
+    return classes
 
 
 def edgefree_restricted(
@@ -419,7 +483,9 @@ def edgefree_restricted(
     """One-sided randomized edge-freeness for a layer-aligned box.
 
     'Has an edge' answers are always correct; 'edge-free' is wrong with
-    probability at most delta_prime. With no disequalities the check is a
+    probability at most delta_prime. Each sample colours the domain once per
+    clique of the evaluator's disequality cover, so clique_repetitions() of
+    the clique sizes samples suffice. With no disequalities the check is a
     single exact homomorphism call.
     """
     masks = _layer_masks(ih, vs)
@@ -428,15 +494,21 @@ def edgefree_restricted(
     if any(m == 0 for m in masks) and ih.ell > 0:
         return True
     ev = ih.evaluator(backend)
-    nd = len(ih.query.disequalities)
-    if nd == 0:
+    if not ev.cliques:
         if stats is not None:
             stats.hom_calls += 1
         return ev.find(masks, ()) is None
-    q_reps = repetitions(nd, delta_prime)
+    sizes = [len(clique) for clique in ev.cliques]
+    q_reps = clique_repetitions(sizes, delta_prime)
     width = len(ih.domain)
+    # A cover of K2s only is diseq_pos itself, each red mask its K2's draw:
+    # the general path's draws, without building class lists per sample.
+    pairs_only = max(sizes) == 2
     for _ in range(q_reps):
-        colours = [rng.getrandbits(width) for _ in range(nd)]
+        if pairs_only:
+            colours = [rng.getrandbits(width) for _ in sizes]
+        else:
+            colours = ev.red_masks([_colour_classes(rng, k, width) for k in sizes])
         if stats is not None:
             stats.colourings_sampled += 1
             stats.hom_calls += 1
@@ -542,6 +614,9 @@ def single_walk_estimate(
     return est
 
 
+PILOT_WALKS = 48
+
+
 def estimate_edges(
     ih: ImplicitAnswerHypergraph,
     edgefree,
@@ -550,6 +625,7 @@ def estimate_edges(
     rng: random.Random,
     probe_budget: int = 20_000,
     stats: OracleStats | None = None,
+    walk_budget: int | None = 100_000,
 ) -> int:
     """(epsilon, delta)-style edge count estimate from edge-freeness queries.
 
@@ -558,6 +634,8 @@ def estimate_edges(
     median-of-means over random-walk samples: m = ceil(18 ln(2/delta)) means
     of g walks each, g chosen from a pilot variance estimate so a single mean
     lands within epsilon relative error with probability at least 3/4.
+    BudgetExceededError is raised before any walk when the pilot, or the
+    pilot plus the m*g walks, would take more than `walk_budget` walks.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -579,13 +657,21 @@ def estimate_edges(
             stats.estimator_walks += 1
         return single_walk_estimate(ih, edgefree, wrng)
 
-    pilot = [walk() for _ in range(48)]
+    def need(walks: int) -> None:
+        if walk_budget is not None and walks > walk_budget:
+            raise BudgetExceededError(
+                f"walk estimator needs {walks} walks, walk budget is {walk_budget}"
+            )
+
+    need(PILOT_WALKS)
+    pilot = [walk() for _ in range(PILOT_WALKS)]
     mean = statistics.fmean(pilot)
     if mean == 0:
         return 0
     var = statistics.pvariance(pilot)
     g = max(8, math.ceil(8 * var / (epsilon**2 * mean**2)))
     m = math.ceil(18 * math.log(2 / delta))
+    need(PILOT_WALKS + m * g)
     means = []
     for _ in range(m):
         means.append(statistics.fmean(walk() for _ in range(g)))
@@ -607,6 +693,7 @@ def approx_count_answers(
     probe_budget: int = 20_000,
     initial_cap: int = 50_000,
     max_attempts: int = 8,
+    walk_budget: int | None = 100_000,
 ) -> int:
     """Randomized answer count for a normalized query with disequalities.
 
@@ -615,7 +702,8 @@ def approx_count_answers(
     (memoized repeats are free). When a run needs more simulations than the
     cap allows, it restarts with a four times larger cap and fresh derived
     random streams, so the final answer always comes from a fully budgeted
-    run. Identical seeds give identical results.
+    run. Identical seeds give identical results. `walk_budget` caps the walks
+    of each attempt's estimator (see estimate_edges).
     """
     ih = ImplicitAnswerHypergraph(q, d)
     if isinstance(seed, random.Random):
@@ -647,7 +735,8 @@ def approx_count_answers(
 
         try:
             return estimate_edges(
-                ih, oracle, epsilon, delta / 2, est_rng, probe_budget, stats
+                ih, oracle, epsilon, delta / 2, est_rng, probe_budget, stats,
+                walk_budget,
             )
         except _OracleCapExhausted:
             stats.restarts += 1

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven desk-scale correctness gates, one per criterion.
+"""Acceptance suite: twelve desk-scale correctness gates, one per criterion.
 
 Each test prints a single ``[criterion NN] PASS/FAIL`` line (visible under
 ``pytest -s`` or in the captured-output section) and then asserts, so the
@@ -390,3 +390,50 @@ def test_c11_walk_estimator_accuracy():
         failures.append(("within-epsilon count", within))
     _report(11, f"walk estimator eps=0.25 delta=0.1: {within}/100 within tolerance",
             failures, t0, 900)
+
+
+# ---------------------------------------------------------------------------
+# 12. Exhaustive clique colourings decide edge-freeness of restricted boxes
+# ---------------------------------------------------------------------------
+
+def _clique_colourings(k: int, n_values: int):
+    """Every k-colouring of n_values domain values, as k class masks."""
+    for colours in itertools.product(range(k), repeat=n_values):
+        classes = [0] * k
+        for idx, c in enumerate(colours):
+            classes[c] |= 1 << idx
+        yield classes
+
+
+def test_c12_clique_colouring_equals_edgefreeness():
+    t0 = time.time()
+    failures = []
+    checked = edges = 0
+    for seed in range(2000):
+        q, d = corpus_instance(20_000 + seed, max_vars=4, max_diseq=6, max_domain=4)
+        ih = ImplicitAnswerHypergraph(q, d)
+        ev = ih.evaluator("bruteforce")
+        if max((len(c) for c in ev.cliques), default=0) < 3:
+            continue
+        checked += 1
+        families = [
+            list(_clique_colourings(len(c), len(d.domain))) for c in ev.cliques
+        ]
+        rng = random.Random(120_000 + seed)
+        for _ in range(20):
+            box = _sample_box(rng, d.domain, ih.ell)
+            truth = not edgefree_bruteforce(ih, restricted_parts(ih, box))
+            masks = _layer_masks(ih, box)
+            colourful = any(
+                ev.find(masks, ev.red_masks(classes)) is not None
+                for classes in itertools.product(*families)
+            )
+            edges += truth
+            if colourful != truth:
+                failures.append((seed, box))
+        if checked == 100:
+            break
+    if checked < 100:
+        failures.append(("instances with a clique of size >= 3", checked))
+    _report(12, f"exhaustive clique colouring hom == edge-freeness, {checked}x20 "
+            f"boxes, {edges} with an edge", failures, t0, 300)

@@ -236,6 +236,10 @@ FPTRAS = ["--method", "fptras", "--epsilon", "0.25", "--delta", "0.1", "--seed",
     ("enum_budget=none", ["--method", "exact"]),
     ("probe_budget=none", FPTRAS),
     ("enum_budget=-1", ["--method", "exact"]),  # used to be accepted silently
+    ("fhw_limit=1.5", ["--method", "fhw"]),  # rationals are written p/q
+    ("fhw_limit=3/0", ["--method", "fhw"]),
+    ("fhw_limit=-3/2", ["--method", "fhw"]),
+    ("walk_budget=none", FPTRAS),
 ])
 def test_exit_validation_bad_limit_flag(capsys, instance, limit, method):
     code, _, err = run(capsys, [
@@ -249,6 +253,9 @@ def test_exit_validation_bad_limit_flag(capsys, instance, limit, method):
 @pytest.mark.parametrize("content, named", [
     ({"oracle_cap": "x"}, "oracle_cap"),
     ([1, 2], "JSON object"),
+    ({"fhw_limit": 1.5}, "fhw_limit"),
+    ({"fhw_limit": True}, "fhw_limit"),
+    ({"fhw_limit": "1.5"}, "fhw_limit"),
 ])
 def test_exit_validation_bad_limits_file(
     capsys, tmp_path, monkeypatch, instance, content, named
@@ -272,6 +279,44 @@ def test_exit_budget_fhw_limit(capsys, tmp_path, instance):
     ])
     assert code == EXIT_BUDGET
     assert "hypertreewidth" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_fhw_limit_rational(capsys, tmp_path, monkeypatch, instance, via):
+    # fhw is rational: 3/2 admits a triangle and refuses a 4-cycle (fhw 2).
+    queries = {
+        "tri": ("q(x, y, z) :- E(x, y), E(y, z), E(z, x)", EXIT_OK),
+        "c4": ("q(x, y, z, w) :- E(x, y), E(y, z), E(z, w), E(w, x)", EXIT_BUDGET),
+    }
+    extra = []
+    if via == "flag":
+        extra = ["--limit", "fhw_limit=3/2"]
+    else:
+        limits = tmp_path / "limits.json"
+        limits.write_text(json.dumps({"fhw_limit": "3/2"}), encoding="utf-8")
+        monkeypatch.setenv(LIMITS_ENV_VAR, str(limits))
+    for name, (text, expected) in queries.items():
+        query = tmp_path / f"{name}.txt"
+        query.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, [
+            "count", "--query", str(query), "--db", instance["db"],
+            "--method", "fhw", *extra,
+        ])
+        assert code == expected, (name, err)
+    assert "hypertreewidth 2 exceeds the limit 3/2" in err
+
+
+def test_exit_budget_walk_budget(capsys, instance):
+    argv = [
+        "count", "--query", instance["query"], "--db", instance["db"], *FPTRAS,
+        "--limit", "probe_budget=0",
+    ]
+    code, doc, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["oracle_stats"]["estimator_walks"] > 0
+    code, _, err = run(capsys, argv + ["--limit", "walk_budget=10"])
+    assert code == EXIT_BUDGET
+    assert "walk budget is 10" in err
 
 
 def test_count_fhw_default_limits_over_fourteen_values(capsys, tmp_path):

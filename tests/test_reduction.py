@@ -34,6 +34,8 @@ from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     ImplicitAnswerHypergraph,
     _layer_masks,
+    clique_cover,
+    clique_repetitions,
     restricted_parts,
     single_walk_estimate,
 )
@@ -84,6 +86,69 @@ def test_repetitions_formula():
     assert repetitions(2, 0.01) == 80
     with pytest.raises(ValueError):
         repetitions(1, 0.0)
+
+
+def test_clique_repetitions_formula():
+    for n in range(5):
+        for dp in (0.01, 1e-6):
+            assert clique_repetitions((2,) * n, dp) == repetitions(n, dp)
+    assert clique_repetitions((4,), 1e-6) == 14 * 4**4 == 3_584
+    assert clique_repetitions((3, 2), 0.01) == 5 * 27 * 4
+    with pytest.raises(ValueError):
+        clique_repetitions((3,), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Clique cover of the disequality graph
+# ---------------------------------------------------------------------------
+
+def _evaluator_cliques(q, d):
+    return ImplicitAnswerHypergraph(q, d).evaluator("bruteforce").cliques
+
+
+def test_clique_cover_triangle_free_is_the_pairs_in_order():
+    c5 = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert clique_cover(c5) == c5
+    for seed in range(60):
+        q, d = corpus_instance(seed)  # at most two disequalities
+        ev = ImplicitAnswerHypergraph(q, d).evaluator("bruteforce")
+        assert ev.cliques == ev.diseq_pos
+
+
+def test_clique_cover_hampath_is_one_clique():
+    for n in (4, 5):
+        q, d = gen_hampath(list(itertools.combinations(range(n), 2)), n)
+        assert _evaluator_cliques(q, d) == [tuple(range(n))]
+
+
+def test_clique_cover_triangle_with_pendant():
+    assert clique_cover([(0, 1), (0, 2), (1, 2), (2, 3)]) == [(0, 1, 2), (2, 3)]
+    q = parse_query("q(a, b, c, e) :- E(a, b), E(c, e), a != b, b != c, a != c, c != e")
+    d = Database.make([0, 1, 2, 3], {"E": (2, [(0, 1), (2, 3)])})
+    assert _evaluator_cliques(q, d) == [(0, 1, 2), (2, 3)]
+
+
+def test_clique_cover_covers_each_disequality_once():
+    for seed in range(200):
+        q, d = corpus_instance(20_000 + seed, max_vars=5, max_diseq=10)
+        ev = ImplicitAnswerHypergraph(q, d).evaluator("bruteforce")
+        covered = [
+            pair for clique in ev.cliques
+            for pair in itertools.combinations(clique, 2)
+        ]
+        assert sorted(covered) == sorted(ev.diseq_pos), seed
+        assert all(len(clique) >= 2 for clique in ev.cliques)
+
+
+def test_red_masks_pin_each_clique_variable_to_its_class():
+    q, d = gen_hampath(K4, 4)
+    ev = ImplicitAnswerHypergraph(q, d).evaluator("bruteforce")
+    classes = [0b0001, 0b0110, 0b1000, 0b0000]
+    dom = [ev.full_mask] * 4
+    for (i, j), red in zip(ev.diseq_pos, ev.red_masks([classes])):
+        dom[i] &= red
+        dom[j] &= ev.full_mask & ~red
+    assert dom == classes
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +424,27 @@ def test_estimate_edges_walk_path_frozen_seeds():
     assert stats.estimator_walks >= 48 * 12
 
 
+def test_estimate_edges_walk_budget_raises_before_walking():
+    q, d = corpus_instance(4)  # 3 answers; this seed's estimate takes 750 walks
+
+    def estimate(budget, stats):
+        ih = ImplicitAnswerHypergraph(q, d)
+        return estimate_edges(
+            ih, exact_oracle(ih), 0.25, 0.1, derive_rng(7, 4),
+            probe_budget=0, stats=stats, walk_budget=budget,
+        )
+
+    # 10 stops before the 48 pilot walks, 749 right after them.
+    for budget, walked in ((10, 0), (749, 48)):
+        stats = OracleStats()
+        with pytest.raises(BudgetExceededError, match="walk budget"):
+            estimate(budget, stats)
+        assert stats.estimator_walks == walked
+    stats = OracleStats()
+    assert estimate(750, stats) == 3
+    assert stats.estimator_walks == 750
+
+
 # ---------------------------------------------------------------------------
 # End-to-end approximate counting
 # ---------------------------------------------------------------------------
@@ -397,6 +483,19 @@ def test_approx_count_td_backend_agrees():
         a = approx_count_answers(q, d, 0.3, 0.2, seed=6, backend="bruteforce")
         b = approx_count_answers(q, d, 0.3, 0.2, seed=6, backend="td-dp")
         assert a == b
+    # hampath over paths: one K3 and one K4 disequality clique, so both
+    # backends must consume the per-value clique colour draws alike.
+    for n in (3, 4):
+        q, d = gen_hampath([(i, i + 1) for i in range(n - 1)], n)
+        runs = []
+        for backend in ("bruteforce", "td-dp"):
+            stats = OracleStats()
+            est = approx_count_answers(
+                q, d, 0.3, 0.2, seed=6, backend=backend, stats=stats
+            )
+            runs.append((est, stats.as_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 2
 
 
 def test_approx_count_boolean_query():
