@@ -359,6 +359,10 @@ def count_answers_fhw_pipeline(
             f"fractional hypertreewidth {width} exceeds the limit {fhw_limit}"
         )
     ntd = make_nice(h, td)
+    if ntd.n_nodes > node_limit:
+        raise LimitExceededError(
+            f"slice size {ntd.n_nodes} exceeds the node limit {node_limit}"
+        )
     aut = build_automaton(q, d, ntd, state_limit)
     count = count_slice_exact(aut, ntd.n_nodes, node_limit, frontier_limit)
     return FhwCount(count, width, exact)

@@ -67,9 +67,5 @@ class LPError(CqcountError):
     """Base class for linear-programming failures."""
 
 
-class LPInfeasibleError(LPError):
-    """The linear program has no feasible point."""
-
-
 class LPUnboundedError(LPError):
     """The linear program's objective is unbounded."""

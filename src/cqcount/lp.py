@@ -1,8 +1,10 @@
-"""Exact rational linear programming via a dense two-phase simplex.
+"""Exact rational linear programming: a one-phase simplex with row duals.
 
 Small scale only: the width computations solve programs with at most a few
 dozen variables and constraints, and bit-exact Fraction arithmetic matters
-more than speed there. Bland's rule guarantees termination.
+more than speed there. Every program must have a feasible origin
+(b_ub >= 0), so the slack columns are the first basis and no phase 1 is
+needed. Bland's rule guarantees termination.
 """
 
 from __future__ import annotations
@@ -10,18 +12,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import LPInfeasibleError, LPUnboundedError
+from .errors import LPUnboundedError
 
 
 def solve_min(
     c: Sequence[Fraction],
     a_ub: Sequence[Sequence[Fraction]],
     b_ub: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
-    """Minimize c.x subject to a_ub.x <= b_ub and x >= 0.
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Minimize c.x subject to a_ub.x <= b_ub and x >= 0, where b_ub >= 0.
 
-    Returns (optimal value, optimal x). Raises LPInfeasibleError or
-    LPUnboundedError.
+    Returns (optimal value, optimal x, row duals w). The duals are the
+    reduced costs of the slack columns: w >= 0, c + a_ub^T w >= 0 and the
+    optimal value is -b_ub.w. Raises ValueError when some b_ub entry is
+    negative and LPUnboundedError when the objective has no lower bound.
     """
     n = len(c)
     m = len(a_ub)
@@ -31,96 +35,48 @@ def solve_min(
     for row in rows:
         if len(row) != n:
             raise ValueError("constraint row length does not match objective")
+    if any(v < 0 for v in rhs):
+        raise ValueError("solve_min needs b_ub >= 0, so that x = 0 is feasible")
 
-    # Columns: n structural, m slack, then artificials as needed.
+    # Columns: n structural, m slack, then the right-hand side. The slacks
+    # are the first basis, and the reduced-cost row starts as c itself.
     tableau: list[list[Fraction]] = []
-    basis: list[int] = []
     for i in range(m):
         row = rows[i] + [Fraction(0)] * m + [rhs[i]]
         row[n + i] = Fraction(1)
-        if rhs[i] < 0:
-            row = [-v for v in row]
         tableau.append(row)
+    basis = [n + i for i in range(m)]
+    red = c + [Fraction(0)] * (m + 1)
 
-    # Insert artificial columns before the RHS column.
-    n_art = sum(1 for v in rhs if v < 0)
-    width = n + m + n_art + 1
-    art_index = 0
-    for i in range(m):
-        row = tableau[i]
-        body, b = row[:-1], row[-1]
-        body = body + [Fraction(0)] * n_art
-        if rhs[i] < 0:
-            col = n + m + art_index
-            body[col] = Fraction(1)
-            art_index += 1
-            basis.append(col)
-        else:
-            basis.append(n + i)
-        tableau[i] = body + [b]
-    assert all(len(r) == width for r in tableau)
-
-    def pivot(r: int, col: int) -> None:
-        prow = tableau[r]
-        inv = Fraction(1) / prow[col]
-        tableau[r] = [v * inv for v in prow]
-        prow = tableau[r]
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
         for i in range(m):
-            if i != r and tableau[i][col] != 0:
-                f = tableau[i][col]
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise LPUnboundedError("objective is unbounded below")
+        inv = Fraction(1) / tableau[leave][enter]
+        prow = tableau[leave] = [v * inv for v in tableau[leave]]
+        for i in range(m):
+            f = tableau[i][enter]
+            if i != leave and f != 0:
                 tableau[i] = [v - f * p for v, p in zip(tableau[i], prow)]
-        basis[r] = col
+        f = red[enter]
+        red = [v - f * p for v, p in zip(red, prow)]
+        basis[leave] = enter
 
-    def run_phase(cost: list[Fraction], allowed: int) -> Fraction:
-        # Reduced-cost row for the current basis.
-        red = list(cost) + [Fraction(0)]
-        for i, bcol in enumerate(basis):
-            f = red[bcol]
-            if f != 0:
-                red = [v - f * p for v, p in zip(red, tableau[i])]
-        while True:
-            enter = -1
-            for j in range(allowed):
-                if red[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return -red[-1]
-            leave = -1
-            best = None
-            for i in range(m):
-                coef = tableau[i][enter]
-                if coef > 0:
-                    ratio = tableau[i][-1] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                raise LPUnboundedError("objective is unbounded below")
-            pivot(leave, enter)
-            f = red[enter]
-            red = [v - f * p for v, p in zip(red, tableau[leave])]
-
-    if n_art:
-        phase1 = [Fraction(0)] * (n + m) + [Fraction(1)] * n_art
-        value = run_phase(phase1, n + m + n_art)
-        if value != 0:
-            raise LPInfeasibleError("no feasible point satisfies the constraints")
-        # Drive leftover artificials out of the basis.
-        for i in range(m):
-            if basis[i] >= n + m:
-                for j in range(n + m):
-                    if tableau[i][j] != 0:
-                        pivot(i, j)
-                        break
-        # Any row still basic in an artificial is all-zero elsewhere: redundant.
-
-    phase2 = c + [Fraction(0)] * (m + n_art)
-    value = run_phase(phase2, n + m)
     x = [Fraction(0)] * n
     for i, bcol in enumerate(basis):
         if bcol < n:
             x[bcol] = tableau[i][-1]
-    return value, x
+    return -red[-1], x, red[n : n + m]

@@ -1,9 +1,13 @@
 """Hypergraphs, tree decompositions and width measures.
 
 Provides exact treewidth (small inputs), a min-fill heuristic, conversion to
-nice decompositions, exact fractional edge covers over rationals, fractional
-hypertreewidth for small hypergraphs, and mu-width for a given fractional
-independent set.
+nice decompositions, fractional hypertreewidth for small hypergraphs, and
+mu-width for a given fractional independent set.
+
+The fractional independent set number alpha* and the fractional edge cover
+number rho* come from one exact rational LP, the packing LP: alpha* and its
+mass mu are the primal optimum, and its row duals are an optimal fractional
+edge cover, so rho* = alpha*.
 """
 
 from __future__ import annotations
@@ -91,19 +95,14 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """A rooted tree with a bag per node; children order is significant.
-
-    guards, when present, give each node a set of hyperedges whose union
-    covers its bag (hypertree-style decompositions).
-    """
+    """A rooted tree with a bag per node; children order is significant."""
 
     root: int
     children: tuple[tuple[int, ...], ...]
     bags: tuple[frozenset, ...]
-    guards: tuple[tuple[Edge, ...], ...] | None = None
 
     @staticmethod
-    def make(root, children, bags, guards=None) -> "TreeDecomposition":
+    def make(root, children, bags) -> "TreeDecomposition":
         bags = tuple(frozenset(b) for b in bags)
         children = tuple(tuple(c) for c in children)
         n = len(bags)
@@ -132,11 +131,7 @@ class TreeDecomposition:
                 stack.append(c)
         if len(reach) != n:
             raise DecompositionError("decomposition tree is not connected")
-        if guards is not None:
-            guards = tuple(tuple(frozenset(g) for g in gs) for gs in guards)
-            if len(guards) != n:
-                raise DecompositionError("guards and bags must have the same length")
-        return TreeDecomposition(root, children, bags, guards)
+        return TreeDecomposition(root, children, bags)
 
     @property
     def n_nodes(self) -> int:
@@ -175,18 +170,10 @@ class TreeDecomposition:
 
     def to_doc(self) -> dict:
         parents = self.parents()
-        nodes = []
-        for t in range(self.n_nodes):
-            node = {
-                "id": t,
-                "parent": parents[t],
-                "bag": sorted(self.bags[t], key=_vkey),
-            }
-            if self.guards is not None:
-                node["guard"] = sorted(
-                    (sorted(g, key=_vkey) for g in self.guards[t]), key=repr
-                )
-            nodes.append(node)
+        nodes = [
+            {"id": t, "parent": parents[t], "bag": sorted(self.bags[t], key=_vkey)}
+            for t in range(self.n_nodes)
+        ]
         return {"nodes": nodes}
 
     @staticmethod
@@ -202,8 +189,6 @@ class TreeDecomposition:
         bags: list[frozenset] = [frozenset()] * n
         children: list[list[int]] = [[] for _ in range(n)]
         root = None
-        any_guard = any("guard" in node for node in nodes)
-        guards: list[tuple] = [()] * n
         for node in nodes:
             t = node["id"]
             bags[t] = frozenset(node["bag"])
@@ -213,17 +198,14 @@ class TreeDecomposition:
                 root = t
             else:
                 children[node["parent"]].append(t)
-            if any_guard:
-                guards[t] = tuple(frozenset(g) for g in node.get("guard", ()))
         if root is None:
             raise DecompositionError("no root in decomposition document")
-        return TreeDecomposition.make(
-            root, children, bags, guards if any_guard else None
-        )
+        return TreeDecomposition.make(root, children, bags)
 
 
 def is_valid_td(h: Hypergraph, td: TreeDecomposition) -> bool:
-    """Edge coverage, connected vertex occurrences, and guard conditions."""
+    """Every vertex in some bag, every edge inside some bag, and the bags
+    holding each vertex connected."""
     for b in td.bags:
         if not b <= h.vertices:
             return False
@@ -253,22 +235,6 @@ def is_valid_td(h: Hypergraph, td: TreeDecomposition) -> bool:
                     stack.append(u)
         if len(seen) != len(occ_set):
             return False
-    if td.guards is not None:
-        subtree_union: list[frozenset] = [frozenset()] * td.n_nodes
-        for t in td.postorder():
-            acc = set(td.bags[t])
-            for c in td.children[t]:
-                acc |= subtree_union[c]
-            subtree_union[t] = frozenset(acc)
-        for t in range(td.n_nodes):
-            guard = td.guards[t]
-            if any(g not in h.edges for g in guard):
-                return False
-            cover = frozenset().union(*guard) if guard else frozenset()
-            if not td.bags[t] <= cover:
-                return False
-            if not (cover & subtree_union[t]) <= td.bags[t]:
-                return False
     return True
 
 
@@ -525,62 +491,54 @@ def make_nice(h: Hypergraph, td: TreeDecomposition) -> TreeDecomposition:
 # Fractional covers and widths
 # ---------------------------------------------------------------------------
 
-def fractional_edge_cover_number(
+def _packing_lp(
     h: Hypergraph,
-) -> tuple[Fraction, dict[Edge, Fraction]]:
-    """Exact minimum total weight of a fractional edge cover, with weights.
+) -> tuple[Fraction, dict[Vertex, Fraction], dict[Edge, Fraction]]:
+    """Maximize the total mass mu(V) subject to mu(e) <= 1 per edge, mu >= 0.
 
-    Raises UncoverableVertexError when some vertex lies in no edge.
+    Returns (alpha*, mu, row duals per edge). By LP duality the duals are an
+    optimal fractional edge cover, of total weight alpha* = rho*.
+    Raises UncoverableVertexError when some vertex lies in no edge, since
+    its mass would then be unbounded.
     """
     uncovered = h.vertices - h.covered()
     if uncovered:
         raise UncoverableVertexError(
             f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
         )
-    edges = h.sorted_edges()
-    if not h.vertices:
-        return Fraction(0), {}
-    ne = len(edges)
-    c = [Fraction(1)] * ne
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for v in h.sorted_vertices():
-        row = [Fraction(-1) if v in e else Fraction(0) for e in edges]
+    vs, edges = h.sorted_vertices(), h.sorted_edges()
+    index = {v: i for i, v in enumerate(vs)}
+    a_ub = []
+    for e in edges:
+        row = [Fraction(0)] * len(vs)
+        for v in e:
+            row[index[v]] = Fraction(1)
         a_ub.append(row)
-        b_ub.append(Fraction(-1))
-    for j in range(ne):
-        row = [Fraction(0)] * ne
-        row[j] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(Fraction(1))
-    value, x = solve_min(c, a_ub, b_ub)
-    return value, {e: x[j] for j, e in enumerate(edges)}
+    value, mu, duals = solve_min(
+        [Fraction(-1)] * len(vs), a_ub, [Fraction(1)] * len(edges)
+    )
+    return -value, dict(zip(vs, mu)), dict(zip(edges, duals))
+
+
+def fractional_edge_cover_number(
+    h: Hypergraph,
+) -> tuple[Fraction, dict[Edge, Fraction]]:
+    """Exact minimum total weight of a fractional edge cover, with weights.
+
+    The weights are the packing LP's duals: an optimal cover, which one
+    the LP's final basis decides when several are optimal.
+    Raises UncoverableVertexError when some vertex lies in no edge.
+    """
+    value, _, weights = _packing_lp(h)
+    return value, weights
 
 
 def fractional_independent_set_number(
     h: Hypergraph,
 ) -> tuple[Fraction, dict[Vertex, Fraction]]:
     """Exact maximum total mass of a fractional independent set (the dual)."""
-    uncovered = h.vertices - h.covered()
-    if uncovered:
-        raise UncoverableVertexError(
-            f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
-        )
-    vs = h.sorted_vertices()
-    if not vs:
-        return Fraction(0), {}
-    c = [Fraction(-1)] * len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for e in h.sorted_edges():
-        row = [Fraction(0)] * len(vs)
-        for v in e:
-            row[index[v]] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(Fraction(1))
-    value, x = solve_min(c, a_ub, b_ub)
-    return -value, {v: x[i] for i, v in enumerate(vs)}
+    value, mu, _ = _packing_lp(h)
+    return value, mu
 
 
 def induced_hypergraph(h: Hypergraph, x: Iterable) -> Hypergraph:

@@ -252,6 +252,21 @@ def test_state_limit_enforced():
         count_answers_fhw_pipeline(q, d, state_limit=3)
 
 
+def test_node_limit_enforced_before_automaton_build(monkeypatch):
+    # The nice decomposition of a 12-variable path has far more than 10
+    # nodes; the pipeline must refuse it before building the automaton.
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_automaton called past the node limit")
+
+    monkeypatch.setattr("cqcount.automata.build_automaton", no_build)
+    xs = [f"x{i}" for i in range(12)]
+    body = ", ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    q = parse_query(f"phi({xs[0]},{xs[-1]}) :- {body}")
+    d = Database.make([0, 1], {"E": (2, [(0, 1), (1, 0)])})
+    with pytest.raises(LimitExceededError, match="node limit 10"):
+        count_answers_fhw_pipeline(q, d, node_limit=10)
+
+
 def test_fhw_limit_enforced():
     q = parse_query("phi(x,y,z) :- E(x,y), E(y,z), E(z,x)")
     d = Database.make([0], {"E": (2, [])})

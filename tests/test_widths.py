@@ -23,7 +23,7 @@ from cqcount import (
     treewidth_exact,
     treewidth_heuristic,
 )
-from cqcount.lp import LPInfeasibleError, LPUnboundedError, solve_min
+from cqcount.lp import LPUnboundedError, solve_min
 from cqcount.widths import (
     induced_hypergraph,
     td_from_elimination_order,
@@ -37,6 +37,8 @@ TRIANGLE = Hypergraph.from_graph([(0, 1), (1, 2), (0, 2)])
 K4 = Hypergraph.from_graph(
     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 )
+C4 = Hypergraph.from_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
+C5 = Hypergraph.from_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 GRID3 = Hypergraph.from_graph(
     [
         ((r, c), (r, c + 1))
@@ -232,27 +234,54 @@ def test_make_nice_root_and_leaves_empty():
 # ---------------------------------------------------------------------------
 
 def test_solve_min_known_lp():
-    # min -x - y s.t. x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5).
-    value, x = solve_min(
+    # min -x - y s.t. x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5),
+    # with duals (2/5, 1/5) on the two rows.
+    value, x, duals = solve_min(
         [Fraction(-1), Fraction(-1)],
         [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]],
         [Fraction(4), Fraction(6)],
     )
     assert value == Fraction(-14, 5)
     assert x == [Fraction(8, 5), Fraction(6, 5)]
+    assert duals == [Fraction(2, 5), Fraction(1, 5)]
 
 
 def test_solve_min_negative_rhs_feasible():
-    # -x <= -2 encodes x >= 2; the artificial phase must find it.
-    value, x = solve_min([Fraction(1)], [[Fraction(-1)]], [Fraction(-2)])
-    assert value == Fraction(2)
-    assert x == [Fraction(2)]
+    # -x <= -2 encodes x >= 2: the program is feasible but the origin is
+    # not, which the one-phase simplex does not handle, so it is rejected.
+    with pytest.raises(ValueError):
+        solve_min([Fraction(1)], [[Fraction(-1)]], [Fraction(-2)])
 
 
 def test_solve_min_infeasible():
-    # x <= -1 contradicts the built-in x >= 0.
-    with pytest.raises(LPInfeasibleError):
+    # x <= -1 contradicts the built-in x >= 0; the negative b_ub is rejected
+    # before any pivot.
+    with pytest.raises(ValueError):
         solve_min([Fraction(1)], [[Fraction(1)]], [Fraction(-1)])
+
+
+def test_solve_min_duals_certify_random_packing_lps():
+    rng = random.Random(2718)
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        c = [Fraction(rng.randint(-5, 2)) for _ in range(n)]
+        a = [[Fraction(rng.randint(0, 4)) for _ in range(n)] for _ in range(m)]
+        # Every variable gets a positive coefficient in some row, so the
+        # program is bounded.
+        for j in range(n):
+            a[rng.randrange(m)][j] += 1
+        b = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(m)]
+        value, x, w = solve_min(c, a, b)
+        assert len(w) == m and all(wi >= 0 for wi in w)
+        for j in range(n):
+            assert c[j] + sum(a[i][j] * w[i] for i in range(m)) >= 0
+        assert value == -sum(bi * wi for bi, wi in zip(b, w))
+        # x is feasible and attains the value, so weak duality makes both
+        # optimal.
+        assert all(xj >= 0 for xj in x)
+        for i in range(m):
+            assert sum(a[i][j] * x[j] for j in range(n)) <= b[i]
+        assert value == sum(cj * xj for cj, xj in zip(c, x))
 
 
 def test_solve_min_unbounded():
@@ -262,7 +291,8 @@ def test_solve_min_unbounded():
 
 def test_fractional_edge_cover_named_values():
     for h, expected in ((EDGE, Fraction(1)), (TRIANGLE, Fraction(3, 2)),
-                        (K4, Fraction(2))):
+                        (K4, Fraction(2)), (C4, Fraction(2)),
+                        (C5, Fraction(5, 2))):
         value, weights = fractional_edge_cover_number(h)
         assert value == expected
         # Primal feasibility certificate.
@@ -290,6 +320,11 @@ def test_strong_duality_on_random_hypergraphs():
         primal, weights = fractional_edge_cover_number(h)
         dual, mu = fractional_independent_set_number(h)
         assert primal == dual
+        # Both numbers come from one LP, so equal values alone prove
+        # nothing. A feasible cover and a feasible packing whose totals
+        # meet certify that both are optimal.
+        assert sum(weights.values()) == primal
+        assert sum(mu.values()) == dual
         for v in h.vertices:
             assert sum(w for e, w in weights.items() if v in e) >= 1
         validate_fractional_independent_set(h, mu)
