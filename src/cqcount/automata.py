@@ -220,8 +220,11 @@ def build_automaton(
     states = {initial, *(s for s, _ in transitions)}
     states.update(c for outs in transitions.values() for o in outs for c in o)
     alphabet = {label(td.root, ()), *(lbl for _, lbl in transitions)}
-    return TreeAutomaton.make(
-        states, alphabet, {k: frozenset(v) for k, v in transitions.items()}, initial
+    return TreeAutomaton(
+        frozenset(states),
+        frozenset(alphabet),
+        {k: frozenset(v) for k, v in transitions.items()},
+        initial,
     )
 
 

@@ -181,9 +181,7 @@ def _load_limits(pairs: list[str] | None) -> dict:
     return limits
 
 
-def _emit(doc: dict, out_format: str) -> None:
-    if out_format != "json":
-        raise QueryValidationError(f"unknown output format {out_format!r}")
+def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
@@ -366,7 +364,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--hom-backend", choices=list(reduction.HOM_BACKENDS), default="bruteforce"
     )
-    p_count.add_argument("--out", default="json", help="output format (json)")
     p_count.add_argument(
         "--limit",
         action="append",
@@ -381,7 +378,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=",".join(ALL_MEASURES),
         help="comma-separated subset of tw,fhw,rho (default: all)",
     )
-    p_an.add_argument("--out", default="json")
     p_an.add_argument("--limit", action="append", metavar="KEY=VALUE")
 
     p_gen = sub.add_parser("gen", help="generate instance files")
@@ -422,15 +418,12 @@ def main(argv: list[str] | None = None) -> int:
                 hom_backend=args.hom_backend,
                 limits=_load_limits(args.limit),
             )
-            _emit(cmd_count(args.query, args.db, cfg), args.out)
+            _emit(cmd_count(args.query, args.db, cfg))
         elif args.command == "analyze":
             measures = [m for m in args.measures.split(",") if m]
-            _emit(
-                cmd_analyze(args.query, measures, _load_limits(args.limit)),
-                args.out,
-            )
+            _emit(cmd_analyze(args.query, measures, _load_limits(args.limit)))
         elif args.command == "gen":
-            _emit(cmd_gen(args.kind, args, args.out_dir), "json")
+            _emit(cmd_gen(args.kind, args, args.out_dir))
     except (QueryParseError, DatabaseParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -70,12 +70,11 @@ def build_B(q: Query, d: Database) -> Structure:
     atoms, materialized complements for negated ones."""
     _require_normalized(q)
     validate_pair(q, d)
-    by_name = {sym.name: sym for sym in d.relations}
     rels: dict[RelationSymbol, frozenset[tuple]] = {}
     for sym, _ in q.predicates:
-        rels[sym] = d.relations[by_name[sym.name]]
+        rels[sym] = d.relations[sym]
     for sym, _ in q.negated_predicates:
-        facts = d.relations[by_name[sym.name]]
+        facts = d.relations[sym]
         comp = frozenset(
             t for t in itertools.product(d.domain, repeat=sym.arity) if t not in facts
         )
@@ -226,12 +225,11 @@ def iter_solutions(q: Query, d: Database, budget: int = 10_000_000):
             f"{total} candidate assignments exceed the budget of {budget}"
         )
     pos = {v: i for i, v in enumerate(q.variables)}
-    by_name = {sym.name: sym for sym in d.relations}
     checks = []
     for sym, args in q.predicates:
-        checks.append((tuple(pos[v] for v in args), d.relations[by_name[sym.name]], False))
+        checks.append((tuple(pos[v] for v in args), d.relations[sym], False))
     for sym, args in q.negated_predicates:
-        checks.append((tuple(pos[v] for v in args), d.relations[by_name[sym.name]], True))
+        checks.append((tuple(pos[v] for v in args), d.relations[sym], True))
     dpairs = [(pos[x], pos[y]) for x, y in q.disequalities]
     for assign in itertools.product(d.domain, repeat=nvars):
         ok = True
@@ -264,7 +262,13 @@ def count_answers_bruteforce(q: Query, d: Database, budget: int = 10_000_000) ->
 def sol_bag(q: Query, d: Database, bag: tuple[str, ...]) -> set[tuple]:
     """Partial solutions on the given variables of a plain conjunctive query:
     assignments extendable, per atom individually, to a full satisfying
-    assignment of that atom. Output tuples align with the given bag order."""
+    assignment of that atom. Output tuples align with the given bag order.
+
+    A generic join: rows grow one bag variable at a time, in bag order, and
+    each atom that holds the new variable narrows its values given the row's
+    values on the atom's earlier bag variables. Every intermediate table is
+    a set of partial solutions on a prefix of the bag, so none holds more
+    than N^rho*(bag) rows, N being the largest relation (the AGM bound)."""
     if not q.is_plain_cq():
         raise UnsupportedQueryError("sol_bag is defined for plain conjunctive queries")
     validate_pair(q, d)
@@ -275,47 +279,38 @@ def sol_bag(q: Query, d: Database, bag: tuple[str, ...]) -> set[tuple]:
             raise QueryValidationError(f"bag variable {v!r} not in the query")
     if len(set(bag)) != len(bag):
         raise QueryValidationError("bag contains a duplicate variable")
-    if not d.domain:
-        return set()
 
-    by_name = {sym.name: sym for sym in d.relations}
-    table_vars: tuple[str, ...] = ()
-    table: set[tuple] = {()}
+    # steps[k]: per atom holding bag[k], the bag positions of the atom's
+    # earlier bag variables and a map from their values to those of bag[k]
+    steps: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in bag]
     for sym, args in q.predicates:
-        facts = d.relations[by_name[sym.name]]
-        proj_vars = tuple(v for v in dict.fromkeys(args) if v in bag)
-        proj = set()
-        for t in facts:
-            m: dict = {}
-            ok = True
-            for v, val in zip(args, t):
-                if m.setdefault(v, val) != val:
-                    ok = False
-                    break
-            if ok:
-                proj.add(tuple(m[v] for v in proj_vars))
-        if not proj:
-            return set()
-        shared = tuple(v for v in proj_vars if v in table_vars)
-        new_vars = tuple(v for v in proj_vars if v not in table_vars)
-        if not new_vars and not shared:
+        first = {v: args.index(v) for v in args}
+        pairs = [(i, first[v]) for i, v in enumerate(args) if first[v] != i]
+        facts = d.relations[sym]
+        at = [k for k, v in enumerate(bag) if v in first]
+        if not at:
+            if not any(all(t[i] == t[j] for i, j in pairs) for t in facts):
+                return set()
             continue
-        sidx_t = tuple(table_vars.index(v) for v in shared)
-        sidx_p = tuple(proj_vars.index(v) for v in shared)
-        nidx_p = tuple(proj_vars.index(v) for v in new_vars)
-        index: dict[tuple, set[tuple]] = {}
-        for p in proj:
-            key = tuple(p[i] for i in sidx_p)
-            index.setdefault(key, set()).add(tuple(p[i] for i in nidx_p))
-        out = set()
-        for row in table:
-            key = tuple(row[i] for i in sidx_t)
-            for ext in index.get(key, ()):
-                out.add(row + ext)
-        table_vars = table_vars + new_vars
-        table = out
-        if not table:
+        facts = [t for t in facts if all(t[i] == t[j] for i, j in pairs)]
+        if not facts:
             return set()
+        cols = [first[bag[k]] for k in at]
+        for n, k in enumerate(at):
+            index: dict[tuple, set] = {}
+            for t in facts:
+                index.setdefault(tuple(t[j] for j in cols[:n]), set()).add(t[cols[n]])
+            steps[k].append((tuple(at[:n]), index))
 
-    idx = tuple(table_vars.index(v) for v in bag)
-    return {tuple(row[i] for i in idx) for row in table}
+    # A row agrees with some fact of each atom on the atom's earlier bag
+    # variables, so no lookup below misses.
+    rows: list[tuple] = [()]
+    for atoms in steps:
+        rows = [
+            row + (v,)
+            for row in rows
+            for v in set.intersection(
+                *(index[tuple(row[i] for i in prev)] for prev, index in atoms)
+            )
+        ]
+    return set(rows)

@@ -143,7 +143,6 @@ class _Evaluator:
         dom = ih.domain
         nd = len(dom)
         self.full_mask = (1 << nd) - 1
-        by_name = {sym.name: sym for sym in d.relations}
 
         base = [self.full_mask] * self.nvars
         binary: list[tuple[int, int, list[int]]] = []
@@ -151,7 +150,7 @@ class _Evaluator:
         for sym, args, negated in [(s, a, False) for s, a in q.predicates] + [
             (s, a, True) for s, a in q.negated_predicates
         ]:
-            facts = d.relations[by_name[sym.name]]
+            facts = d.relations[sym]
             distinct = tuple(dict.fromkeys(args))
             if len(distinct) == 1:
                 x = pos[distinct[0]]
@@ -450,11 +449,6 @@ def clique_repetitions(sizes, delta_prime: float) -> int:
     if not sizes:
         return 1
     return math.ceil(math.log(1 / delta_prime)) * math.prod(k**k for k in sizes)
-
-
-def repetitions(n_diseq: int, delta_prime: float) -> int:
-    """Colour samples for n_diseq disequalities covered by K2s (4 each)."""
-    return clique_repetitions((2,) * n_diseq, delta_prime)
 
 
 def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:

@@ -373,6 +373,17 @@ def test_exit_parse_not_utf8(capsys, tmp_path, instance, which):
     assert "utf-8" in err
 
 
+def test_out_flag_is_a_usage_error(capsys, instance):
+    # JSON is the only output format, so there is no --out flag to choose it
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "count", "--query", instance["plain"], "--db", instance["db"],
+            "--method", "exact", "--out", "json",
+        ])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("atoms, exact, fhw", [
     ("E(x0, x1), E(x1, x2), E(x2, x0)", True, "3/2"),
     # 10 variables, over the default fhw_vertex_limit of 8: heuristic branch

@@ -223,6 +223,55 @@ def test_sol_bag_contains_all_solution_projections():
         assert projected <= sol_bag(q, d, bag)
 
 
+def sol_bag_by_definition(q, d, bag):
+    """Every assignment of the bag over the domain whose restriction to each
+    atom is the projection of one of its facts that agree on the atom's
+    repeated variables."""
+    allowed = []
+    for sym, args in q.predicates:
+        held = [v for v in dict.fromkeys(args) if v in bag]
+        proj = set()
+        for t in d.relations[sym]:
+            m = dict(zip(args, t))
+            if tuple(m[v] for v in args) == t:
+                proj.add(tuple(m[v] for v in held))
+        allowed.append((held, proj))
+    out = set()
+    for row in itertools.product(d.domain, repeat=len(bag)):
+        m = dict(zip(bag, row))
+        if all(tuple(m[v] for v in held) in proj for held, proj in allowed):
+            out.add(row)
+    return out
+
+
+def test_sol_bag_equals_its_definition():
+    cases = []
+    for seed in range(30):
+        q, d = plain_cq_instance(seed)
+        rng = random.Random(seed)
+        for k in range(len(q.variables) + 1):
+            for bag in itertools.combinations(q.variables, k):
+                bag = list(bag)
+                rng.shuffle(bag)
+                cases.append((q, d, tuple(bag)))
+    # an atom that misses the bag and has no consistent fact empties it
+    q = parse_query("phi(x) :- E(x,y), L(z,z)")
+    d = Database.make([0, 1], {"E": (2, [(0, 1)]), "L": (2, [(0, 1), (1, 0)])})
+    cases += [(q, d, bag) for bag in [(), ("x",), ("y", "x"), ("z",)]]
+    # a triangle over a star K1,40 plus a K6: skewed degrees
+    edges = {(0, i) for i in range(1, 41)}
+    edges |= set(itertools.combinations(range(41, 47), 2))
+    edges |= {(b, a) for a, b in edges}
+    q = parse_query("tri(x,y,z) :- E(x,y), E(y,z), E(z,x)")
+    d = Database.make(range(47), {"E": (2, edges)})
+    cases.append((q, d, ("x", "y", "z")))
+
+    for q, d, bag in cases:
+        assert sol_bag(q, d, bag) == sol_bag_by_definition(q, d, bag), (q, bag)
+    assert sol_bag(*cases[-1]) == set(itertools.permutations(range(41, 47), 3))
+    assert not any(sol_bag(*c) for c in cases[-5:-1])
+
+
 def test_sol_bag_respects_atoms_inside_bag():
     q = parse_query("phi(x,y) :- E(x,y), U(x)")
     d = Database.make([0, 1], {"E": (2, [(0, 1), (1, 0)]), "U": (1, [(0,)])})

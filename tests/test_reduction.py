@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import statistics
 
@@ -27,7 +28,6 @@ from cqcount import (
     hom_exists_bruteforce,
     parse_query,
     query_size,
-    repetitions,
     structure_size,
 )
 from cqcount.qmodel import oriented_disequalities
@@ -81,17 +81,19 @@ def test_hypergraph_rejects_unnormalized():
 
 
 def test_repetitions_formula():
-    assert repetitions(0, 0.01) == 1
-    assert repetitions(1, 0.01) == 20
-    assert repetitions(2, 0.01) == 80
+    assert clique_repetitions((2,) * 0, 0.01) == 1
+    assert clique_repetitions((2,) * 1, 0.01) == 20
+    assert clique_repetitions((2,) * 2, 0.01) == 80
     with pytest.raises(ValueError):
-        repetitions(1, 0.0)
+        clique_repetitions((2,) * 1, 0.0)
 
 
 def test_clique_repetitions_formula():
     for n in range(5):
         for dp in (0.01, 1e-6):
-            assert clique_repetitions((2,) * n, dp) == repetitions(n, dp)
+            # no disequality: one sample, no colouring to repeat
+            expected = math.ceil(math.log(1 / dp)) * 4**n if n else 1
+            assert clique_repetitions((2,) * n, dp) == expected
     assert clique_repetitions((4,), 1e-6) == 14 * 4**4 == 3_584
     assert clique_repetitions((3, 2), 0.01) == 5 * 27 * 4
     with pytest.raises(ValueError):
