@@ -207,23 +207,40 @@ class _Evaluator:
         """
         return [classes[c][i] for c, i in self.red_slots]
 
-    def find(self, layer_masks, colour_masks) -> tuple | None:
-        """Witness assignment (values, var order) or None.
+    def compile(self, layer_masks):
+        """The search of one box, as a callable colour_masks -> witness | None.
 
         layer_masks: per free variable, the allowed-value bitmask of its box;
-        colour_masks: per oriented disequality, the red-value bitmask.
+        colour_masks: per oriented disequality, the red-value bitmask. The box
+        domains and, for bruteforce, the variable order and atom schedule are
+        set up here once, so each colouring only applies its masks. A witness
+        is the satisfying values in variable order (bruteforce) or () (td-dp).
         """
-        dom = list(self.base)
+        box = list(self.base)
         for i, m in enumerate(layer_masks):
-            dom[i] &= m
-        for (i, j), red in zip(self.diseq_pos, colour_masks):
-            dom[i] &= red
-            dom[j] &= self.full_mask & ~red
-        if not all(dom):
-            return None
+            box[i] &= m
+        if not all(box):
+            return lambda colour_masks: None
         if self.backend == "td-dp":
-            return self._find_td(dom)
-        return self._find_bruteforce(dom)
+            search = self._find_td
+        else:
+            search = self._bruteforce_search(box)
+        diseq_pos = self.diseq_pos
+
+        def run(colour_masks) -> tuple | None:
+            dom = list(box)
+            for (i, j), red in zip(diseq_pos, colour_masks):
+                dom[i] &= red
+                dom[j] &= ~red
+            if not all(dom):
+                return None
+            return search(dom)
+
+        return run
+
+    def find(self, layer_masks, colour_masks) -> tuple | None:
+        """Witness of one box and colouring, or None; see compile()."""
+        return self.compile(layer_masks)(colour_masks)
 
     def _find_td(self, dom: list[int]) -> tuple | None:
         values = self.ih.domain
@@ -233,9 +250,12 @@ class _Evaluator:
         ok = hom_exists_td(self._a, self._b, self._td, domains)
         return () if ok else None
 
-    def _find_bruteforce(self, dom: list[int]) -> tuple | None:
+    def _bruteforce_search(self, box: list[int]):
+        """Backtracking search over domains within box, in the order of the
+        box domain sizes; each atom of arity >= 3 is checked once its last
+        variable is assigned."""
         n = self.nvars
-        order = sorted(range(n), key=lambda i: dom[i].bit_count())
+        order = sorted(range(n), key=lambda i: box[i].bit_count())
         rank = {x: k for k, x in enumerate(order)}
         due: list[list] = [[] for _ in range(n)]
         for idxs, facts, negated in self.higher:
@@ -272,10 +292,12 @@ class _Evaluator:
                     return True
             return False
 
-        if rec(0, dom):
-            # Re-derive the witness from the final masks is fragile; rebuild it.
-            return tuple(values[assigned[i]] for i in range(n))
-        return None
+        def search(dom: list[int]) -> tuple | None:
+            if rec(0, dom):
+                return tuple(values[assigned[i]] for i in range(n))
+            return None
+
+        return search
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +510,11 @@ def edgefree_restricted(
     if any(m == 0 for m in masks) and ih.ell > 0:
         return True
     ev = ih.evaluator(backend)
+    search = ev.compile(masks)
     if not ev.cliques:
         if stats is not None:
             stats.hom_calls += 1
-        return ev.find(masks, ()) is None
+        return search(()) is None
     sizes = [len(clique) for clique in ev.cliques]
     q_reps = clique_repetitions(sizes, delta_prime)
     width = len(ih.domain)
@@ -506,35 +529,7 @@ def edgefree_restricted(
         if stats is not None:
             stats.colourings_sampled += 1
             stats.hom_calls += 1
-        if ev.find(masks, colours) is not None:
-            return False
-    return True
-
-
-def edgefree_general(
-    ih: ImplicitAnswerHypergraph,
-    ws,
-    delta_prime: float,
-    rng: random.Random,
-    backend: str = "bruteforce",
-    stats: OracleStats | None = None,
-) -> bool:
-    """Edge-freeness for arbitrary disjoint vertex sets: one restricted call
-    per way of assigning parts to layers, each with its share of the failure
-    budget."""
-    ws = [frozenset(w) for w in ws]
-    ell = ih.ell
-    if len(ws) != ell:
-        raise ValueError(f"expected {ell} vertex sets, got {len(ws)}")
-    if ell == 0:
-        return edgefree_restricted(ih, (), delta_prime, rng, backend, stats)
-    share = delta_prime / math.factorial(ell)
-    for sigma in itertools.permutations(range(ell)):
-        vs = [
-            frozenset(w for w, layer in ws[sigma[i]] if layer == i + 1)
-            for i in range(ell)
-        ]
-        if not edgefree_restricted(ih, vs, share, rng, backend, stats):
+        if search(colours) is not None:
             return False
     return True
 

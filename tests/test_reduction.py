@@ -21,10 +21,10 @@ from cqcount import (
     count_edges_exact_oracle,
     derive_rng,
     edgefree_bruteforce,
-    edgefree_general,
     edgefree_restricted,
     estimate_edges,
     gen_hampath,
+    gen_li_hom,
     hom_exists_bruteforce,
     parse_query,
     query_size,
@@ -32,6 +32,7 @@ from cqcount import (
 )
 from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
+    HOM_BACKENDS,
     ImplicitAnswerHypergraph,
     _layer_masks,
     clique_cover,
@@ -41,8 +42,11 @@ from cqcount.reduction import (
 )
 
 from conftest import corpus_instance
+from helpers import edgefree_general
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+P3 = [(0, 1), (1, 2)]
+P4 = [(0, 1), (1, 2), (2, 3)]
 
 
 def exact_oracle(ih: ImplicitAnswerHypergraph):
@@ -218,6 +222,33 @@ def test_evaluator_full_box_decides_satisfiability():
                 assert tuple(env[v] for v in args) in d.relations[by_name[sym.name]]
             for sym, args in q.negated_predicates:
                 assert tuple(env[v] for v in args) not in d.relations[by_name[sym.name]]
+
+
+def test_compiled_search_serves_many_colourings():
+    # One compiled box must answer every colouring, in any order, exactly as
+    # a fresh compile does: nothing may leak from one call to the next
+    # through the shared domains, plan or assignment array.
+    for seed in range(20):
+        q, d = corpus_instance(seed, max_vars=4, max_domain=3)
+        ih = ImplicitAnswerHypergraph(q, d)
+        rng = random.Random(seed)
+        nd = len(d.domain)
+        colourings = list(
+            itertools.product(range(2 ** nd), repeat=len(oriented_disequalities(q)))
+        )
+        for backend in HOM_BACKENDS:
+            ev = ih.evaluator(backend)
+            for _ in range(4):
+                vs = [
+                    frozenset(rng.sample(d.domain, rng.randint(1, nd)))
+                    for _ in range(ih.ell)
+                ]
+                masks = _layer_masks(ih, vs)
+                search = ev.compile(masks)
+                rng.shuffle(colourings)
+                for reds in colourings:
+                    got = search(list(reds))
+                    assert got == ev.find(masks, list(reds)), (seed, backend, vs, reds)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +529,45 @@ def test_approx_count_td_backend_agrees():
             runs.append((est, stats.as_dict()))
         assert runs[0] == runs[1]
         assert runs[0][0] == 2
+
+
+def _circulant(n: int) -> list[tuple[int, int]]:
+    """The 4-regular graph joining each i to i +- 1 and i +- 2 mod n."""
+    return sorted({
+        (min(i, (i + j) % n), max(i, (i + j) % n)) for i in range(n) for j in (1, 2)
+    })
+
+
+# Estimates and oracle counters of seed 7 as recorded before the evaluator
+# compiled its search once per box. Each box must still draw the same
+# colourings in the same order, so none of these may move.
+GOLDEN_RUNS = [
+    ("p3-c7", P3, 7, "bruteforce", 20000, 84, (375, 6688, 6688, 0)),
+    ("p3-c7", P3, 7, "bruteforce", 0, 82, (375, 6674, 6674, 2527)),
+    ("p4-c8", P4, 8, "bruteforce", 20000, 288, (1487, 115639, 115639, 0)),
+    ("p4-c8", P4, 8, "bruteforce", 0, 284, (1487, 114858, 114858, 2661)),
+    ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 53870, 0)),
+    ("ham-p4", P4, 4, "td-dp", 20000, 2, (31, 53870, 53870, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,pattern,n,backend,probe,estimate,counts",
+    GOLDEN_RUNS,
+    ids=[f"{r[0]}-{r[3]}-probe{r[4]}" for r in GOLDEN_RUNS],
+)
+def test_approx_count_golden_seeded_runs(name, pattern, n, backend, probe, estimate, counts):
+    if name.startswith("ham"):
+        q, d = gen_hampath(pattern, n)
+    else:
+        q, d = gen_li_hom(pattern, _circulant(n))
+    stats = OracleStats()
+    got = approx_count_answers(
+        q, d, 0.25, 0.1, seed=7, backend=backend, stats=stats, probe_budget=probe
+    )
+    keys = ("edgefree_calls", "colourings_sampled", "hom_calls", "estimator_walks")
+    assert got == estimate
+    assert stats.as_dict() == dict(zip(keys, counts), restarts=0)
 
 
 def test_approx_count_boolean_query():
