@@ -1,9 +1,9 @@
 """Tree automata for parsimonious answer counting of plain conjunctive queries.
 
-A nice tree decomposition of the query turns the database into a
-nondeterministic automaton over binary labeled trees whose accepted trees
-with as many nodes as the decomposition are in bijection with the query's
-answers: count the slice, count the answers.
+A nice tree decomposition of the query turns the database into an automaton
+over binary labeled trees. Each label carries its decomposition node, so the
+accepted trees have the decomposition's shape, and their labelings are in
+bijection with the answers: count them along the decomposition.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .qmodel import Database, Query, build_hypergraph, validate_pair
 from .widths import (
     Hypergraph,
     TreeDecomposition,
-    _postorder,
     _vkey,
     fhw_exact_small,
     fhw_of_td,
@@ -30,42 +29,6 @@ from .widths import (
     make_nice,
     treewidth_heuristic,
 )
-
-@dataclass(frozen=True)
-class LabeledTree:
-    """A rooted tree, at most two ordered children per node, one label each."""
-
-    root: int
-    children: tuple[tuple[int, ...], ...]
-    labels: tuple
-
-    @staticmethod
-    def make(root, children, labels) -> "LabeledTree":
-        children = tuple(tuple(c) for c in children)
-        labels = tuple(labels)
-        n = len(labels)
-        if len(children) != n:
-            raise ValueError("children and labels must have the same length")
-        if not (0 <= root < n):
-            raise ValueError("root id out of range")
-        seen = set()
-        for kids in children:
-            if len(kids) > 2:
-                raise ValueError("nodes may have at most two children")
-            for c in kids:
-                if not (0 <= c < n) or c in seen:
-                    raise ValueError("malformed child structure")
-                seen.add(c)
-        if root in seen or len(seen) != n - 1:
-            raise ValueError("child structure is not a tree")
-        return LabeledTree(root, children, labels)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.labels)
-
-    def postorder(self) -> list[int]:
-        return _postorder(self.root, self.children)
 
 
 @dataclass(frozen=True)
@@ -102,54 +65,6 @@ class TreeAutomaton:
         return TreeAutomaton(states, alphabet, trans, initial)
 
 
-def accepts(aut: TreeAutomaton, tree: LabeledTree) -> bool:
-    """Is there a run of the automaton on the tree from the initial state?"""
-    reach: dict[int, set] = {}
-    for t in tree.postorder():
-        lbl = tree.labels[t]
-        kids = tree.children[t]
-        here = set()
-        for (s, l), outs in aut.transitions.items():
-            if l != lbl:
-                continue
-            if not kids:
-                if () in outs:
-                    here.add(s)
-            elif len(kids) == 1:
-                r0 = reach[kids[0]]
-                if any(len(o) == 1 and o[0] in r0 for o in outs):
-                    here.add(s)
-            else:
-                r0, r1 = reach[kids[0]], reach[kids[1]]
-                if any(len(o) == 2 and o[0] in r0 and o[1] in r1 for o in outs):
-                    here.add(s)
-        reach[t] = here
-    return aut.initial in reach[tree.root]
-
-
-def automaton_to_doc(aut: TreeAutomaton) -> dict:
-    """Canonical JSON-ready form for golden-file comparisons."""
-
-    def enc(x):
-        if isinstance(x, tuple):
-            return [enc(v) for v in x]
-        if isinstance(x, frozenset):
-            return sorted((enc(v) for v in x), key=repr)
-        return x
-
-    triples = []
-    for (s, lbl), outs in aut.transitions.items():
-        for o in outs:
-            triples.append([enc(s), enc(lbl), enc(o)])
-    triples.sort(key=repr)
-    return {
-        "states": sorted((enc(s) for s in aut.states), key=repr),
-        "alphabet": sorted((enc(l) for l in aut.alphabet), key=repr),
-        "transitions": triples,
-        "initial": enc(aut.initial),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Construction from a query, a database and a nice decomposition
 # ---------------------------------------------------------------------------
@@ -160,8 +75,8 @@ def build_automaton(
     td: TreeDecomposition,
     state_limit: int | None = None,
 ) -> TreeAutomaton:
-    """Automaton whose accepted trees with td.n_nodes nodes correspond one to
-    one with the answers of the plain conjunctive query."""
+    """Automaton whose accepted labelings of td's tree correspond one to one
+    with the answers of the plain conjunctive query."""
     if not q.is_plain_cq():
         raise UnsupportedQueryError("the automaton construction needs a plain CQ")
     validate_pair(q, d)
@@ -234,81 +149,78 @@ def build_automaton(
 
 def count_slice_exact(
     aut: TreeAutomaton,
-    n_nodes: int,
-    node_limit: int = 10_000,
-    frontier_limit: int = 2_000_000,
+    shape: TreeDecomposition,
+    frontier_limit: int = 4_194_304,
 ) -> int:
-    """Number of distinct labeled trees with exactly n_nodes nodes that the
-    automaton accepts. Dynamic program over (tree size, exact set of states
-    accepting the tree); empty state sets are pruned since no accepted tree
-    can contain such a subtree."""
-    if n_nodes < 0:
-        raise ValueError("n_nodes must be nonnegative")
-    if n_nodes > node_limit:
-        raise LimitExceededError(
-            f"slice size {n_nodes} exceeds the node limit {node_limit}"
-        )
-    if n_nodes == 0:
-        return 0
+    """Number of labelings of shape's ordered tree that the automaton accepts.
 
-    leaf_by_label: dict = {}
-    unary_by_child: dict = {}
-    binary_by_left: dict = {}
+    Bottom up, a subtree's table maps each exact set of states accepting some
+    labeling of it to the number of such labelings; empty sets are dropped.
+    Equal subtree shapes have equal tables, so each distinct shape gets one,
+    freed once every shape above it is done. frontier_limit bounds the summed
+    size of the state sets built, so it bounds both time and memory."""
+    leaves, unary, binary = {}, {}, {}
     for (s, lbl), outs in aut.transitions.items():
         for o in outs:
-            if len(o) == 0:
-                leaf_by_label.setdefault(lbl, set()).add(s)
+            if not o:
+                leaves.setdefault(lbl, set()).add(s)
             elif len(o) == 1:
-                unary_by_child.setdefault(o[0], {}).setdefault(lbl, set()).add(s)
+                unary.setdefault(o[0], {}).setdefault(lbl, set()).add(s)
             else:
-                binary_by_left.setdefault(o[0], {}).setdefault(lbl, []).append(
-                    (s, o[1])
+                binary.setdefault(o[0], {}).setdefault(lbl, []).append((s, o[1]))
+
+    # Each shape is named by its first node in postorder, so `first` lists
+    # children before parents; `last` is the last shape to read each table.
+    shape_of: dict[int, int] = {}
+    first: dict[tuple, int] = {}
+    for t in shape.postorder():
+        kids = tuple(shape_of[c] for c in shape.children[t])
+        shape_of[t] = first.setdefault(kids, t)
+    last = {c: t for kids, t in first.items() for c in kids}
+    tables: dict[int, dict[frozenset, int]] = {}
+    built = 0
+    for kids, t in first.items():
+        here = tables[t] = {}
+        for ss, cnt in _label_groups([tables[c] for c in kids], leaves, unary, binary):
+            key = frozenset(ss)
+            built += len(key)
+            if built > frontier_limit:
+                raise LimitExceededError(
+                    f"slice DP built more than {frontier_limit} state-set "
+                    f"entries at decomposition node {t}"
                 )
+            here[key] = here.get(key, 0) + cnt
+        for c in kids:
+            if last[c] == t:
+                tables.pop(c, None)  # two equal children list c twice
+    root = tables[shape_of[shape.root]]
+    return sum(cnt for ss, cnt in root.items() if aut.initial in ss)
 
-    layers: list[dict[frozenset, int]] = [dict() for _ in range(n_nodes + 1)]
-    left: list[list] = []
-    total_entries = 0
-    for lbl, ss in leaf_by_label.items():
-        key = frozenset(ss)
-        layers[1][key] = layers[1].get(key, 0) + 1
-        total_entries += 1
 
-    for n in range(2, n_nodes + 1):
-        here = layers[n]
-        # one child with n-1 nodes
-        for s1, cnt in layers[n - 1].items():
+def _label_groups(below: list, leaves: dict, unary: dict, binary: dict):
+    """(states, count) per label and per choice of one set per child table."""
+    if not below:
+        for ss in leaves.values():
+            yield ss, 1
+    elif len(below) == 1:
+        for s1, cnt in below[0].items():
             ups: dict = {}
             for c1 in s1:
-                for lbl, ss in unary_by_child.get(c1, {}).items():
+                for lbl, ss in unary.get(c1, {}).items():
                     ups.setdefault(lbl, set()).update(ss)
-            for lbl, ss in ups.items():
-                key = frozenset(ss)
-                here[key] = here.get(key, 0) + cnt
-        # two ordered children with n1 + n2 = n - 1 nodes; left[n1] holds the
-        # binary transitions of each set in layer n1, gathered once
-        left.append([])
-        for s1, cnt1 in layers[n - 2].items():
+            for ss in ups.values():
+                yield ss, cnt
+    elif len(below) == 2:
+        for s1, cnt1 in below[0].items():
             pairs: dict = {}
             for c1 in s1:
-                for lbl, lst in binary_by_left.get(c1, {}).items():
+                for lbl, lst in binary.get(c1, {}).items():
                     pairs.setdefault(lbl, []).extend(lst)
-            if pairs:
-                left[-1].append((s1, cnt1, pairs))
-        for n1 in range(1, n - 1):
-            for s1, cnt1, pairs in left[n1]:
-                for s2, cnt2 in layers[n - 1 - n1].items():
-                    for lbl, lst in pairs.items():
-                        up = {s for s, c2 in lst if c2 in s2}
-                        if up:
-                            key = frozenset(up)
-                            here[key] = here.get(key, 0) + cnt1 * cnt2
-        total_entries += len(here)
-        if total_entries > frontier_limit:
-            raise LimitExceededError(
-                f"slice DP exceeded {frontier_limit} distinct state sets"
-            )
-
-    return sum(cnt for ss, cnt in layers[n_nodes].items() if aut.initial in ss)
+            for s2, cnt2 in below[1].items() if pairs else ():
+                for lst in pairs.values():
+                    up = {s for s, c2 in lst if c2 in s2}
+                    if up:
+                        yield up, cnt1 * cnt2
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +254,7 @@ def count_answers_fhw_pipeline(
     fhw_limit: Fraction | None = None,
     state_limit: int | None = 8_192,
     exact_width_vertex_limit: int = 8,
-    node_limit: int = 10_000,
-    frontier_limit: int = 2_000_000,
+    frontier_limit: int = 4_194_304,
 ) -> FhwCount:
     """Exact answer count of a plain conjunctive query via the automaton.
 
@@ -362,10 +273,6 @@ def count_answers_fhw_pipeline(
             f"fractional hypertreewidth {width} exceeds the limit {fhw_limit}"
         )
     ntd = make_nice(h, td)
-    if ntd.n_nodes > node_limit:
-        raise LimitExceededError(
-            f"slice size {ntd.n_nodes} exceeds the node limit {node_limit}"
-        )
     aut = build_automaton(q, d, ntd, state_limit)
-    count = count_slice_exact(aut, ntd.n_nodes, node_limit, frontier_limit)
+    count = count_slice_exact(aut, ntd, frontier_limit)
     return FhwCount(count, width, exact)

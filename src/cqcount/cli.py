@@ -72,14 +72,19 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #   p3-32-walk-* benchmark ops       27 runs: median 2,795, max 4,671; 0.30 ms/walk
 #   c02 corpus: no run leaves the exact probe
 # 100,000 is 12x the largest run and about 30 s at 0.3 ms/walk.
+# frontier_limit caps the summed size of the state sets the fhw slice DP builds;
+# 2**22 keeps it within about 2 s. Entries: slice DP time, peak RSS, 8-paths
+# with free endpoints over random 6-regular graphs, Python 3.11, 2-vCPU Xeon:
+#     256 vertices    788,683: 0.29 s    56 MB
+#     512 vertices  2,701,556: 1.15 s   129 MB
+#   1,024 vertices 13,498,401: 7.5 s    382 MB
 DEFAULT_LIMITS: dict[str, int | None] = {
     "enum_budget": 10_000_000,
     "probe_budget": 20_000,
     "oracle_cap": 50_000,
     "walk_budget": 100_000,
     "state_limit": 8_192,
-    "node_limit": 10_000,
-    "frontier_limit": 2_000_000,
+    "frontier_limit": 4_194_304,
     "tw_vertex_limit": 16,
     "fhw_vertex_limit": 8,
     "fhw_limit": None,
@@ -243,7 +248,6 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             fhw_limit=Fraction(fhw_limit) if fhw_limit is not None else None,
             state_limit=cfg.limit("state_limit"),
             exact_width_vertex_limit=cfg.limit("fhw_vertex_limit"),
-            node_limit=cfg.limit("node_limit"),
             frontier_limit=cfg.limit("frontier_limit"),
         )
         report["count"] = result.count

@@ -42,7 +42,7 @@ from .qmodel import (
     oriented_disequalities,
     validate_pair,
 )
-from .widths import _bits, make_nice, treewidth_exact
+from .widths import _bits, make_nice, treewidth_exact, treewidth_heuristic
 
 HOM_BACKENDS = ("bruteforce", "td-dp")
 
@@ -195,8 +195,10 @@ class _Evaluator:
         if backend == "td-dp":
             self._a = build_A(q)
             self._b = build_B(q, d)
-            _, td = treewidth_exact(structure_hypergraph(self._a))
-            self._td = make_nice(structure_hypergraph(self._a), td)
+            h = structure_hypergraph(self._a)
+            # Past treewidth_exact's 16 vertices, min-fill, as analyze does.
+            _, td = treewidth_exact(h) if len(h.vertices) <= 16 else treewidth_heuristic(h)
+            self._td = make_nice(h, td)
 
     def red_masks(self, classes) -> list[int]:
         """Per-disequality red masks of one colouring per clique.

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
-from cqcount import OracleStats, edgefree_restricted
+from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
 from cqcount.reduction import ImplicitAnswerHypergraph
+from cqcount.widths import _postorder
 
 
 def edgefree_general(
@@ -36,3 +38,88 @@ def edgefree_general(
         if not edgefree_restricted(ih, vs, share, rng, backend, stats):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class LabeledTree:
+    """A rooted tree, at most two ordered children per node, one label each."""
+
+    root: int
+    children: tuple[tuple[int, ...], ...]
+    labels: tuple
+
+    @staticmethod
+    def make(root, children, labels) -> "LabeledTree":
+        children = tuple(tuple(c) for c in children)
+        labels = tuple(labels)
+        n = len(labels)
+        if len(children) != n:
+            raise ValueError("children and labels must have the same length")
+        if not (0 <= root < n):
+            raise ValueError("root id out of range")
+        seen = set()
+        for kids in children:
+            if len(kids) > 2:
+                raise ValueError("nodes may have at most two children")
+            for c in kids:
+                if not (0 <= c < n) or c in seen:
+                    raise ValueError("malformed child structure")
+                seen.add(c)
+        if root in seen or len(seen) != n - 1:
+            raise ValueError("child structure is not a tree")
+        return LabeledTree(root, children, labels)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.labels)
+
+    def postorder(self) -> list[int]:
+        return _postorder(self.root, self.children)
+
+
+def accepts(aut: TreeAutomaton, tree: LabeledTree) -> bool:
+    """Is there a run of the automaton on the tree from the initial state?"""
+    reach: dict[int, set] = {}
+    for t in tree.postorder():
+        lbl = tree.labels[t]
+        kids = tree.children[t]
+        here = set()
+        for (s, l), outs in aut.transitions.items():
+            if l != lbl:
+                continue
+            if not kids:
+                if () in outs:
+                    here.add(s)
+            elif len(kids) == 1:
+                r0 = reach[kids[0]]
+                if any(len(o) == 1 and o[0] in r0 for o in outs):
+                    here.add(s)
+            else:
+                r0, r1 = reach[kids[0]], reach[kids[1]]
+                if any(len(o) == 2 and o[0] in r0 and o[1] in r1 for o in outs):
+                    here.add(s)
+        reach[t] = here
+    return aut.initial in reach[tree.root]
+
+
+def automaton_to_doc(aut: TreeAutomaton) -> dict:
+    """Canonical JSON-ready form for golden-file comparisons."""
+
+    def enc(x):
+        if isinstance(x, tuple):
+            return [enc(v) for v in x]
+        if isinstance(x, frozenset):
+            return sorted((enc(v) for v in x), key=repr)
+        return x
+
+    triples = []
+    for (s, lbl), outs in aut.transitions.items():
+        for o in outs:
+            triples.append([enc(s), enc(lbl), enc(o)])
+    triples.sort(key=repr)
+    return {
+        "states": sorted((enc(s) for s in aut.states), key=repr),
+        "alphabet": sorted((enc(l) for l in aut.alphabet), key=repr),
+        "transitions": triples,
+        "initial": enc(aut.initial),
+    }

@@ -175,7 +175,7 @@ def test_c03_automaton_counts_match_bruteforce():
         checked += 1
         nice = make_nice(h, td)
         aut = build_automaton(q, d, nice, state_limit=None)
-        got = count_slice_exact(aut, nice.n_nodes)
+        got = count_slice_exact(aut, nice)
         truth = count_answers_bruteforce(q, d)
         if got != truth:
             failures.append((seed, got, truth))
@@ -209,7 +209,7 @@ def test_c04_named_instances_all_pipelines():
             _, td = fhw_exact_small(h)
             nice = make_nice(h, td)
             aut = build_automaton(q, d, nice, state_limit=None)
-            sliced = count_slice_exact(aut, nice.n_nodes)
+            sliced = count_slice_exact(aut, nice)
             if sliced != expected:
                 failures.append((label, "automaton", sliced, expected))
     _report(4, "P4->2 K4->24 edge->2 star/triangle->6 across pipelines",

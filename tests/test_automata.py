@@ -9,11 +9,10 @@ import pytest
 
 from cqcount import (
     Database,
-    LabeledTree,
     LimitExceededError,
     TreeAutomaton,
+    TreeDecomposition,
     UnsupportedQueryError,
-    accepts,
     build_automaton,
     build_hypergraph,
     count_answers_bruteforce,
@@ -23,10 +22,10 @@ from cqcount import (
     make_nice,
     parse_query,
 )
-from cqcount.automata import automaton_to_doc
 from cqcount.widths import _vkey
 
 from conftest import plain_cq_instance
+from helpers import LabeledTree, accepts, automaton_to_doc
 
 
 def tree_of(shape, labels_by_node=None):
@@ -118,20 +117,26 @@ def test_accepts_unknown_label_rejects():
     assert not accepts(PARITY, tree_of(("z",)))
 
 
+def random_transitions(rng, states, alphabet) -> dict:
+    """Up to two random outcomes of arity 0 to 2 per (state, label)."""
+    trans: dict = {}
+    for s in states:
+        for lbl in alphabet:
+            outs = set()
+            for _ in range(rng.randint(0, 2)):
+                k = rng.randint(0, 2)
+                outs.add(tuple(rng.choice(states) for _ in range(k)))
+            if outs:
+                trans[(s, lbl)] = outs
+    return trans
+
+
 def test_accepts_monotone_under_transition_addition():
     rng = random.Random(3)
     states = ["s0", "s1", "s2"]
     alphabet = ["a", "b"]
     for _ in range(40):
-        trans: dict = {}
-        for s in states:
-            for lbl in alphabet:
-                outs = set()
-                for _ in range(rng.randint(0, 2)):
-                    k = rng.randint(0, 2)
-                    outs.add(tuple(rng.choice(states) for _ in range(k)))
-                if outs:
-                    trans[(s, lbl)] = outs
+        trans = random_transitions(rng, states, alphabet)
         aut = TreeAutomaton.make(states, alphabet, trans, "s0")
         trees = [
             tree_of(shape)
@@ -153,20 +158,43 @@ def test_accepts_monotone_under_transition_addition():
 # Slice counting
 # ---------------------------------------------------------------------------
 
+def chain(n: int) -> TreeDecomposition:
+    """The n-node path rooted at node 0, as a shape to count labelings of."""
+    return TreeDecomposition.make(
+        0, [(t + 1,) for t in range(n - 1)] + [()], [()] * n
+    )
+
+
 def test_count_slice_matches_exhaustive_on_hand_automaton():
+    # PARITY has no binary rules, so its n-slice is the chain of n nodes.
     for n in range(1, 6):
-        assert count_slice_exact(PARITY, n) == count_slice_oracle(PARITY, n)
+        assert count_slice_exact(PARITY, chain(n)) == count_slice_oracle(PARITY, n)
+
+
+def test_count_slice_over_every_shape_sums_to_the_slice():
+    # Random automata with binary rules: the labelings each ordered shape of
+    # n nodes accepts add up to the n-slice. Shapes with two equal subtrees
+    # share one table.
+    rng = random.Random(5)
+    states = ["s0", "s1", "s2"]
+    alphabet = ["a", "b"]
+    for _ in range(30):
+        aut = TreeAutomaton.make(
+            states, alphabet, random_transitions(rng, states, alphabet), "s0"
+        )
+        for n in range(1, 6):
+            trees = [tree_of(nested) for nested in enumerate_trees([None], n)]
+            shapes = [
+                TreeDecomposition.make(t.root, t.children, [()] * n) for t in trees
+            ]
+            total = sum(count_slice_exact(aut, shape) for shape in shapes)
+            assert total == count_slice_oracle(aut, n)
 
 
 def test_count_slice_empty_transitions():
     aut = TreeAutomaton.make({"s"}, {"a"}, {}, "s")
     for n in range(1, 5):
-        assert count_slice_exact(aut, n) == 0
-
-
-def test_count_slice_node_limit():
-    with pytest.raises(LimitExceededError):
-        count_slice_exact(PARITY, 50, node_limit=10)
+        assert count_slice_exact(aut, chain(n)) == 0
 
 
 def _nice_td_for(q):
@@ -180,9 +208,10 @@ def test_built_automaton_slices_match_exhaustive():
     d = Database.make([0, 1], {"U": (1, [(0,), (1,)])})
     ntd = _nice_td_for(q)
     aut = build_automaton(q, d, ntd)
+    assert count_slice_exact(aut, ntd) == count_slice_oracle(aut, ntd.n_nodes) == 2
     for n in range(1, ntd.n_nodes + 2):
-        assert count_slice_exact(aut, n) == count_slice_oracle(aut, n)
-    assert count_slice_exact(aut, ntd.n_nodes) == 2
+        if n != ntd.n_nodes:
+            assert count_slice_oracle(aut, n) == 0
 
 
 def test_built_automaton_rejects_other_sizes():
@@ -190,10 +219,26 @@ def test_built_automaton_rejects_other_sizes():
     d = Database.make([0, 1], {"E": (2, [(0, 1), (1, 0)])})
     ntd = _nice_td_for(q)
     aut = build_automaton(q, d, ntd)
-    assert count_slice_exact(aut, ntd.n_nodes) == 2
-    for n in range(1, ntd.n_nodes + 3):
-        if n != ntd.n_nodes:
-            assert count_slice_exact(aut, n) == 0
+    assert count_slice_exact(aut, ntd) == count_slice_oracle(aut, ntd.n_nodes) == 2
+    # Larger trees are left out: with 7 labels, one more node makes the
+    # exhaustive oracle about 20 times slower.
+    for n in range(1, ntd.n_nodes):
+        assert count_slice_oracle(aut, n) == 0
+
+
+def test_built_automaton_moves_along_the_decomposition():
+    # Each label and state of node t moves only to states of t's children,
+    # in order, and a leaf outcome comes only at a leaf. So every accepted
+    # tree has the decomposition's shape, and the count of its labelings is
+    # the whole slice.
+    for seed in range(80):
+        q, d = plain_cq_instance(seed)
+        ntd = _nice_td_for(q)
+        aut = build_automaton(q, d, ntd)
+        for ((t, _), (lt, _)), outs in aut.transitions.items():
+            assert lt == t, seed
+            for o in outs:
+                assert tuple(c for c, _ in o) == ntd.children[t], seed
 
 
 def test_answer_trees_are_accepted():
@@ -252,21 +297,6 @@ def test_state_limit_enforced():
         count_answers_fhw_pipeline(q, d, state_limit=3)
 
 
-def test_node_limit_enforced_before_automaton_build(monkeypatch):
-    # The nice decomposition of a 12-variable path has far more than 10
-    # nodes; the pipeline must refuse it before building the automaton.
-    def no_build(*args, **kwargs):
-        raise AssertionError("build_automaton called past the node limit")
-
-    monkeypatch.setattr("cqcount.automata.build_automaton", no_build)
-    xs = [f"x{i}" for i in range(12)]
-    body = ", ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
-    q = parse_query(f"phi({xs[0]},{xs[-1]}) :- {body}")
-    d = Database.make([0, 1], {"E": (2, [(0, 1), (1, 0)])})
-    with pytest.raises(LimitExceededError, match="node limit 10"):
-        count_answers_fhw_pipeline(q, d, node_limit=10)
-
-
 def test_fhw_limit_enforced():
     q = parse_query("phi(x,y,z) :- E(x,y), E(y,z), E(z,x)")
     d = Database.make([0], {"E": (2, [])})
@@ -283,6 +313,20 @@ def test_pipeline_triangle_query():
     assert count_answers_fhw_pipeline(q, d, state_limit=None).count == (
         count_answers_bruteforce(q, d)
     )
+
+
+def test_pipeline_long_path_at_default_limits():
+    # A 200-variable path has a nice decomposition of about 400 nodes; every
+    # variable is free, so the count is the number of 199-edge walks.
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (3, 4), (4, 1)]
+    xs = [f"x{i}" for i in range(200)]
+    body = ", ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    q = parse_query(f"phi({','.join(xs)}) :- {body}")
+    d = Database.make(list(range(5)), {"E": (2, edges)})
+    walks = [1] * 5
+    for _ in range(199):
+        walks = [sum(walks[b] for a, b in edges if a == u) for u in range(5)]
+    assert count_answers_fhw_pipeline(q, d).count == sum(walks)
 
 
 def test_pipeline_matches_bruteforce_small_corpus():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import jsonschema
 import pytest
@@ -279,6 +280,15 @@ def test_exit_budget_fhw_limit(capsys, tmp_path, instance):
     ])
     assert code == EXIT_BUDGET
     assert "hypertreewidth" in err
+
+
+def test_exit_budget_frontier_limit(capsys, instance):
+    code, _, err = run(capsys, [
+        "count", "--query", instance["plain"], "--db", instance["db"],
+        "--method", "fhw", "--limit", "frontier_limit=10",
+    ])
+    assert code == EXIT_BUDGET
+    assert re.search(r"more than 10 state-set entries at decomposition node \d+", err)
 
 
 @pytest.mark.parametrize("via", ["flag", "file"])

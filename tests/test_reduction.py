@@ -517,9 +517,22 @@ def test_approx_count_td_backend_agrees():
         b = approx_count_answers(q, d, 0.3, 0.2, seed=6, backend="td-dp")
         assert a == b
     # hampath over paths: one K3 and one K4 disequality clique, so both
-    # backends must consume the per-value clique colour draws alike.
-    for n in (3, 4):
-        q, d = gen_hampath([(i, i + 1) for i in range(n - 1)], n)
+    # backends must consume the per-value clique colour draws alike. The
+    # 17-variable path is past treewidth_exact's 16 vertices, so td-dp
+    # decomposes it by min-fill.
+    xs = [f"x{i}" for i in range(17)]
+    body = ", ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    path17 = (
+        parse_query(f"q(x0, x16) :- {body}, x0 != x16"),
+        Database.make(
+            [0, 1, 2, 3],
+            {"E": (2, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 1)])},
+        ),
+    )
+    cases = [
+        (*gen_hampath([(i, i + 1) for i in range(n - 1)], n), 2) for n in (3, 4)
+    ] + [(*path17, 12)]
+    for q, d, expected in cases:
         runs = []
         for backend in ("bruteforce", "td-dp"):
             stats = OracleStats()
@@ -528,7 +541,7 @@ def test_approx_count_td_backend_agrees():
             )
             runs.append((est, stats.as_dict()))
         assert runs[0] == runs[1]
-        assert runs[0][0] == 2
+        assert runs[0][0] == expected
 
 
 def _circulant(n: int) -> list[tuple[int, int]]:
