@@ -69,9 +69,10 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 # Python 3.11, 2-vCPU Xeon:
 #   c11 corpus (probe_budget 0)     100 runs: median 584, max 8,289; 0.05 ms/walk
 #   c10 (hampath(K4), exact oracle) 100 runs: median 858, max 912; 0.09 ms/walk
-#   p3-32-walk-* benchmark ops       27 runs: median 2,795, max 4,671; 0.30 ms/walk
+#   p3-32-walk-* ops, seed 1, passes 0-8: 27 runs: median 2,996, max 4,336;
+#                                         0.12 ms/walk
 #   c02 corpus: no run leaves the exact probe
-# 100,000 is 12x the largest run and about 30 s at 0.3 ms/walk.
+# 100,000 is 12x the largest run and about 12 s at 0.12 ms/walk.
 # frontier_limit caps the summed size of the state sets the fhw slice DP builds;
 # 2**22 keeps it within about 2 s. Entries: slice DP time, peak RSS, 8-paths
 # with free endpoints over random 6-regular graphs, Python 3.11, 2-vCPU Xeon:

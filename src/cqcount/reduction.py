@@ -49,7 +49,14 @@ HOM_BACKENDS = ("bruteforce", "td-dp")
 
 @dataclass
 class OracleStats:
-    """Work counters accumulated across a counting run."""
+    """Work counters accumulated across a counting run.
+
+    edgefree_calls: edge-freeness checks of a box (memo hits not counted);
+    colourings_sampled: colour samples drawn, searched or not;
+    hom_calls: box searches run, the one with no colour masks included;
+    estimator_walks: random walks of the edge-count estimator;
+    restarts: runs begun again with a larger simulation cap.
+    """
 
     edgefree_calls: int = 0
     colourings_sampled: int = 0
@@ -503,8 +510,10 @@ def edgefree_restricted(
     'Has an edge' answers are always correct; 'edge-free' is wrong with
     probability at most delta_prime. Each sample colours the domain once per
     clique of the evaluator's disequality cover, so clique_repetitions() of
-    the clique sizes samples suffice. With no disequalities the check is a
-    single exact homomorphism call.
+    the clique sizes samples suffice. The box is first searched with no
+    colour masks: with no disequalities that is the exact answer, and since
+    a colouring only narrows the domains, a box with no witness there has
+    none under any colouring, so its samples are drawn but not searched.
     """
     masks = _layer_masks(ih, vs)
     if stats is not None:
@@ -513,16 +522,29 @@ def edgefree_restricted(
         return True
     ev = ih.evaluator(backend)
     search = ev.compile(masks)
+    if stats is not None:
+        stats.hom_calls += 1
+    witness = search(())
     if not ev.cliques:
-        if stats is not None:
-            stats.hom_calls += 1
-        return search(()) is None
+        return witness is None
     sizes = [len(clique) for clique in ev.cliques]
     q_reps = clique_repetitions(sizes, delta_prime)
     width = len(ih.domain)
     # A cover of K2s only is diseq_pos itself, each red mask its K2's draw:
     # the general path's draws, without building class lists per sample.
     pairs_only = max(sizes) == 2
+    if witness is None:
+        # The same draws as the loop below, so rng ends in the same state.
+        if pairs_only:
+            for _ in range(q_reps * len(sizes)):
+                rng.getrandbits(width)
+        else:
+            for _ in range(q_reps):
+                for k in sizes:
+                    _colour_classes(rng, k, width)
+        if stats is not None:
+            stats.colourings_sampled += q_reps
+        return True
     for _ in range(q_reps):
         if pairs_only:
             colours = [rng.getrandbits(width) for _ in sizes]
@@ -600,6 +622,9 @@ def single_walk_estimate(
     while not all(len(part) == 1 for part in box):
         left, right = _split_box(box)
         alive = [c for c in (left, right) if not edgefree(c)]
+        if not alive:
+            # Only the oracle's one-sided error gets here; the product is 0.
+            return 0
         est *= len(alive)
         box = alive[0] if len(alive) == 1 else rng.choice(alive)
     return est

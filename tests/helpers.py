@@ -8,7 +8,12 @@ import random
 from dataclasses import dataclass
 
 from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
-from cqcount.reduction import ImplicitAnswerHypergraph
+from cqcount.reduction import (
+    ImplicitAnswerHypergraph,
+    _colour_classes,
+    _layer_masks,
+    clique_repetitions,
+)
 from cqcount.widths import _postorder
 
 
@@ -36,6 +41,43 @@ def edgefree_general(
             for i in range(ell)
         ]
         if not edgefree_restricted(ih, vs, share, rng, backend, stats):
+            return False
+    return True
+
+
+def edgefree_every_sample(
+    ih: ImplicitAnswerHypergraph,
+    vs,
+    delta_prime: float,
+    rng: random.Random,
+    backend: str = "bruteforce",
+    stats: OracleStats | None = None,
+) -> bool:
+    """Reference for edgefree_restricted: search every colour sample of the
+    box, with no search before colouring, up to the first witness."""
+    masks = _layer_masks(ih, vs)
+    if stats is not None:
+        stats.edgefree_calls += 1
+    if any(m == 0 for m in masks) and ih.ell > 0:
+        return True
+    ev = ih.evaluator(backend)
+    search = ev.compile(masks)
+    if not ev.cliques:
+        if stats is not None:
+            stats.hom_calls += 1
+        return search(()) is None
+    sizes = [len(clique) for clique in ev.cliques]
+    width = len(ih.domain)
+    pairs_only = max(sizes) == 2
+    for _ in range(clique_repetitions(sizes, delta_prime)):
+        if pairs_only:
+            colours = [rng.getrandbits(width) for _ in sizes]
+        else:
+            colours = ev.red_masks([_colour_classes(rng, k, width) for k in sizes])
+        if stats is not None:
+            stats.colourings_sampled += 1
+            stats.hom_calls += 1
+        if search(colours) is not None:
             return False
     return True
 

@@ -42,9 +42,10 @@ from cqcount.reduction import (
 )
 
 from conftest import corpus_instance
-from helpers import edgefree_general
+from helpers import edgefree_every_sample, edgefree_general
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
 P3 = [(0, 1), (1, 2)]
 P4 = [(0, 1), (1, 2), (2, 3)]
 
@@ -351,6 +352,67 @@ def test_edgefree_backends_agree():
             assert a == b
 
 
+def _halving_boxes(ih: ImplicitAnswerHypergraph) -> list:
+    """Every box the exact halving visits, in order."""
+    boxes = []
+    oracle = exact_oracle(ih)
+
+    def record(box):
+        boxes.append(box)
+        return oracle(box)
+
+    count_edges_exact_oracle(ih, record)
+    return boxes
+
+
+def _assert_same_draws(ih, backend, seed, delta_prime=0.05):
+    # Skipping the colour searches of a box with no uncoloured witness must
+    # leave the answer, the random stream and the sample count as they are.
+    rng, ref_rng = derive_rng(77, seed), derive_rng(77, seed)
+    for box in _halving_boxes(ih):
+        stats, ref_stats = OracleStats(), OracleStats()
+        got = edgefree_restricted(ih, box, delta_prime, rng, backend, stats)
+        ref = edgefree_every_sample(ih, box, delta_prime, ref_rng, backend, ref_stats)
+        assert got == ref, (seed, backend, box)
+        assert rng.getstate() == ref_rng.getstate(), (seed, backend, box)
+        assert stats.colourings_sampled == ref_stats.colourings_sampled
+        assert stats.edgefree_calls == ref_stats.edgefree_calls
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_edgefree_search_before_colouring_keeps_the_stream(backend):
+    for seed in range(60):
+        q, d = corpus_instance(seed)
+        _assert_same_draws(ImplicitAnswerHypergraph(q, d), backend, seed)
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
+    # hampath(K4) is one K4 clique and the star K1,3 lihom one K3 clique, so
+    # both draw through _colour_classes, not the single K2 draw.
+    ham = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
+    star = ImplicitAnswerHypergraph(*gen_li_hom([(0, 1), (0, 2), (0, 3)], K4))
+    assert [len(c) for c in ham.evaluator(backend).cliques] == [4]
+    assert [len(c) for c in star.evaluator(backend).cliques] == [3]
+    _assert_same_draws(ham, backend, 0, delta_prime=0.3)
+    _assert_same_draws(star, backend, 1)
+
+
+@pytest.mark.parametrize("box,searches", [
+    # x0 = x2 = 0 and x1 a neighbour of 0: the walk 0-1-0 is a hom but not
+    # locally injective, so the box has no answer yet its samples are searched.
+    (((0,), (1, 3), (0,)), clique_repetitions([2], 0.05) + 1),
+    # No hom at all: the uncoloured search is the only one.
+    (((0,), (2,), (0,)), 1),
+])
+def test_edgefree_box_without_answer_searches(box, searches):
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    stats = OracleStats()
+    assert edgefree_restricted(ih, box, 0.05, random.Random(0), stats=stats)
+    assert stats.colourings_sampled == clique_repetitions([2], 0.05)
+    assert stats.hom_calls == searches
+
+
 # ---------------------------------------------------------------------------
 # Counting from the oracle
 # ---------------------------------------------------------------------------
@@ -410,6 +472,14 @@ def test_single_walk_zero_on_edge_free():
     d = Database.make([0, 1], {"U": (1, [])})
     ih = ImplicitAnswerHypergraph(q, d)
     assert single_walk_estimate(ih, exact_oracle(ih), random.Random(0)) == 0
+
+
+def test_single_walk_zero_when_no_child_is_alive():
+    # The oracle may wrongly call both children of a non-edge-free box
+    # edge-free; the walk then has nowhere to go and its product is 0.
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    full = ih.full_box()
+    assert single_walk_estimate(ih, lambda box: box != full, random.Random(0)) == 0
 
 
 def test_single_walk_mean_near_edge_count():
@@ -553,14 +623,16 @@ def _circulant(n: int) -> list[tuple[int, int]]:
 
 # Estimates and oracle counters of seed 7 as recorded before the evaluator
 # compiled its search once per box. Each box must still draw the same
-# colourings in the same order, so none of these may move.
+# colourings in the same order, so none of these may move. hom_calls alone
+# was re-recorded when it became the searches run: a box with no witness
+# before colouring runs one search and skips its colour searches.
 GOLDEN_RUNS = [
-    ("p3-c7", P3, 7, "bruteforce", 20000, 84, (375, 6688, 6688, 0)),
-    ("p3-c7", P3, 7, "bruteforce", 0, 82, (375, 6674, 6674, 2527)),
-    ("p4-c8", P4, 8, "bruteforce", 20000, 288, (1487, 115639, 115639, 0)),
-    ("p4-c8", P4, 8, "bruteforce", 0, 284, (1487, 114858, 114858, 2661)),
-    ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 53870, 0)),
-    ("ham-p4", P4, 4, "td-dp", 20000, 2, (31, 53870, 53870, 0)),
+    ("p3-c7", P3, 7, "bruteforce", 20000, 84, (375, 6688, 2807, 0)),
+    ("p3-c7", P3, 7, "bruteforce", 0, 82, (375, 6674, 2793, 2527)),
+    ("p4-c8", P4, 8, "bruteforce", 20000, 288, (1487, 115639, 43654, 0)),
+    ("p4-c8", P4, 8, "bruteforce", 0, 284, (1487, 114858, 42873, 2661)),
+    ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 25229, 0)),
+    ("ham-p4", P4, 4, "td-dp", 20000, 2, (31, 53870, 25229, 0)),
 ]
 
 
