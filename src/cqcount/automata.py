@@ -1,9 +1,10 @@
 """Tree automata for parsimonious answer counting of plain conjunctive queries.
 
 A nice tree decomposition of the query turns the database into an automaton
-over binary labeled trees. Each label carries its decomposition node, so the
+over binary labeled trees. Each label is a (node, symbol) pair, so the
 accepted trees have the decomposition's shape, and their labelings are in
-bijection with the answers: count them along the decomposition.
+bijection with the answers: count them along the decomposition, one table per
+node, each node reading only the rules whose label names it.
 """
 
 from __future__ import annotations
@@ -154,34 +155,34 @@ def count_slice_exact(
 ) -> int:
     """Number of labelings of shape's ordered tree that the automaton accepts.
 
-    Bottom up, a subtree's table maps each exact set of states accepting some
-    labeling of it to the number of such labelings; empty sets are dropped.
-    Equal subtree shapes have equal tables, so each distinct shape gets one,
-    freed once every shape above it is done. frontier_limit bounds the summed
-    size of the state sets built, so it bounds both time and memory."""
-    leaves, unary, binary = {}, {}, {}
+    Every label is a (node, symbol) pair, as build_automaton makes them, and a
+    labeling puts only labels of node t at t; a label that names no node of
+    shape raises ValueError. In postorder, node t's table maps each exact set
+    of states accepting some labeling of t's subtree to the number of such
+    labelings (empty sets are dropped), built from t's own rules and its
+    children's tables, which it frees. frontier_limit bounds the summed size
+    of the state sets built, so it bounds both time and memory."""
+    nodes = range(shape.n_nodes)
+    for lbl in aut.alphabet:
+        if not (isinstance(lbl, tuple) and len(lbl) == 2 and lbl[0] in nodes):
+            raise ValueError(f"label {lbl!r} names no node of the decomposition")
+    leaves, unary, binary = ([{} for _ in nodes] for _ in range(3))
     for (s, lbl), outs in aut.transitions.items():
+        t = lbl[0]
         for o in outs:
             if not o:
-                leaves.setdefault(lbl, set()).add(s)
+                leaves[t].setdefault(lbl, set()).add(s)
             elif len(o) == 1:
-                unary.setdefault(o[0], {}).setdefault(lbl, set()).add(s)
+                unary[t].setdefault(o[0], {}).setdefault(lbl, set()).add(s)
             else:
-                binary.setdefault(o[0], {}).setdefault(lbl, []).append((s, o[1]))
+                binary[t].setdefault(o[0], {}).setdefault(lbl, []).append((s, o[1]))
 
-    # Each shape is named by its first node in postorder, so `first` lists
-    # children before parents; `last` is the last shape to read each table.
-    shape_of: dict[int, int] = {}
-    first: dict[tuple, int] = {}
-    for t in shape.postorder():
-        kids = tuple(shape_of[c] for c in shape.children[t])
-        shape_of[t] = first.setdefault(kids, t)
-    last = {c: t for kids, t in first.items() for c in kids}
     tables: dict[int, dict[frozenset, int]] = {}
     built = 0
-    for kids, t in first.items():
+    for t in shape.postorder():
+        below = [tables.pop(c) for c in shape.children[t]]
         here = tables[t] = {}
-        for ss, cnt in _label_groups([tables[c] for c in kids], leaves, unary, binary):
+        for ss, cnt in _label_groups(below, leaves[t], unary[t], binary[t]):
             key = frozenset(ss)
             built += len(key)
             if built > frontier_limit:
@@ -190,11 +191,7 @@ def count_slice_exact(
                     f"entries at decomposition node {t}"
                 )
             here[key] = here.get(key, 0) + cnt
-        for c in kids:
-            if last[c] == t:
-                tables.pop(c, None)  # two equal children list c twice
-    root = tables[shape_of[shape.root]]
-    return sum(cnt for ss, cnt in root.items() if aut.initial in ss)
+    return sum(cnt for ss, cnt in tables[shape.root].items() if aut.initial in ss)
 
 
 def _label_groups(below: list, leaves: dict, unary: dict, binary: dict):

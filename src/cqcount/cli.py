@@ -86,7 +86,7 @@ DEFAULT_LIMITS: dict[str, int | None] = {
     "walk_budget": 100_000,
     "state_limit": 8_192,
     "frontier_limit": 4_194_304,
-    "tw_vertex_limit": 16,
+    "tw_vertex_limit": widths.TW_EXACT_VERTEX_LIMIT,
     "fhw_vertex_limit": 8,
     "fhw_limit": None,
 }

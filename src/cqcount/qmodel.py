@@ -11,6 +11,7 @@ enforced here are the contract every other module builds on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -703,7 +704,7 @@ def gen_random(
     for sym in symbols:
         density = rng.uniform(0.2, 0.7)
         facts = set()
-        for t in _all_tuples(dom, sym.arity):
+        for t in itertools.product(dom, repeat=sym.arity):
             if rng.random() < density:
                 facts.add(t)
         rels[sym.name] = (sym.arity, facts)
@@ -711,8 +712,3 @@ def gen_random(
     validate_pair(q, d)
     return q, d
 
-
-def _all_tuples(domain: Sequence[Value], arity: int):
-    import itertools
-
-    return itertools.product(domain, repeat=arity)

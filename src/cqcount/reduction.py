@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceededError, QueryValidationError
 from .homsolver import (
@@ -42,7 +42,7 @@ from .qmodel import (
     oriented_disequalities,
     validate_pair,
 )
-from .widths import _bits, make_nice, treewidth_exact, treewidth_heuristic
+from .widths import TW_EXACT_VERTEX_LIMIT, _bits, make_nice, treewidth_exact, treewidth_heuristic
 
 HOM_BACKENDS = ("bruteforce", "td-dp")
 
@@ -65,13 +65,7 @@ class OracleStats:
     restarts: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "edgefree_calls": self.edgefree_calls,
-            "colourings_sampled": self.colourings_sampled,
-            "hom_calls": self.hom_calls,
-            "estimator_walks": self.estimator_walks,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
 def derive_rng(seed: int, *path: int) -> random.Random:
@@ -101,10 +95,6 @@ class ImplicitAnswerHypergraph:
         self._dom_index = {v: i for i, v in enumerate(self.domain)}
         self._answers: set[tuple] | None = None
         self._evaluators: dict[str, _Evaluator] = {}
-
-    @property
-    def n_vertices(self) -> int:
-        return self.ell * len(self.domain)
 
     def vertices(self) -> list[tuple]:
         return [(w, i) for i in range(1, self.ell + 1) for w in self.domain]
@@ -203,8 +193,9 @@ class _Evaluator:
             self._a = build_A(q)
             self._b = build_B(q, d)
             h = structure_hypergraph(self._a)
-            # Past treewidth_exact's 16 vertices, min-fill, as analyze does.
-            _, td = treewidth_exact(h) if len(h.vertices) <= 16 else treewidth_heuristic(h)
+            # Past the exact search's vertex limit, min-fill, as analyze does.
+            exact = len(h.vertices) <= TW_EXACT_VERTEX_LIMIT
+            _, td = treewidth_exact(h) if exact else treewidth_heuristic(h)
             self._td = make_nice(h, td)
 
     def red_masks(self, classes) -> list[int]:
@@ -439,13 +430,6 @@ def _has_system_of_distinct(choices: list[list[int]]) -> bool:
     return bool(reach)
 
 
-def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:
-    """Lift per-layer value sets into vertex sets (part i within layer i)."""
-    return [
-        frozenset((w, i + 1) for w in layer) for i, layer in enumerate(vs)
-    ]
-
-
 def clique_cover(pairs) -> list[tuple[int, ...]]:
     """Greedy edge-disjoint clique cover of a graph given by oriented pairs.
 
@@ -631,6 +615,8 @@ def single_walk_estimate(
 
 
 PILOT_WALKS = 48
+# Most runs approx_count_answers makes, each with a four times larger oracle cap.
+MAX_ATTEMPTS = 8
 
 
 def estimate_edges(
@@ -708,7 +694,6 @@ def approx_count_answers(
     stats: OracleStats | None = None,
     probe_budget: int = 20_000,
     initial_cap: int = 50_000,
-    max_attempts: int = 8,
     walk_budget: int | None = 100_000,
 ) -> int:
     """Randomized answer count for a normalized query with disequalities.
@@ -730,7 +715,7 @@ def approx_count_answers(
         stats = OracleStats()
 
     cap = initial_cap
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         delta_prime = (delta / 2) / cap
         oracle_rng = derive_rng(base_seed, attempt, 0)
         est_rng = derive_rng(base_seed, attempt, 1)
@@ -758,5 +743,5 @@ def approx_count_answers(
             stats.restarts += 1
             cap *= 4
     raise BudgetExceededError(
-        f"oracle simulation cap still exhausted after {max_attempts} attempts"
+        f"oracle simulation cap still exhausted after {MAX_ATTEMPTS} attempts"
     )

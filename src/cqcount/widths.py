@@ -375,8 +375,13 @@ def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecompositi
     return TreeDecomposition.make(n, children, bags)
 
 
+# The most vertices the exact treewidth search takes before callers fall back
+# to min-fill: its subset DP is exponential in them.
+TW_EXACT_VERTEX_LIMIT = 16
+
+
 def treewidth_exact(
-    h: Hypergraph, vertex_limit: int = 16
+    h: Hypergraph, vertex_limit: int = TW_EXACT_VERTEX_LIMIT
 ) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition (subset DP over orders)."""
     value, order = _elimination_dp(

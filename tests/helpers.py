@@ -82,6 +82,13 @@ def edgefree_every_sample(
     return True
 
 
+def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:
+    """Lift per-layer value sets into vertex sets (part i within layer i)."""
+    return [
+        frozenset((w, i + 1) for w in layer) for i, layer in enumerate(vs)
+    ]
+
+
 @dataclass(frozen=True)
 class LabeledTree:
     """A rooted tree, at most two ordered children per node, one label each."""

@@ -49,7 +49,6 @@ from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     ImplicitAnswerHypergraph,
     _layer_masks,
-    restricted_parts,
     single_walk_estimate,
 )
 from cqcount.widths import induced_hypergraph
@@ -62,6 +61,7 @@ from conftest import (
     random_hypergraph,
     random_structure_pair,
 )
+from helpers import restricted_parts
 
 P4 = [(0, 1), (1, 2), (2, 3)]
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

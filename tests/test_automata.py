@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from cqcount import (
     make_nice,
     parse_query,
 )
+from cqcount.automata import fhw_decomposition
 from cqcount.widths import _vkey
 
 from conftest import plain_cq_instance
@@ -165,16 +167,53 @@ def chain(n: int) -> TreeDecomposition:
     )
 
 
+def every_shape(n: int) -> list[TreeDecomposition]:
+    """Every ordered tree of n nodes, at most two children each."""
+    trees = [tree_of(nested) for nested in enumerate_trees([None], n)]
+    return [TreeDecomposition.make(t.root, t.children, [()] * n) for t in trees]
+
+
+def at_every_node(aut: TreeAutomaton, n: int) -> TreeAutomaton:
+    """aut with each label a copied to (t, a) for every node t < n."""
+    return TreeAutomaton.make(
+        aut.states,
+        {(t, a) for t in range(n) for a in aut.alphabet},
+        {(s, (t, a)): outs for t in range(n) for (s, a), outs in aut.transitions.items()},
+        aut.initial,
+    )
+
+
+def count_labelings_oracle(aut: TreeAutomaton, shape: TreeDecomposition) -> int:
+    """Accepted labelings of shape that put only labels (t, ·) at each node t."""
+    per_node = [
+        sorted((lbl for lbl in aut.alphabet if lbl[0] == t), key=repr)
+        for t in range(shape.n_nodes)
+    ]
+    return sum(
+        accepts(aut, LabeledTree.make(shape.root, shape.children, labels))
+        for labels in itertools.product(*per_node)
+    )
+
+
 def test_count_slice_matches_exhaustive_on_hand_automaton():
     # PARITY has no binary rules, so its n-slice is the chain of n nodes.
     for n in range(1, 6):
-        assert count_slice_exact(PARITY, chain(n)) == count_slice_oracle(PARITY, n)
+        aut = at_every_node(PARITY, n)
+        got = count_slice_exact(aut, chain(n))
+        assert got == count_labelings_oracle(aut, chain(n))
+        assert got == count_slice_oracle(PARITY, n)
+
+
+def test_count_slice_rejects_labels_naming_no_node():
+    with pytest.raises(ValueError, match="names no node"):
+        count_slice_exact(PARITY, chain(3))
+    with pytest.raises(ValueError, match="names no node"):
+        count_slice_exact(at_every_node(PARITY, 4), chain(3))
 
 
 def test_count_slice_over_every_shape_sums_to_the_slice():
-    # Random automata with binary rules: the labelings each ordered shape of
-    # n nodes accepts add up to the n-slice. Shapes with two equal subtrees
-    # share one table.
+    # Random automata with binary rules, copied to every node: the labelings
+    # each ordered shape of n nodes accepts add up to the n-slice.
     rng = random.Random(5)
     states = ["s0", "s1", "s2"]
     alphabet = ["a", "b"]
@@ -183,18 +222,38 @@ def test_count_slice_over_every_shape_sums_to_the_slice():
             states, alphabet, random_transitions(rng, states, alphabet), "s0"
         )
         for n in range(1, 6):
-            trees = [tree_of(nested) for nested in enumerate_trees([None], n)]
-            shapes = [
-                TreeDecomposition.make(t.root, t.children, [()] * n) for t in trees
-            ]
-            total = sum(count_slice_exact(aut, shape) for shape in shapes)
+            tagged = at_every_node(aut, n)
+            total = 0
+            for shape in every_shape(n):
+                got = count_slice_exact(tagged, shape)
+                assert got == count_labelings_oracle(tagged, shape)
+                total += got
             assert total == count_slice_oracle(aut, n)
 
 
+def test_count_slice_reads_only_each_nodes_rules():
+    # Each node gets its own random rules over shared states, so a node that
+    # read another node's rules would miscount; shapes with two equal
+    # subtrees are among them.
+    rng = random.Random(11)
+    states = ["s0", "s1", "s2"]
+    for n in range(1, 6):
+        alphabet = [(t, a) for t in range(n) for a in "ab"]
+        for shape in every_shape(n):
+            for _ in range(4):
+                aut = TreeAutomaton.make(
+                    states, alphabet, random_transitions(rng, states, alphabet), "s0"
+                )
+                assert count_slice_exact(aut, shape) == count_labelings_oracle(
+                    aut, shape
+                )
+
+
 def test_count_slice_empty_transitions():
-    aut = TreeAutomaton.make({"s"}, {"a"}, {}, "s")
     for n in range(1, 5):
+        aut = TreeAutomaton.make({"s"}, {(t, "a") for t in range(n)}, {}, "s")
         assert count_slice_exact(aut, chain(n)) == 0
+        assert count_labelings_oracle(aut, chain(n)) == 0
 
 
 def _nice_td_for(q):
@@ -313,6 +372,27 @@ def test_pipeline_triangle_query():
     assert count_answers_fhw_pipeline(q, d, state_limit=None).count == (
         count_answers_bruteforce(q, d)
     )
+
+
+def test_pipeline_star_with_equal_arms():
+    # Four equal arms x - a_i - b_i: the nice decomposition joins subtrees of
+    # equal shape, and each of their nodes counts from its own rules.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)]
+    body = ", ".join(f"E(x,a{i}), E(a{i},b{i})" for i in range(4))
+    q = parse_query(f"phi(x,b0,b1) :- {body}")
+    d = Database.make(
+        list(range(5)), {"E": (2, edges + [(b, a) for a, b in edges])}
+    )
+    h = build_hypergraph(q)
+    ntd = make_nice(h, fhw_decomposition(h, 8)[1])
+
+    def shape(t):
+        return tuple(shape(c) for c in ntd.children[t])
+
+    assert any(
+        len(kids) == 2 and shape(kids[0]) == shape(kids[1]) for kids in ntd.children
+    )
+    assert count_answers_fhw_pipeline(q, d).count == count_answers_bruteforce(q, d)
 
 
 def test_pipeline_long_path_at_default_limits():
