@@ -10,6 +10,13 @@ decorated layered database structure. Counting then reduces to edge-freeness
 queries alone: an exact recursive halving counter and a random-walk estimator
 with median-of-means amplification sit on top.
 
+Halving the full box along the domain order only ever makes products of
+contiguous runs, so a box is named by one half-open index interval (lo, hi)
+per layer, and the `edgefree` callbacks of the counters receive boxes in
+that form. `edgefree_restricted` takes the box as per-layer bitmasks, the
+evaluator's own form, so any value sets fit; a layer's interval is the mask
+(1 << hi) - (1 << lo).
+
 Both homomorphism backends answer a layer-decorated check without building
 the layered structure: tagged relations ignore layer indices, so the check
 collapses to a value-level search with per-variable allowed sets (layer boxes
@@ -92,15 +99,14 @@ class ImplicitAnswerHypergraph:
         self.database = d
         self.ell = len(q.free_vars)
         self.domain = tuple(d.domain)
-        self._dom_index = {v: i for i, v in enumerate(self.domain)}
         self._answers: set[tuple] | None = None
         self._evaluators: dict[str, _Evaluator] = {}
 
     def vertices(self) -> list[tuple]:
         return [(w, i) for i in range(1, self.ell + 1) for w in self.domain]
 
-    def full_box(self) -> tuple[tuple, ...]:
-        return tuple(self.domain for _ in range(self.ell))
+    def full_box(self) -> tuple[tuple[int, int], ...]:
+        return ((0, len(self.domain)),) * self.ell
 
     def answers(self) -> set[tuple]:
         if self._answers is None:
@@ -115,15 +121,6 @@ class ImplicitAnswerHypergraph:
             ev = _Evaluator(self, backend)
             self._evaluators[backend] = ev
         return ev
-
-    def value_masks(self, values) -> int:
-        mask = 0
-        for w in values:
-            idx = self._dom_index.get(w)
-            if idx is None:
-                raise ValueError(f"value {w!r} not in the database domain")
-            mask |= 1 << idx
-        return mask
 
 
 class _Evaluator:
@@ -237,10 +234,6 @@ class _Evaluator:
             return search(dom)
 
         return run
-
-    def find(self, layer_masks, colour_masks) -> tuple | None:
-        """Witness of one box and colouring, or None; see compile()."""
-        return self.compile(layer_masks)(colour_masks)
 
     def _find_td(self, dom: list[int]) -> tuple | None:
         values = self.ih.domain
@@ -377,13 +370,6 @@ def build_hat_B(
 # Edge-freeness
 # ---------------------------------------------------------------------------
 
-def _layer_masks(ih: ImplicitAnswerHypergraph, vs) -> list[int]:
-    vs = tuple(vs)
-    if len(vs) != ih.ell:
-        raise ValueError(f"expected {ih.ell} layer sets, got {len(vs)}")
-    return [ih.value_masks(layer) for layer in vs]
-
-
 def edgefree_bruteforce(ih: ImplicitAnswerHypergraph, ws) -> bool:
     """Reference edge-freeness on explicit vertex sets (any layers), by
     enumerating the answer set. ws: one vertex set per part, vertices are
@@ -483,13 +469,14 @@ def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
 
 def edgefree_restricted(
     ih: ImplicitAnswerHypergraph,
-    vs,
+    masks,
     delta_prime: float,
     rng: random.Random,
     backend: str = "bruteforce",
     stats: OracleStats | None = None,
 ) -> bool:
-    """One-sided randomized edge-freeness for a layer-aligned box.
+    """One-sided randomized edge-freeness for a layer-aligned box, given as
+    one bitmask of its values per layer (bit i is ih.domain[i]).
 
     'Has an edge' answers are always correct; 'edge-free' is wrong with
     probability at most delta_prime. Each sample colours the domain once per
@@ -499,10 +486,13 @@ def edgefree_restricted(
     a colouring only narrows the domains, a box with no witness there has
     none under any colouring, so its samples are drawn but not searched.
     """
-    masks = _layer_masks(ih, vs)
+    if len(masks) != ih.ell:
+        raise ValueError(f"expected {ih.ell} layer masks, got {len(masks)}")
+    if any(m >> len(ih.domain) for m in masks):
+        raise ValueError("a layer mask has bits beyond the database domain")
     if stats is not None:
         stats.edgefree_calls += 1
-    if any(m == 0 for m in masks) and ih.ell > 0:
+    if not all(masks):
         return True
     ev = ih.evaluator(backend)
     search = ev.compile(masks)
@@ -546,15 +536,16 @@ def edgefree_restricted(
 # Counting on top of the oracle
 # ---------------------------------------------------------------------------
 
-def _split_box(box: tuple[tuple, ...]) -> tuple[tuple, tuple]:
-    """Halve the lowest-index part of size >= 2 along the domain order."""
-    for i, part in enumerate(box):
-        if len(part) >= 2:
-            mid = (len(part) + 1) // 2
-            left = box[:i] + (part[:mid],) + box[i + 1 :]
-            right = box[:i] + (part[mid:],) + box[i + 1 :]
-            return left, right
-    raise ValueError("box has no part to split")
+def _halves(box: tuple[tuple[int, int], ...]) -> tuple:
+    """The two halves of the box's lowest-index interval of two or more
+    values, the left one taking the odd value; () when every interval holds
+    a single value."""
+    for i, (lo, hi) in enumerate(box):
+        if hi - lo >= 2:
+            mid = (lo + hi + 1) // 2
+            head, tail = box[:i], box[i + 1 :]
+            return head + ((lo, mid),) + tail, head + ((mid, hi),) + tail
+    return ()
 
 
 def count_edges_exact_oracle(
@@ -564,7 +555,8 @@ def count_edges_exact_oracle(
 ) -> int:
     """Exact edge count using only edge-freeness queries (recursive halving).
 
-    An edge-free instance costs exactly one query; in general the number of
+    edgefree receives interval boxes (see the module docstring), the full box
+    first. An edge-free instance costs exactly one query; in general the number of
     queries is at most 2(|E|+1) * sum_i ceil(log2 |U|) + 1.
     """
     calls = 0
@@ -584,12 +576,11 @@ def count_edges_exact_oracle(
         box = stack.pop()
         if ask(box):
             continue
-        if all(len(part) == 1 for part in box):
+        halves = _halves(box)
+        if halves:
+            stack += reversed(halves)
+        else:
             count += 1
-            continue
-        left, right = _split_box(box)
-        stack.append(right)
-        stack.append(left)
     return count
 
 
@@ -603,9 +594,8 @@ def single_walk_estimate(
     if edgefree(box):
         return 0
     est = 1
-    while not all(len(part) == 1 for part in box):
-        left, right = _split_box(box)
-        alive = [c for c in (left, right) if not edgefree(c)]
+    while halves := _halves(box):
+        alive = [c for c in halves if not edgefree(c)]
         if not alive:
             # Only the oracle's one-sided error gets here; the product is 0.
             return 0
@@ -730,7 +720,8 @@ def approx_count_answers(
             if sims >= cap:
                 raise _OracleCapExhausted()
             sims += 1
-            out = edgefree_restricted(ih, box, _dp, _rng, backend, stats)
+            masks = [(1 << hi) - (1 << lo) for lo, hi in box]
+            out = edgefree_restricted(ih, masks, _dp, _rng, backend, stats)
             _memo[box] = out
             return out
 

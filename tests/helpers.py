@@ -11,7 +11,6 @@ from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
 from cqcount.reduction import (
     ImplicitAnswerHypergraph,
     _colour_classes,
-    _layer_masks,
     clique_repetitions,
 )
 from cqcount.widths import _postorder
@@ -40,14 +39,14 @@ def edgefree_general(
             frozenset(w for w, layer in ws[sigma[i]] if layer == i + 1)
             for i in range(ell)
         ]
-        if not edgefree_restricted(ih, vs, share, rng, backend, stats):
+        if not edgefree_restricted(ih, layer_masks(ih, vs), share, rng, backend, stats):
             return False
     return True
 
 
 def edgefree_every_sample(
     ih: ImplicitAnswerHypergraph,
-    vs,
+    masks,
     delta_prime: float,
     rng: random.Random,
     backend: str = "bruteforce",
@@ -55,10 +54,9 @@ def edgefree_every_sample(
 ) -> bool:
     """Reference for edgefree_restricted: search every colour sample of the
     box, with no search before colouring, up to the first witness."""
-    masks = _layer_masks(ih, vs)
     if stats is not None:
         stats.edgefree_calls += 1
-    if any(m == 0 for m in masks) and ih.ell > 0:
+    if not all(masks):
         return True
     ev = ih.evaluator(backend)
     search = ev.compile(masks)
@@ -87,6 +85,18 @@ def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:
     return [
         frozenset((w, i + 1) for w in layer) for i, layer in enumerate(vs)
     ]
+
+
+def layer_masks(ih: ImplicitAnswerHypergraph, vs) -> list[int]:
+    """Per-layer value sets as the bitmasks edgefree_restricted takes: bit i
+    is the i-th domain value."""
+    index = {w: i for i, w in enumerate(ih.domain)}
+    return [sum(1 << i for i in {index[w] for w in layer}) for layer in vs]
+
+
+def box_values(ih: ImplicitAnswerHypergraph, box) -> list[tuple]:
+    """The per-layer values of an interval box of the halving counters."""
+    return [ih.domain[lo:hi] for lo, hi in box]
 
 
 @dataclass(frozen=True)

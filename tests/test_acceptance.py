@@ -46,11 +46,7 @@ from cqcount import (
 )
 from cqcount.homsolver import structure_hypergraph
 from cqcount.qmodel import oriented_disequalities
-from cqcount.reduction import (
-    ImplicitAnswerHypergraph,
-    _layer_masks,
-    single_walk_estimate,
-)
+from cqcount.reduction import ImplicitAnswerHypergraph, single_walk_estimate
 from cqcount.widths import induced_hypergraph
 
 from conftest import (
@@ -61,7 +57,7 @@ from conftest import (
     random_hypergraph,
     random_structure_pair,
 )
-from helpers import restricted_parts
+from helpers import box_values, layer_masks, restricted_parts
 
 P4 = [(0, 1), (1, 2), (2, 3)]
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -87,7 +83,7 @@ def _sample_box(rng: random.Random, domain, ell: int, cap: int = 3):
 
 def _exact_oracle(ih: ImplicitAnswerHypergraph):
     def oracle(box):
-        return edgefree_bruteforce(ih, restricted_parts(ih, box))
+        return edgefree_bruteforce(ih, restricted_parts(ih, box_values(ih, box)))
 
     return oracle
 
@@ -97,10 +93,9 @@ def _memoized_exact_oracle(ih: ImplicitAnswerHypergraph):
     inner = _exact_oracle(ih)
 
     def oracle(box):
-        key = tuple(frozenset(layer) for layer in box)
-        if key not in memo:
-            memo[key] = inner(box)
-        return memo[key]
+        if box not in memo:
+            memo[box] = inner(box)
+        return memo[box]
 
     return oracle
 
@@ -122,9 +117,9 @@ def test_c01_colouring_equals_edgefreeness():
         for _ in range(100):
             box = _sample_box(rng, d.domain, ih.ell)
             truth = not edgefree_bruteforce(ih, restricted_parts(ih, box))
-            masks = _layer_masks(ih, box)
+            masks = layer_masks(ih, box)
             colourful = any(
-                ev.find(masks, list(reds)) is not None
+                ev.compile(masks)(list(reds)) is not None
                 for reds in itertools.product(range(2 ** nd), repeat=len(diseqs))
             )
             if colourful != truth:
@@ -423,9 +418,9 @@ def test_c12_clique_colouring_equals_edgefreeness():
         for _ in range(20):
             box = _sample_box(rng, d.domain, ih.ell)
             truth = not edgefree_bruteforce(ih, restricted_parts(ih, box))
-            masks = _layer_masks(ih, box)
+            masks = layer_masks(ih, box)
             colourful = any(
-                ev.find(masks, ev.red_masks(classes)) is not None
+                ev.compile(masks)(ev.red_masks(classes)) is not None
                 for classes in itertools.product(*families)
             )
             edges += truth

@@ -34,14 +34,20 @@ from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     HOM_BACKENDS,
     ImplicitAnswerHypergraph,
-    _layer_masks,
+    _halves,
     clique_cover,
     clique_repetitions,
     single_walk_estimate,
 )
 
 from conftest import corpus_instance
-from helpers import edgefree_every_sample, edgefree_general, restricted_parts
+from helpers import (
+    box_values,
+    edgefree_every_sample,
+    edgefree_general,
+    layer_masks,
+    restricted_parts,
+)
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -52,7 +58,7 @@ P4 = [(0, 1), (1, 2), (2, 3)]
 def exact_oracle(ih: ImplicitAnswerHypergraph):
     """Deterministic edge-freeness from the brute-force answer set."""
     def oracle(box):
-        return edgefree_bruteforce(ih, restricted_parts(ih, box))
+        return edgefree_bruteforce(ih, restricted_parts(ih, box_values(ih, box)))
     return oracle
 
 
@@ -73,7 +79,7 @@ def test_hypergraph_shape():
     assert ih.ell == 2
     assert len(ih.vertices()) == 4
     assert set(ih.vertices()) == {(0, 1), (1, 1), (0, 2), (1, 2)}
-    assert ih.full_box() == ((0, 1), (0, 1))
+    assert ih.full_box() == ((0, 2), (0, 2))
     assert ih.answers() == {(0, 1)}
 
 
@@ -190,7 +196,7 @@ def test_explicit_hat_hom_equals_evaluator():
                 frozenset(rng.sample(d.domain, rng.randint(0, nd)))
                 for _ in range(ih.ell)
             ]
-            masks = _layer_masks(ih, vs)
+            masks = layer_masks(ih, vs)
             for reds in itertools.product(range(2 ** nd), repeat=len(diseqs)):
                 red_sets = {
                     pair: frozenset(
@@ -201,7 +207,7 @@ def test_explicit_hat_hom_equals_evaluator():
                 explicit = hom_exists_bruteforce(
                     hat_a, build_hat_B(q, d, vs, red_sets)
                 )
-                fast = ev.find(masks, list(reds)) is not None
+                fast = ev.compile(masks)(list(reds)) is not None
                 assert fast == explicit, (seed, vs, reds)
 
 
@@ -210,8 +216,8 @@ def test_evaluator_full_box_decides_satisfiability():
         q, d = corpus_instance(seed, max_diseq=0)
         ih = ImplicitAnswerHypergraph(q, d)
         ev = ih.evaluator("bruteforce")
-        full = _layer_masks(ih, ih.full_box())
-        witness = ev.find(full, ())
+        full = layer_masks(ih, box_values(ih, ih.full_box()))
+        witness = ev.compile(full)(())
         has = count_answers_bruteforce(q, d) > 0
         assert (witness is not None) == has
         if witness is not None:
@@ -243,12 +249,12 @@ def test_compiled_search_serves_many_colourings():
                     frozenset(rng.sample(d.domain, rng.randint(1, nd)))
                     for _ in range(ih.ell)
                 ]
-                masks = _layer_masks(ih, vs)
+                masks = layer_masks(ih, vs)
                 search = ev.compile(masks)
                 rng.shuffle(colourings)
                 for reds in colourings:
                     got = search(list(reds))
-                    assert got == ev.find(masks, list(reds)), (seed, backend, vs, reds)
+                    assert got == ev.compile(masks)(list(reds)), (seed, backend, vs, reds)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,7 @@ def test_edgefree_restricted_exact_without_disequalities():
                 for _ in range(ih.ell)
             ]
             expected = edgefree_bruteforce(ih, restricted_parts(ih, vs))
-            got = edgefree_restricted(ih, vs, 0.01, rng)
+            got = edgefree_restricted(ih, layer_masks(ih, vs), 0.01, rng)
             assert got == expected
 
 
@@ -310,7 +316,7 @@ def test_edgefree_restricted_one_sided_and_seeded():
                 for _ in range(ih.ell)
             ]
             expected = edgefree_bruteforce(ih, restricted_parts(ih, vs))
-            got = edgefree_restricted(ih, vs, 0.001, rng, stats=stats)
+            got = edgefree_restricted(ih, layer_masks(ih, vs), 0.001, rng, stats=stats)
             if not got:
                 assert not expected  # one-sided: edge answers are certain
             assert got == expected
@@ -346,9 +352,17 @@ def test_edgefree_backends_agree():
                 frozenset(rng.sample(d.domain, rng.randint(0, nd)))
                 for _ in range(ih.ell)
             ]
-            a = edgefree_restricted(ih, vs, 0.01, derive_rng(10, seed), "bruteforce")
-            b = edgefree_restricted(ih, vs, 0.01, derive_rng(10, seed), "td-dp")
+            masks = layer_masks(ih, vs)
+            a = edgefree_restricted(ih, masks, 0.01, derive_rng(10, seed), "bruteforce")
+            b = edgefree_restricted(ih, masks, 0.01, derive_rng(10, seed), "td-dp")
             assert a == b
+
+
+def test_edgefree_restricted_rejects_malformed_masks():
+    ih = _simple_instance()  # two layers over two values
+    for masks in ([], [0b11], [0b11, 0b11, 0b11], [0b11, 0b100], [-1, 0b11]):
+        with pytest.raises(ValueError):
+            edgefree_restricted(ih, masks, 0.01, random.Random(0))
 
 
 def _halving_boxes(ih: ImplicitAnswerHypergraph) -> list:
@@ -369,9 +383,10 @@ def _assert_same_draws(ih, backend, seed, delta_prime=0.05):
     # leave the answer, the random stream and the sample count as they are.
     rng, ref_rng = derive_rng(77, seed), derive_rng(77, seed)
     for box in _halving_boxes(ih):
+        masks = layer_masks(ih, box_values(ih, box))
         stats, ref_stats = OracleStats(), OracleStats()
-        got = edgefree_restricted(ih, box, delta_prime, rng, backend, stats)
-        ref = edgefree_every_sample(ih, box, delta_prime, ref_rng, backend, ref_stats)
+        got = edgefree_restricted(ih, masks, delta_prime, rng, backend, stats)
+        ref = edgefree_every_sample(ih, masks, delta_prime, ref_rng, backend, ref_stats)
         assert got == ref, (seed, backend, box)
         assert rng.getstate() == ref_rng.getstate(), (seed, backend, box)
         assert stats.colourings_sampled == ref_stats.colourings_sampled
@@ -407,7 +422,8 @@ def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
 def test_edgefree_box_without_answer_searches(box, searches):
     ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
     stats = OracleStats()
-    assert edgefree_restricted(ih, box, 0.05, random.Random(0), stats=stats)
+    masks = layer_masks(ih, box)
+    assert edgefree_restricted(ih, masks, 0.05, random.Random(0), stats=stats)
     assert stats.colourings_sampled == clique_repetitions([2], 0.05)
     assert stats.hom_calls == searches
 
@@ -421,6 +437,46 @@ def test_count_edges_exact_oracle_matches_bruteforce():
         q, d = corpus_instance(seed)
         ih = ImplicitAnswerHypergraph(q, d)
         assert count_edges_exact_oracle(ih, exact_oracle(ih)) == len(ih.answers())
+
+
+def test_halving_splits_the_lowest_long_interval():
+    # Every visited box is one non-empty index interval per layer. A split
+    # box's halves cut its lowest-index interval of two or more values in
+    # two, the left one taking the odd value, and keep every other interval;
+    # the counter counts exactly the all-unit boxes that hold an edge.
+    for seed in range(60):
+        q, d = corpus_instance(seed)
+        ih = ImplicitAnswerHypergraph(q, d)
+        n = len(ih.domain)
+        oracle = exact_oracle(ih)
+        visited: dict = {}
+
+        def record(box):
+            assert box not in visited, (seed, box)
+            visited[box] = oracle(box)
+            return visited[box]
+
+        count = count_edges_exact_oracle(ih, record)
+        units = set()
+        for box, free in visited.items():
+            assert len(box) == ih.ell
+            assert all(0 <= lo < hi <= n for lo, hi in box), (seed, box)
+            long = [i for i, (lo, hi) in enumerate(box) if hi - lo >= 2]
+            if not long:
+                assert _halves(box) == ()
+                if not free:
+                    units.add(tuple(ih.domain[lo] for lo, _ in box))
+                continue
+            i = long[0]
+            (lo, hi), (left, right) = box[i], _halves(box)
+            rest = box[:i] + box[i + 1 :]
+            assert left[:i] + left[i + 1 :] == rest == right[:i] + right[i + 1 :]
+            mid = lo + (hi - lo + 1) // 2
+            assert (left[i], right[i]) == ((lo, mid), (mid, hi)), (seed, box)
+            if not free:
+                assert left in visited and right in visited, (seed, box)
+        assert count == len(units), seed
+        assert units == ih.answers(), seed
 
 
 def test_count_edges_call_budget_bound():
@@ -652,6 +708,15 @@ def test_approx_count_golden_seeded_runs(name, pattern, n, backend, probe, estim
     keys = ("edgefree_calls", "colourings_sampled", "hom_calls", "estimator_walks")
     assert got == estimate
     assert stats.as_dict() == dict(zip(keys, counts), restarts=0)
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_approx_count_empty_domain(backend):
+    # The full box is (0, 0) per layer, mask 0; a Boolean query has no layer.
+    d = Database.make([], {"E": (2, [])})
+    for text in ("phi(x, y) :- E(x, y), x != y", "phi() :- E(x, y), x != y"):
+        q = parse_query(text)
+        assert approx_count_answers(q, d, 0.3, 0.2, seed=0, backend=backend) == 0
 
 
 def test_approx_count_boolean_query():
