@@ -4,7 +4,9 @@ A nice tree decomposition of the query turns the database into an automaton
 over binary labeled trees. Each label is a (node, symbol) pair, so the
 accepted trees have the decomposition's shape, and their labelings are in
 bijection with the answers: count them along the decomposition, one table per
-node, each node reading only the rules whose label names it.
+node from that node's own rules, all in one form that one DP step reads.
+The fhw pipeline counts the rules as it emits them; build_automaton collects
+them into a TreeAutomaton, which count_slice_exact counts by the same DP.
 """
 
 from __future__ import annotations
@@ -46,24 +48,11 @@ class TreeAutomaton:
     transitions: dict[tuple, frozenset]
     initial: object
 
-    @staticmethod
-    def make(states, alphabet, transitions, initial) -> "TreeAutomaton":
-        states = frozenset(states)
-        alphabet = frozenset(alphabet)
-        trans = {}
-        for (s, lbl), outs in transitions.items():
-            if s not in states:
-                raise ValueError(f"transition from unknown state {s!r}")
-            if lbl not in alphabet:
-                raise ValueError(f"transition on unknown label {lbl!r}")
-            outs = frozenset(tuple(o) for o in outs)
-            for o in outs:
-                if len(o) > 2 or any(c not in states for c in o):
-                    raise ValueError(f"malformed outcome {o!r}")
-            trans[(s, lbl)] = outs
-        if initial not in states:
-            raise ValueError("initial state is not a state")
-        return TreeAutomaton(states, alphabet, trans, initial)
+
+# A node's rules: first child state -> label -> [(state, second child state)],
+# _NO marking a missing child, so leaf and unary rules read as join rules.
+_NO = object()
+_ALONE = {frozenset({_NO}): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +74,30 @@ def build_automaton(
         raise DecompositionError("decomposition must be nice")
     if not is_valid_td(build_hypergraph(q), td):
         raise DecompositionError("decomposition is not valid for the query hypergraph")
+    initial = (td.root, ())  # the root's empty row, and also its one label
+    states, alphabet, transitions = {initial}, {initial}, {}
+    for rules in _node_rules(q, d, td, state_limit):
+        for first, by_label in rules.items():
+            for lbl, moves in by_label.items():
+                alphabet.add(lbl)
+                for s, second in moves:
+                    kids = tuple(c for c in (first, second) if c is not _NO)
+                    states.update((s, *kids))
+                    transitions.setdefault((s, lbl), set()).add(kids)
+    frozen = {k: frozenset(v) for k, v in transitions.items()}
+    return TreeAutomaton(frozenset(states), frozenset(alphabet), frozen, initial)
 
+
+def _node_rules(
+    q: Query, d: Database, td: TreeDecomposition, state_limit: int | None
+) -> list[dict]:
+    """The automaton's rules, per node of td, in the DP's one form. Node t's
+    states and labels are (t, row of t's bag table) and (t, row's free
+    values). Bag tables are made in node order, which fixes the bag that a
+    state_limit error names."""
     free = set(q.free_vars)
     bag_order = [tuple(sorted(td.bags[t], key=_vkey)) for t in range(td.n_nodes)]
+    free_at = [[i for i, x in enumerate(b) if x in free] for b in bag_order]
     sols: dict[tuple, set[tuple]] = {}
 
     def sol(t: int) -> set[tuple]:
@@ -102,13 +112,11 @@ def build_automaton(
                 )
         return got
 
-    def label(t: int, alpha: tuple):
-        return (t, tuple(v for x, v in zip(bag_order[t], alpha) if x in free))
+    out: list[dict] = [{} for _ in range(td.n_nodes)]
 
-    transitions: dict[tuple, set] = {}
-
-    def add(t: int, alpha: tuple, outcome: tuple) -> None:
-        transitions.setdefault(((t, alpha), label(t, alpha)), set()).add(outcome)
+    def add(t: int, alpha: tuple, first=_NO, second=_NO) -> None:
+        lbl = (t, tuple(alpha[i] for i in free_at[t]))
+        out[t].setdefault(first, {}).setdefault(lbl, []).append(((t, alpha), second))
 
     for t in range(td.n_nodes):
         kids = td.children[t]
@@ -118,7 +126,7 @@ def build_automaton(
         # keeps the bag that a state_limit error names.
         if len(kids) != 1 or not rows:
             for alpha in rows:
-                add(t, alpha, tuple((k, alpha) for k in kids))
+                add(t, alpha, *((k, alpha) for k in kids))
             continue
         # Introduce or forget edge: one pass over the larger bag's rows, each
         # projected onto the smaller bag and kept if it is a row there too.
@@ -130,18 +138,8 @@ def build_automaton(
             proj = tuple(row[i] for i in keep)
             if proj in small_rows:
                 alpha, beta = (row, proj) if big == t else (proj, row)
-                add(t, alpha, ((c, beta),))
-
-    initial = (td.root, ())
-    states = {initial, *(s for s, _ in transitions)}
-    states.update(c for outs in transitions.values() for o in outs for c in o)
-    alphabet = {label(td.root, ()), *(lbl for _, lbl in transitions)}
-    return TreeAutomaton(
-        frozenset(states),
-        frozenset(alphabet),
-        {k: frozenset(v) for k, v in transitions.items()},
-        initial,
-    )
+                add(t, alpha, (c, beta))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,71 +151,54 @@ def count_slice_exact(
     shape: TreeDecomposition,
     frontier_limit: int = 4_194_304,
 ) -> int:
-    """Number of labelings of shape's ordered tree that the automaton accepts.
-
-    Every label is a (node, symbol) pair, as build_automaton makes them, and a
-    labeling puts only labels of node t at t; a label that names no node of
-    shape raises ValueError. In postorder, node t's table maps each exact set
-    of states accepting some labeling of t's subtree to the number of such
-    labelings (empty sets are dropped), built from t's own rules and its
-    children's tables, which it frees. frontier_limit bounds the summed size
-    of the state sets built, so it bounds both time and memory."""
+    """Number of labelings of shape's ordered tree that the automaton accepts,
+    counted by _count_rules. Every label is a (node, symbol) pair, as
+    build_automaton makes them, and a labeling puts only labels of node t at
+    t; a label that names no node of shape raises ValueError."""
     nodes = range(shape.n_nodes)
     for lbl in aut.alphabet:
         if not (isinstance(lbl, tuple) and len(lbl) == 2 and lbl[0] in nodes):
             raise ValueError(f"label {lbl!r} names no node of the decomposition")
-    leaves, unary, binary = ([{} for _ in nodes] for _ in range(3))
+    rules: list[dict] = [{} for _ in nodes]
     for (s, lbl), outs in aut.transitions.items():
-        t = lbl[0]
         for o in outs:
-            if not o:
-                leaves[t].setdefault(lbl, set()).add(s)
-            elif len(o) == 1:
-                unary[t].setdefault(o[0], {}).setdefault(lbl, set()).add(s)
-            else:
-                binary[t].setdefault(o[0], {}).setdefault(lbl, []).append((s, o[1]))
+            first, second = (*o, _NO, _NO)[:2]
+            rules[lbl[0]].setdefault(first, {}).setdefault(lbl, []).append((s, second))
+    return _count_rules(rules, shape, aut.initial, frontier_limit)
 
+
+def _count_rules(
+    rules: list[dict], shape: TreeDecomposition, initial, frontier_limit: int
+) -> int:
+    """Labelings of shape accepted from initial, node t reading rules[t]. In
+    postorder, node t's table maps each exact set of states accepting some
+    labeling of t's subtree to the number of such labelings (empty sets are
+    dropped), built from t's rules and its children's tables, which it frees;
+    a missing child reads as the table _ALONE. frontier_limit bounds the
+    summed size of the state sets built, so it bounds time and memory."""
     tables: dict[int, dict[frozenset, int]] = {}
     built = 0
     for t in shape.postorder():
         below = [tables.pop(c) for c in shape.children[t]]
+        left, right = (*below, _ALONE, _ALONE)[:2]
         here = tables[t] = {}
-        for ss, cnt in _label_groups(below, leaves[t], unary[t], binary[t]):
-            key = frozenset(ss)
-            built += len(key)
-            if built > frontier_limit:
-                raise LimitExceededError(
-                    f"slice DP built more than {frontier_limit} state-set "
-                    f"entries at decomposition node {t}"
-                )
-            here[key] = here.get(key, 0) + cnt
-    return sum(cnt for ss, cnt in tables[shape.root].items() if aut.initial in ss)
-
-
-def _label_groups(below: list, leaves: dict, unary: dict, binary: dict):
-    """(states, count) per label and per choice of one set per child table."""
-    if not below:
-        for ss in leaves.values():
-            yield ss, 1
-    elif len(below) == 1:
-        for s1, cnt in below[0].items():
-            ups: dict = {}
-            for c1 in s1:
-                for lbl, ss in unary.get(c1, {}).items():
-                    ups.setdefault(lbl, set()).update(ss)
-            for ss in ups.values():
-                yield ss, cnt
-    elif len(below) == 2:
-        for s1, cnt1 in below[0].items():
+        for s1, cnt1 in left.items():
             pairs: dict = {}
             for c1 in s1:
-                for lbl, lst in binary.get(c1, {}).items():
-                    pairs.setdefault(lbl, []).extend(lst)
-            for s2, cnt2 in below[1].items() if pairs else ():
-                for lst in pairs.values():
-                    up = {s for s, c2 in lst if c2 in s2}
-                    if up:
-                        yield up, cnt1 * cnt2
+                for lbl, moves in rules[t].get(c1, {}).items():
+                    pairs.setdefault(lbl, []).extend(moves)
+            for s2, cnt2 in right.items() if pairs else ():
+                for moves in pairs.values():
+                    key = frozenset([s for s, c2 in moves if c2 in s2])
+                    built += len(key)
+                    if built > frontier_limit:
+                        raise LimitExceededError(
+                            f"slice DP built more than {frontier_limit} state-set "
+                            f"entries at decomposition node {t}"
+                        )
+                    if key:
+                        here[key] = here.get(key, 0) + cnt1 * cnt2
+    return sum(cnt for ss, cnt in tables[shape.root].items() if initial in ss)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +237,9 @@ def count_answers_fhw_pipeline(
     """Exact answer count of a plain conjunctive query via the automaton.
 
     Decomposes the query hypergraph with fhw_decomposition, refuses
-    instances over fhw_limit when one is set, and counts the slice of the
-    automaton built on the nice decomposition. All limits surface as
-    LimitExceededError.
+    instances over fhw_limit when one is set, and counts the automaton's
+    rules on the nice decomposition, which it neither builds as a
+    TreeAutomaton nor re-validates. All limits surface as LimitExceededError.
     """
     if not q.is_plain_cq():
         raise UnsupportedQueryError("the decomposition pipeline needs a plain CQ")
@@ -270,6 +251,6 @@ def count_answers_fhw_pipeline(
             f"fractional hypertreewidth {width} exceeds the limit {fhw_limit}"
         )
     ntd = make_nice(h, td)
-    aut = build_automaton(q, d, ntd, state_limit)
-    count = count_slice_exact(aut, ntd, frontier_limit)
+    rules = _node_rules(q, d, ntd, state_limit)
+    count = _count_rules(rules, ntd, (ntd.root, ()), frontier_limit)
     return FhwCount(count, width, exact)

@@ -63,9 +63,5 @@ class LimitExceededError(CqcountError):
     """A configured structural limit (vertex count, width, state count) was exceeded."""
 
 
-class LPError(CqcountError):
-    """Base class for linear-programming failures."""
-
-
-class LPUnboundedError(LPError):
+class LPUnboundedError(CqcountError):
     """The linear program's objective is unbounded."""

@@ -256,14 +256,23 @@ class _Evaluator:
         values = self.ih.domain
         assigned = [0] * n
 
-        def rec(k: int, cur: list[int]) -> bool:
-            if k == n:
-                return True
-            x = order[k]
-            m = cur[x]
-            while m:
+        def search(dom: list[int]) -> tuple | None:
+            if not n:
+                return ()
+            # Depth-first over the variables in order, without recursion: m
+            # holds the untried values of order[k] under the domains cur, and
+            # stack the same for each shallower level.
+            k, m, cur = 0, dom[order[0]], dom
+            stack = []
+            while True:
+                if not m:
+                    if not stack:
+                        return None
+                    k, m, cur = stack.pop()
+                    continue
                 low = m & -m
                 m ^= low
+                x = order[k]
                 b = low.bit_length() - 1
                 nxt = list(cur)
                 nxt[x] = low
@@ -281,14 +290,12 @@ class _Evaluator:
                     if hit == negated:
                         ok = False
                         break
-                if ok and rec(k + 1, nxt):
-                    return True
-            return False
-
-        def search(dom: list[int]) -> tuple | None:
-            if rec(0, dom):
-                return tuple(values[assigned[i]] for i in range(n))
-            return None
+                if not ok:
+                    continue
+                if k + 1 == n:
+                    return tuple(values[assigned[i]] for i in range(n))
+                stack.append((k, m, cur))
+                k, m, cur = k + 1, nxt[order[k + 1]], nxt
 
         return search
 

@@ -176,32 +176,6 @@ class TreeDecomposition:
         ]
         return {"nodes": nodes}
 
-    @staticmethod
-    def from_doc(doc: dict) -> "TreeDecomposition":
-        try:
-            nodes = doc["nodes"]
-            ids = [n["id"] for n in nodes]
-        except (KeyError, TypeError) as exc:
-            raise DecompositionError(f"malformed decomposition document: {exc}") from exc
-        if sorted(ids) != list(range(len(ids))):
-            raise DecompositionError("node ids must be 0..n-1")
-        n = len(nodes)
-        bags: list[frozenset] = [frozenset()] * n
-        children: list[list[int]] = [[] for _ in range(n)]
-        root = None
-        for node in nodes:
-            t = node["id"]
-            bags[t] = frozenset(node["bag"])
-            if node.get("parent") is None:
-                if root is not None:
-                    raise DecompositionError("two roots in decomposition document")
-                root = t
-            else:
-                children[node["parent"]].append(t)
-        if root is None:
-            raise DecompositionError("no root in decomposition document")
-        return TreeDecomposition.make(root, children, bags)
-
 
 def is_valid_td(h: Hypergraph, td: TreeDecomposition) -> bool:
     """Every vertex in some bag, every edge inside some bag, and the bags

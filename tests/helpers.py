@@ -161,6 +161,27 @@ def accepts(aut: TreeAutomaton, tree: LabeledTree) -> bool:
     return aut.initial in reach[tree.root]
 
 
+def make_automaton(states, alphabet, transitions, initial) -> TreeAutomaton:
+    """A TreeAutomaton from plain collections, checking that every
+    transition's state, label and outcome is declared."""
+    states = frozenset(states)
+    alphabet = frozenset(alphabet)
+    trans = {}
+    for (s, lbl), outs in transitions.items():
+        if s not in states:
+            raise ValueError(f"transition from unknown state {s!r}")
+        if lbl not in alphabet:
+            raise ValueError(f"transition on unknown label {lbl!r}")
+        outs = frozenset(tuple(o) for o in outs)
+        for o in outs:
+            if len(o) > 2 or any(c not in states for c in o):
+                raise ValueError(f"malformed outcome {o!r}")
+        trans[(s, lbl)] = outs
+    if initial not in states:
+        raise ValueError("initial state is not a state")
+    return TreeAutomaton(states, alphabet, trans, initial)
+
+
 def automaton_to_doc(aut: TreeAutomaton) -> dict:
     """Canonical JSON-ready form for golden-file comparisons."""
 

@@ -27,7 +27,7 @@ from cqcount.automata import fhw_decomposition
 from cqcount.widths import _vkey
 
 from conftest import plain_cq_instance
-from helpers import LabeledTree, accepts, automaton_to_doc
+from helpers import LabeledTree, accepts, automaton_to_doc, make_automaton
 
 
 def tree_of(shape, labels_by_node=None):
@@ -86,14 +86,14 @@ def test_labeled_tree_validation():
 
 def test_automaton_validation():
     with pytest.raises(ValueError):
-        TreeAutomaton.make({"s"}, {"a"}, {("t", "a"): {()}}, "s")
+        make_automaton({"s"}, {"a"}, {("t", "a"): {()}}, "s")
     with pytest.raises(ValueError):
-        TreeAutomaton.make({"s"}, {"a"}, {("s", "b"): {()}}, "s")
+        make_automaton({"s"}, {"a"}, {("s", "b"): {()}}, "s")
     with pytest.raises(ValueError):
-        TreeAutomaton.make({"s"}, {"a"}, {}, "t")
+        make_automaton({"s"}, {"a"}, {}, "t")
 
 
-PARITY = TreeAutomaton.make(
+PARITY = make_automaton(
     states={"even", "odd"},
     alphabet={"a", "b"},
     transitions={
@@ -139,7 +139,7 @@ def test_accepts_monotone_under_transition_addition():
     alphabet = ["a", "b"]
     for _ in range(40):
         trans = random_transitions(rng, states, alphabet)
-        aut = TreeAutomaton.make(states, alphabet, trans, "s0")
+        aut = make_automaton(states, alphabet, trans, "s0")
         trees = [
             tree_of(shape)
             for n in (1, 2, 3)
@@ -150,7 +150,7 @@ def test_accepts_monotone_under_transition_addition():
         extra = tuple(rng.choice(states) for _ in range(rng.randint(0, 2)))
         bigger = {k: set(v) for k, v in trans.items()}
         bigger.setdefault((s, lbl), set()).add(extra)
-        aut2 = TreeAutomaton.make(states, alphabet, bigger, "s0")
+        aut2 = make_automaton(states, alphabet, bigger, "s0")
         for t, was in zip(trees, accepted):
             if was:
                 assert accepts(aut2, t)
@@ -175,7 +175,7 @@ def every_shape(n: int) -> list[TreeDecomposition]:
 
 def at_every_node(aut: TreeAutomaton, n: int) -> TreeAutomaton:
     """aut with each label a copied to (t, a) for every node t < n."""
-    return TreeAutomaton.make(
+    return make_automaton(
         aut.states,
         {(t, a) for t in range(n) for a in aut.alphabet},
         {(s, (t, a)): outs for t in range(n) for (s, a), outs in aut.transitions.items()},
@@ -218,7 +218,7 @@ def test_count_slice_over_every_shape_sums_to_the_slice():
     states = ["s0", "s1", "s2"]
     alphabet = ["a", "b"]
     for _ in range(30):
-        aut = TreeAutomaton.make(
+        aut = make_automaton(
             states, alphabet, random_transitions(rng, states, alphabet), "s0"
         )
         for n in range(1, 6):
@@ -241,7 +241,7 @@ def test_count_slice_reads_only_each_nodes_rules():
         alphabet = [(t, a) for t in range(n) for a in "ab"]
         for shape in every_shape(n):
             for _ in range(4):
-                aut = TreeAutomaton.make(
+                aut = make_automaton(
                     states, alphabet, random_transitions(rng, states, alphabet), "s0"
                 )
                 assert count_slice_exact(aut, shape) == count_labelings_oracle(
@@ -249,9 +249,35 @@ def test_count_slice_reads_only_each_nodes_rules():
                 )
 
 
+def test_count_slice_counts_states_that_look_like_no_child():
+    # The same random rules with states renamed to None and (), values that a
+    # missing child could be mistaken for, count the same on every shape.
+    rng = random.Random(13)
+    states = ["s0", "s1", "s2"]
+    rename = {"s0": None, "s1": (), "s2": "s2"}
+    for n in range(1, 6):
+        alphabet = [(t, a) for t in range(n) for a in "ab"]
+        for shape in every_shape(n):
+            for _ in range(4):
+                trans = random_transitions(rng, states, alphabet)
+                aut = make_automaton(states, alphabet, trans, "s0")
+                renamed = make_automaton(
+                    rename.values(),
+                    alphabet,
+                    {
+                        (rename[s], lbl): {tuple(rename[c] for c in o) for o in outs}
+                        for (s, lbl), outs in trans.items()
+                    },
+                    None,
+                )
+                assert count_slice_exact(renamed, shape) == count_slice_exact(
+                    aut, shape
+                )
+
+
 def test_count_slice_empty_transitions():
     for n in range(1, 5):
-        aut = TreeAutomaton.make({"s"}, {(t, "a") for t in range(n)}, {}, "s")
+        aut = make_automaton({"s"}, {(t, "a") for t in range(n)}, {}, "s")
         assert count_slice_exact(aut, chain(n)) == 0
         assert count_labelings_oracle(aut, chain(n)) == 0
 
@@ -375,24 +401,51 @@ def test_pipeline_triangle_query():
 
 
 def test_pipeline_star_with_equal_arms():
-    # Four equal arms x - a_i - b_i: the nice decomposition joins subtrees of
-    # equal shape, and each of their nodes counts from its own rules.
+    # Equal arms x - a_i - b_i: the nice decomposition joins subtrees of equal
+    # shape, and each of their nodes counts from its own rules. The answers
+    # are x with b0 and b1 each two steps away; brute force enumerates
+    # 5 ** (2 * arms + 1) assignments, so it checks the smaller stars only.
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)]
-    body = ", ".join(f"E(x,a{i}), E(a{i},b{i})" for i in range(4))
-    q = parse_query(f"phi(x,b0,b1) :- {body}")
-    d = Database.make(
-        list(range(5)), {"E": (2, edges + [(b, a) for a, b in edges])}
-    )
-    h = build_hypergraph(q)
-    ntd = make_nice(h, fhw_decomposition(h, 8)[1])
+    edges += [(b, a) for a, b in edges]
+    d = Database.make(list(range(5)), {"E": (2, edges)})
+    two_steps = [
+        {c for a, b in edges if a == x for b2, c in edges if b2 == b} for x in range(5)
+    ]
+    for arms in (3, 4, 6, 8):
+        body = ", ".join(f"E(x,a{i}), E(a{i},b{i})" for i in range(arms))
+        q = parse_query(f"phi(x,b0,b1) :- {body}")
+        h = build_hypergraph(q)
+        ntd = make_nice(h, fhw_decomposition(h, 8)[1])
 
-    def shape(t):
-        return tuple(shape(c) for c in ntd.children[t])
+        def shape(t):
+            return tuple(shape(c) for c in ntd.children[t])
 
-    assert any(
-        len(kids) == 2 and shape(kids[0]) == shape(kids[1]) for kids in ntd.children
-    )
-    assert count_answers_fhw_pipeline(q, d).count == count_answers_bruteforce(q, d)
+        assert any(
+            len(kids) == 2 and shape(kids[0]) == shape(kids[1])
+            for kids in ntd.children
+        )
+        got = count_answers_fhw_pipeline(q, d).count
+        assert got == count_slice_exact(build_automaton(q, d, ntd), ntd), arms
+        assert got == sum(len(ends) ** 2 for ends in two_steps), arms
+        if arms <= 4:
+            assert got == count_answers_bruteforce(q, d)
+
+
+def test_pipeline_matches_built_automaton_on_gate_c03_seeds():
+    # The seeds and width bound of acceptance gate c03.
+    seed, checked = 30_000, 0
+    while checked < 100:
+        seed += 1
+        q, d = plain_cq_instance(seed)
+        h = build_hypergraph(q)
+        width, td = fhw_exact_small(h)
+        if width > 2:
+            continue
+        checked += 1
+        nice = make_nice(h, td)
+        got = count_answers_fhw_pipeline(q, d, state_limit=None).count
+        assert got == count_slice_exact(build_automaton(q, d, nice), nice), seed
+        assert got == count_answers_bruteforce(q, d), seed
 
 
 def test_pipeline_long_path_at_default_limits():

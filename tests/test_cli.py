@@ -90,6 +90,28 @@ def test_count_fptras_td_backend(capsys, instance):
     assert doc["hom_backend"] == "td-dp"
 
 
+def test_count_fptras_long_path(capsys, tmp_path):
+    # 1,100 variables: a search that recursed once per variable would pass
+    # Python's recursion limit.
+    xs = [f"x{i}" for i in range(1100)]
+    body = ", ".join(f"E({a}, {b})" for a, b in zip(xs, xs[1:]))
+    query = tmp_path / "q.txt"
+    query.write_text(f"q(x0) :- {body}, x0 != x1099", encoding="utf-8")
+    db = tmp_path / "d.json"
+    edges = [(u, v) for u in "abc" for v in "abc" if u != v]
+    dump_database(Database.make(list("abc"), {"E": (2, edges)}), db)
+    docs = {}
+    for backend in ("bruteforce", "td-dp"):
+        code, docs[backend], _ = run(capsys, [
+            "count", "--query", str(query), "--db", str(db), "--method", "fptras",
+            "--epsilon", "0.25", "--delta", "0.1", "--seed", "1",
+            "--hom-backend", backend,
+        ])
+        assert code == EXIT_OK
+    assert docs["bruteforce"]["estimate"] == docs["td-dp"]["estimate"] == 3
+    assert docs["bruteforce"]["oracle_stats"] == docs["td-dp"]["oracle_stats"]
+
+
 def test_count_fhw(capsys, instance):
     code, doc, _ = run(capsys, [
         "count", "--query", instance["plain"], "--db", instance["db"],

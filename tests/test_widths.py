@@ -186,10 +186,22 @@ def test_tree_decomposition_make_rejects_cycles():
         TreeDecomposition.make(0, [(1,), (0,)], [frozenset(), frozenset()])
 
 
-def test_tree_decomposition_doc_roundtrip():
+def test_tree_decomposition_to_doc():
+    td = TreeDecomposition.make(
+        1, [(), (0, 2), ()], [frozenset("ba"), frozenset("b"), frozenset({3, "c"})]
+    )
+    assert td.to_doc() == {
+        "nodes": [
+            {"id": 0, "parent": 1, "bag": ["a", "b"]},
+            {"id": 1, "parent": None, "bag": ["b"]},
+            {"id": 2, "parent": 1, "bag": [3, "c"]},
+        ]
+    }
     _, td = treewidth_exact(GRID3)
-    doc = td.to_doc()
-    assert TreeDecomposition.from_doc(doc).bags == td.bags
+    nodes = td.to_doc()["nodes"]
+    assert [n["id"] for n in nodes] == list(range(td.n_nodes))
+    assert [n["parent"] for n in nodes] == td.parents()
+    assert [frozenset(n["bag"]) for n in nodes] == list(td.bags)
 
 
 # ---------------------------------------------------------------------------
