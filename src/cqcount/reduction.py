@@ -19,9 +19,13 @@ evaluator's own form, so any value sets fit; a layer's interval is the mask
 
 Both homomorphism backends answer a layer-decorated check without building
 the layered structure: tagged relations ignore layer indices, so the check
-collapses to a value-level search with per-variable allowed sets (layer boxes
-plus colour filters). Tests pin the equivalence against the explicit
-construction (build_hat_A / build_hat_B plus the plain solvers).
+collapses to a value-level search with per-variable allowed masks (layer boxes
+plus colour filters). `bruteforce` backtracks over the variables; `td-dp`
+runs one dynamic program along a nice tree decomposition of the query, built
+and checked once per run and flattened into postorder steps over the same
+bitmask tables. Tests pin both against the explicit construction
+(build_hat_A / build_hat_B plus the plain solvers), and td-dp also against
+homsolver.hom_exists_td, the paper's DP over the explicit structures.
 """
 
 from __future__ import annotations
@@ -33,23 +37,24 @@ import random
 import statistics
 from dataclasses import asdict, dataclass
 
-from .errors import BudgetExceededError, QueryValidationError
-from .homsolver import (
-    Structure,
-    build_A,
-    build_B,
-    enumerate_answers_bruteforce,
-    hom_exists_td,
-    structure_hypergraph,
-)
+from .errors import BudgetExceededError, DecompositionError, QueryValidationError
+from .homsolver import Structure, build_A, build_B, enumerate_answers_bruteforce
+from .homsolver import hom_exists_td  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .qmodel import (
     Database,
     Query,
     RelationSymbol,
+    build_hypergraph,
     oriented_disequalities,
     validate_pair,
 )
-from .widths import TW_EXACT_VERTEX_LIMIT, _bits, make_nice, treewidth_exact, treewidth_heuristic
+from .widths import (
+    TW_EXACT_VERTEX_LIMIT,
+    is_valid_td,
+    make_nice,
+    treewidth_exact,
+    treewidth_heuristic,
+)
 
 HOM_BACKENDS = ("bruteforce", "td-dp")
 
@@ -131,9 +136,8 @@ class _Evaluator:
         q, d = ih.query, ih.database
         self.ih = ih
         self.backend = backend
-        self.vars = q.variables
-        self.nvars = len(self.vars)
-        pos = {v: i for i, v in enumerate(self.vars)}
+        self.nvars = len(q.variables)
+        pos = {v: i for i, v in enumerate(q.variables)}
         dom = ih.domain
         nd = len(dom)
         self.full_mask = (1 << nd) - 1
@@ -187,13 +191,7 @@ class _Evaluator:
         self.red_slots = [slot[p] for p in self.diseq_pos]
 
         if backend == "td-dp":
-            self._a = build_A(q)
-            self._b = build_B(q, d)
-            h = structure_hypergraph(self._a)
-            # Past the exact search's vertex limit, min-fill, as analyze does.
-            exact = len(h.vertices) <= TW_EXACT_VERTEX_LIMIT
-            _, td = treewidth_exact(h) if exact else treewidth_heuristic(h)
-            self._td = make_nice(h, td)
+            self._td_plan = self._plan_td(q, pos)
 
     def red_masks(self, classes) -> list[int]:
         """Per-disequality red masks of one colouring per clique.
@@ -219,7 +217,7 @@ class _Evaluator:
         if not all(box):
             return lambda colour_masks: None
         if self.backend == "td-dp":
-            search = self._find_td
+            search = self._td_search
         else:
             search = self._bruteforce_search(box)
         diseq_pos = self.diseq_pos
@@ -235,13 +233,95 @@ class _Evaluator:
 
         return run
 
-    def _find_td(self, dom: list[int]) -> tuple | None:
-        values = self.ih.domain
-        domains = {
-            v: {values[i] for i in _bits(dom[k])} for k, v in enumerate(self.vars)
-        }
-        ok = hom_exists_td(self._a, self._b, self._td, domains)
-        return () if ok else None
+    def _plan_td(self, q: Query, pos: dict) -> list[tuple]:
+        """The td-dp search as flat postorder steps over a nice decomposition
+        of the query, checked here once. A bag's rows are tuples of value
+        indices in the order of its variable indices.
+
+        ("leaf",); ("join",) intersects the two children's tables;
+        ("forget", p) drops row position p; ("introduce", x, p, nbrs, atoms)
+        inserts x's values at position p, narrowed by the support mask
+        sup[row[cp]] of each (cp, sup) in nbrs, one per binary atom joining x
+        to a child bag variable at row position cp, and keeps the rows that
+        satisfy each (positions, facts, negated) of atoms: the atoms of arity
+        >= 3 that hold x and lie in the bag, with facts as value indices.
+        """
+        h = build_hypergraph(q)
+        # Past the exact search's vertex limit, min-fill, as analyze does.
+        exact = len(h.vertices) <= TW_EXACT_VERTEX_LIMIT
+        _, td = treewidth_exact(h) if exact else treewidth_heuristic(h)
+        td = make_nice(h, td)
+        if not (td.is_nice() and is_valid_td(h, td)):
+            raise DecompositionError("td-dp needs a valid nice decomposition")
+        index = {w: i for i, w in enumerate(self.ih.domain)}
+        higher = [
+            (idxs, frozenset(tuple(index[w] for w in t) for t in facts), negated)
+            for idxs, facts, negated in self.higher
+        ]
+        order = [sorted(pos[v] for v in bag) for bag in td.bags]
+        plan: list[tuple] = []
+        for t in td.postorder():
+            kids = td.children[t]
+            if not kids:
+                plan.append(("leaf",))
+            elif len(kids) == 2:
+                plan.append(("join",))
+            else:
+                row, crow = order[t], order[kids[0]]
+                (x,) = set(row) ^ set(crow)
+                if x in crow:
+                    plan.append(("forget", crow.index(x)))
+                    continue
+                nbrs = [
+                    (cp, sup)
+                    for cp, y in enumerate(crow)
+                    for z, sup in self.adj[y]
+                    if z == x
+                ]
+                atoms = [
+                    (tuple(row.index(i) for i in idxs), facts, negated)
+                    for idxs, facts, negated in higher
+                    if x in idxs and set(idxs) <= set(row)
+                ]
+                plan.append(("introduce", x, row.index(x), nbrs, atoms))
+        return plan
+
+    def _td_search(self, dom: list[int]) -> tuple | None:
+        """Run the td-dp plan under the domains dom; () if a homomorphism
+        exists. Stops at the first empty table, since the root's is then
+        empty too."""
+        tables: list[set[tuple]] = []
+        for step in self._td_plan:
+            kind = step[0]
+            if kind == "leaf":
+                tables.append({()})
+                continue
+            if kind == "join":
+                table = tables.pop() & tables.pop()
+            elif kind == "forget":
+                p = step[1]
+                table = {row[:p] + row[p + 1 :] for row in tables.pop()}
+            else:
+                _, x, p, nbrs, atoms = step
+                table = set()
+                for row in tables.pop():
+                    m = dom[x]
+                    for cp, sup in nbrs:
+                        m &= sup[row[cp]]
+                    head, tail = row[:p], row[p:]
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        new = head + (low.bit_length() - 1,) + tail
+                        if not atoms or all(
+                            (tuple(new[i] for i in idxs) in facts) != negated
+                            for idxs, facts, negated in atoms
+                        ):
+                            table.add(new)
+            if not table:
+                return None
+            tables.append(table)
+        return ()
 
     def _bruteforce_search(self, box: list[int]):
         """Backtracking search over domains within box, in the order of the

@@ -30,6 +30,8 @@ from cqcount import (
     query_size,
     structure_size,
 )
+from cqcount import homsolver, reduction, widths
+from cqcount.homsolver import build_A, build_B, hom_exists_td, structure_hypergraph
 from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     HOM_BACKENDS,
@@ -39,6 +41,7 @@ from cqcount.reduction import (
     clique_repetitions,
     single_walk_estimate,
 )
+from cqcount.widths import make_nice, treewidth_heuristic
 
 from conftest import corpus_instance
 from helpers import (
@@ -190,13 +193,13 @@ def test_explicit_hat_hom_equals_evaluator():
         hat_a = build_hat_A(q)
         diseqs = oriented_disequalities(q)
         nd = len(d.domain)
-        ev = ih.evaluator("bruteforce")
         for _ in range(6):
             vs = [
                 frozenset(rng.sample(d.domain, rng.randint(0, nd)))
                 for _ in range(ih.ell)
             ]
             masks = layer_masks(ih, vs)
+            searches = [ih.evaluator(b).compile(masks) for b in HOM_BACKENDS]
             for reds in itertools.product(range(2 ** nd), repeat=len(diseqs)):
                 red_sets = {
                     pair: frozenset(
@@ -207,8 +210,82 @@ def test_explicit_hat_hom_equals_evaluator():
                 explicit = hom_exists_bruteforce(
                     hat_a, build_hat_B(q, d, vs, red_sets)
                 )
-                fast = ev.compile(masks)(list(reds)) is not None
-                assert fast == explicit, (seed, vs, reds)
+                for backend, search in zip(HOM_BACKENDS, searches):
+                    fast = search(list(reds)) is not None
+                    assert fast == explicit, (seed, backend, vs, reds)
+
+
+def _halving_tree(ih: ImplicitAnswerHypergraph) -> list[tuple]:
+    """Every box of the halving tree, the boxes the counters can ask about."""
+    boxes, stack = [], [ih.full_box()]
+    while stack:
+        box = stack.pop()
+        boxes.append(box)
+        stack += _halves(box)
+    return boxes
+
+
+def _assert_td_plan_matches_hom_exists_td(q, d):
+    # The compiled td-dp search against the paper's DP over the query and
+    # database structures, on a decomposition of its own, for every box of
+    # the halving tree and every red mask of each disequality.
+    ih = ImplicitAnswerHypergraph(q, d)
+    ev = ih.evaluator("td-dp")
+    a, b = build_A(q), build_B(q, d)
+    h = structure_hypergraph(a)
+    nice = make_nice(h, treewidth_heuristic(h)[1])
+    diseqs = oriented_disequalities(q)
+    for box in _halving_tree(ih):
+        search = ev.compile([(1 << hi) - (1 << lo) for lo, hi in box])
+        layers = dict(zip(q.free_vars, box_values(ih, box)))
+        for reds in itertools.product(range(2 ** len(d.domain)), repeat=len(diseqs)):
+            domains = {v: set(layers.get(v, d.domain)) for v in q.variables}
+            for (x, y), red in zip(diseqs, reds):
+                red_set = {w for i, w in enumerate(d.domain) if red >> i & 1}
+                domains[x] &= red_set
+                domains[y] -= red_set
+            expected = hom_exists_td(a, b, nice, domains)
+            assert (search(list(reds)) is not None) == expected, (box, reds)
+
+
+def test_td_plan_matches_hom_exists_td_on_corpus():
+    # Seeds 0-39 hold atoms of arity 3, repeated variables and negated atoms.
+    for seed in range(40):
+        _assert_td_plan_matches_hom_exists_td(*corpus_instance(seed))
+
+
+def test_td_plan_matches_hom_exists_td_on_hand_cases():
+    # The 17-variable path is past treewidth_exact's limit, so the evaluator
+    # decomposes it by min-fill. The star's two arms meet at a join node on
+    # x, and no value of x has both, so only intersecting them finds that
+    # the full box holds no answer.
+    star = (
+        parse_query("q(x) :- E(x, y), F(x, z)"),
+        Database.make([0, 1, 2], {"E": (2, [(0, 1)]), "F": (2, [(1, 2)])}),
+    )
+    for q, d in (_path17(), star):
+        _assert_td_plan_matches_hom_exists_td(q, d)
+
+
+def test_td_backend_checks_its_decomposition_once(monkeypatch):
+    # The nice decomposition is checked when the td-dp evaluator is built,
+    # not on every search. make_nice's check of the decomposition it is
+    # given, which is not nice, is not counted.
+    real = widths.is_valid_td
+    nice_checks = []
+
+    def counting(h, td):
+        if td.is_nice():
+            nice_checks.append(td)
+        return real(h, td)
+
+    for mod in (widths, homsolver, reduction):
+        monkeypatch.setattr(mod, "is_valid_td", counting, raising=False)
+    q, d = gen_li_hom(P3, _circulant(7))
+    stats = OracleStats()
+    approx_count_answers(q, d, 0.25, 0.1, seed=7, backend="td-dp", stats=stats)
+    assert stats.hom_calls > 1
+    assert len(nice_checks) == 1
 
 
 def test_evaluator_full_box_decides_satisfiability():
@@ -642,21 +719,10 @@ def test_approx_count_td_backend_agrees():
         b = approx_count_answers(q, d, 0.3, 0.2, seed=6, backend="td-dp")
         assert a == b
     # hampath over paths: one K3 and one K4 disequality clique, so both
-    # backends must consume the per-value clique colour draws alike. The
-    # 17-variable path is past treewidth_exact's 16 vertices, so td-dp
-    # decomposes it by min-fill.
-    xs = [f"x{i}" for i in range(17)]
-    body = ", ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
-    path17 = (
-        parse_query(f"q(x0, x16) :- {body}, x0 != x16"),
-        Database.make(
-            [0, 1, 2, 3],
-            {"E": (2, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 1)])},
-        ),
-    )
+    # backends must consume the per-value clique colour draws alike.
     cases = [
         (*gen_hampath([(i, i + 1) for i in range(n - 1)], n), 2) for n in (3, 4)
-    ] + [(*path17, 12)]
+    ] + [(*_path17(), 12)]
     for q, d, expected in cases:
         runs = []
         for backend in ("bruteforce", "td-dp"):
@@ -667,6 +733,20 @@ def test_approx_count_td_backend_agrees():
             runs.append((est, stats.as_dict()))
         assert runs[0] == runs[1]
         assert runs[0][0] == expected
+
+
+def _path17():
+    """A 17-variable path query, past treewidth_exact's 16 vertices, so td-dp
+    decomposes it by min-fill."""
+    xs = [f"x{i}" for i in range(17)]
+    body = ", ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    return (
+        parse_query(f"q(x0, x16) :- {body}, x0 != x16"),
+        Database.make(
+            [0, 1, 2, 3],
+            {"E": (2, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 1)])},
+        ),
+    )
 
 
 def _circulant(n: int) -> list[tuple[int, int]]:
@@ -680,10 +760,14 @@ def _circulant(n: int) -> list[tuple[int, int]]:
 # compiled its search once per box. Each box must still draw the same
 # colourings in the same order, so none of these may move. hom_calls alone
 # was re-recorded when it became the searches run: a box with no witness
-# before colouring runs one search and skips its colour searches.
+# before colouring runs one search and skips its colour searches. Both
+# backends answer every search alike, so the td-dp rows repeat the
+# bruteforce numbers.
 GOLDEN_RUNS = [
     ("p3-c7", P3, 7, "bruteforce", 20000, 84, (375, 6688, 2807, 0)),
     ("p3-c7", P3, 7, "bruteforce", 0, 82, (375, 6674, 2793, 2527)),
+    ("p3-c7", P3, 7, "td-dp", 20000, 84, (375, 6688, 2807, 0)),
+    ("p3-c7", P3, 7, "td-dp", 0, 82, (375, 6674, 2793, 2527)),
     ("p4-c8", P4, 8, "bruteforce", 20000, 288, (1487, 115639, 43654, 0)),
     ("p4-c8", P4, 8, "bruteforce", 0, 284, (1487, 114858, 42873, 2661)),
     ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 25229, 0)),
