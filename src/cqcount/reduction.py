@@ -8,7 +8,14 @@ clique and pins the clique's i-th variable to colour class i, and each sample
 needs one homomorphism check between a decorated query structure and a
 decorated layered database structure. Counting then reduces to edge-freeness
 queries alone: an exact recursive halving counter and a random-walk estimator
-with median-of-means amplification sit on top.
+with median-of-means amplification sit on top. The walks of one estimate run
+share a cache of the halving tree (each split box maps to its children with
+an edge), bounded in size by the oracle's cap on distinct boxes.
+
+A box with no witness before any colouring still draws its samples, so the
+random stream does not depend on which boxes are searched; when every clique
+is a K2, all its samples come from one getrandbits call that takes the same
+32-bit words of the generator as one draw per sample.
 
 Halving the full box along the domain order only ever makes products of
 contiguous runs, so a box is named by one half-open index interval (lo, hi)
@@ -548,9 +555,15 @@ def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
     if k == 2:
         red = rng.getrandbits(width)
         return [red, ~red & ((1 << width) - 1)]
+    # rng.randrange(k) per value, inlined: Random._randbelow_with_getrandbits
+    # redraws getrandbits(k.bit_length()) while the result is k or more.
+    getrandbits, nbits = rng.getrandbits, k.bit_length()
     classes = [0] * k
     for idx in range(width):
-        classes[rng.randrange(k)] |= 1 << idx
+        c = getrandbits(nbits)
+        while c >= k:
+            c = getrandbits(nbits)
+        classes[c] |= 1 << idx
     return classes
 
 
@@ -596,9 +609,10 @@ def edgefree_restricted(
     pairs_only = max(sizes) == 2
     if witness is None:
         # The same draws as the loop below, so rng ends in the same state.
+        # getrandbits(width) uses up ceil(width / 32) 32-bit words of the
+        # generator, so one call of that many words per K2 and sample does.
         if pairs_only:
-            for _ in range(q_reps * len(sizes)):
-                rng.getrandbits(width)
+            rng.getrandbits(32 * ((width + 31) // 32) * q_reps * len(sizes))
         else:
             for _ in range(q_reps):
                 for k in sizes:
@@ -671,24 +685,42 @@ def count_edges_exact_oracle(
     return count
 
 
+_LEAF = object()
+
+
 def single_walk_estimate(
-    ih: ImplicitAnswerHypergraph, edgefree, rng: random.Random
+    ih: ImplicitAnswerHypergraph, edgefree, rng: random.Random, live=None
 ) -> int:
     """One unbiased sample of the edge count: walk the halving tree choosing
     uniformly among children that still contain edges, multiplying out the
-    number of such children at every level."""
+    number of such children at every level.
+
+    live caches the halving tree for walks that share one edgefree: it maps
+    each box a walk has split to the tuple of its children that are not
+    edge-free, and a box of single values to _LEAF. A box is split, and its
+    children asked of edgefree (left first), only on its first visit; after
+    that it costs one lookup. Every box in live was answered by edgefree, so
+    a memoized oracle with a cap on its distinct boxes bounds its size.
+    """
+    if live is None:
+        live = {}
     box = ih.full_box()
     if edgefree(box):
         return 0
     est = 1
-    while halves := _halves(box):
-        alive = [c for c in halves if not edgefree(c)]
+    while True:
+        alive = live.get(box)
+        if alive is None:
+            halves = _halves(box)
+            alive = tuple(c for c in halves if not edgefree(c)) if halves else _LEAF
+            live[box] = alive
+        if alive is _LEAF:
+            return est
         if not alive:
             # Only the oracle's one-sided error gets here; the product is 0.
             return 0
         est *= len(alive)
         box = alive[0] if len(alive) == 1 else rng.choice(alive)
-    return est
 
 
 PILOT_WALKS = 48
@@ -714,7 +746,8 @@ def estimate_edges(
     of g walks each, g chosen from a pilot variance estimate so a single mean
     lands within epsilon relative error with probability at least 3/4.
     BudgetExceededError is raised before any walk when the pilot, or the
-    pilot plus the m*g walks, would take more than `walk_budget` walks.
+    pilot plus the m*g walks, would take more than `walk_budget` walks. The
+    walks of one call share one halving-tree cache (see single_walk_estimate).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -727,6 +760,7 @@ def estimate_edges(
             pass
     base = rng.getrandbits(64)
     counter = 0
+    live: dict = {}
 
     def walk() -> int:
         nonlocal counter
@@ -734,7 +768,7 @@ def estimate_edges(
         counter += 1
         if stats is not None:
             stats.estimator_walks += 1
-        return single_walk_estimate(ih, edgefree, wrng)
+        return single_walk_estimate(ih, edgefree, wrng, live)
 
     def need(walks: int) -> None:
         if walk_budget is not None and walks > walk_budget:

@@ -12,6 +12,7 @@ edge cover, so rho* = alpha*.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -370,33 +371,43 @@ def treewidth_exact(
 
 def treewidth_heuristic(h: Hypergraph) -> tuple[int, TreeDecomposition]:
     """Min-fill elimination order; width is an upper bound on treewidth."""
-    nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
-    order = []
-    remaining = set(h.vertices)
-    while remaining:
-        best_v = None
-        best_key = None
-        for v in sorted(remaining, key=_vkey):
-            ns = nbr[v]
-            fill = 0
-            ns_list = list(ns)
-            for i, a in enumerate(ns_list):
-                for b in ns_list[i + 1 :]:
-                    if b not in nbr[a]:
-                        fill += 1
-            key = (fill, len(ns))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        ns = nbr[best_v]
-        for a in ns:
-            nbr[a].discard(best_v)
-            nbr[a].update(ns - {a})
-        del nbr[best_v]
-        remaining.discard(best_v)
-        order.append(best_v)
-    td = td_from_elimination_order(h, order)
+    td = td_from_elimination_order(h, _min_fill_order(h))
     return td.width(), td
+
+
+def _min_fill_order(h: Hypergraph) -> list:
+    """Eliminate a vertex of least (fill, degree) at each step, the first in
+    _vkey order on ties. An elimination changes the fill of its neighbours
+    and of their neighbours only, so only their keys are recomputed; the heap
+    keeps every key pushed, and a popped key that is no longer current is
+    dropped."""
+    nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
+    ranked = sorted(h.vertices, key=_vkey)
+    rank = {v: r for r, v in enumerate(ranked)}
+    current: dict = {}
+    heap: list[tuple[int, int, int]] = []
+    order = []
+    touched = ranked
+    while nbr:
+        for u in touched:
+            ns = nbr[u]
+            # Each missing pair among ns is counted from both of its ends.
+            fill = sum(len(ns - nbr[a]) - 1 for a in ns) // 2
+            current[u] = key = (fill, len(ns), rank[u])
+            heapq.heappush(heap, key)
+        while True:
+            key = heapq.heappop(heap)
+            v = ranked[key[2]]
+            if current.get(v) == key:
+                break
+        del current[v]
+        ns = nbr.pop(v)
+        for a in ns:
+            nbr[a].discard(v)
+            nbr[a].update(ns - {a})
+        order.append(v)
+        touched = set(ns).union(*(nbr[a] for a in ns))
+    return order
 
 
 # ---------------------------------------------------------------------------

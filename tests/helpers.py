@@ -8,12 +8,8 @@ import random
 from dataclasses import dataclass
 
 from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
-from cqcount.reduction import (
-    ImplicitAnswerHypergraph,
-    _colour_classes,
-    clique_repetitions,
-)
-from cqcount.widths import _postorder
+from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
+from cqcount.widths import Hypergraph, _postorder, _vkey
 
 
 def edgefree_general(
@@ -71,13 +67,56 @@ def edgefree_every_sample(
         if pairs_only:
             colours = [rng.getrandbits(width) for _ in sizes]
         else:
-            colours = ev.red_masks([_colour_classes(rng, k, width) for k in sizes])
+            colours = ev.red_masks([colour_classes(rng, k, width) for k in sizes])
         if stats is not None:
             stats.colourings_sampled += 1
             stats.hom_calls += 1
         if search(colours) is not None:
             return False
     return True
+
+
+def colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
+    """Reference for reduction._colour_classes: one getrandbits(width) draw
+    for a K2 (its set bits are class 0), else one rng.randrange(k) per value."""
+    if k == 2:
+        red = rng.getrandbits(width)
+        return [red, ~red & ((1 << width) - 1)]
+    classes = [0] * k
+    for idx in range(width):
+        classes[rng.randrange(k)] |= 1 << idx
+    return classes
+
+
+def min_fill_order(h: Hypergraph) -> list:
+    """Reference for widths._min_fill_order: every step scans the remaining
+    vertices in _vkey order and eliminates the first of least (fill, degree)."""
+    nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
+    order = []
+    remaining = set(h.vertices)
+    while remaining:
+        best_v = None
+        best_key = None
+        for v in sorted(remaining, key=_vkey):
+            ns = nbr[v]
+            fill = 0
+            ns_list = list(ns)
+            for i, a in enumerate(ns_list):
+                for b in ns_list[i + 1 :]:
+                    if b not in nbr[a]:
+                        fill += 1
+            key = (fill, len(ns))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_v = v
+        ns = nbr[best_v]
+        for a in ns:
+            nbr[a].discard(best_v)
+            nbr[a].update(ns - {a})
+        del nbr[best_v]
+        remaining.discard(best_v)
+        order.append(best_v)
+    return order
 
 
 def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:

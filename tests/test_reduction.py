@@ -36,6 +36,7 @@ from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     HOM_BACKENDS,
     ImplicitAnswerHypergraph,
+    _colour_classes,
     _halves,
     clique_cover,
     clique_repetitions,
@@ -46,6 +47,7 @@ from cqcount.widths import make_nice, treewidth_heuristic
 from conftest import corpus_instance
 from helpers import (
     box_values,
+    colour_classes,
     edgefree_every_sample,
     edgefree_general,
     layer_masks,
@@ -489,6 +491,46 @@ def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
     _assert_same_draws(star, backend, 1)
 
 
+@pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 65, 100])
+def test_one_call_draws_the_words_of_every_skipped_k2_sample(width):
+    # A skipped box of K2s draws all its samples in one getrandbits call of
+    # ceil(width / 32) words per K2 and sample; the generator must end where
+    # one getrandbits(width) per K2 and sample leaves it.
+    for q_reps, k2s in itertools.product((1, 3, 56), (1, 2, 5)):
+        one, loop = random.Random(width), random.Random(width)
+        one.getrandbits(32 * ((width + 31) // 32) * q_reps * k2s)
+        for _ in range(q_reps * k2s):
+            loop.getrandbits(width)
+        assert one.getstate() == loop.getstate(), (width, q_reps, k2s)
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 100])
+def test_skipped_wide_box_keeps_the_stream(n):
+    # P3 lihom over a circulant is one K2; x0 = 0 and x2 = 10 are more than
+    # two steps apart, so the box has no witness before colouring and its
+    # samples are drawn in one call.
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, _circulant(n)))
+    assert [len(c) for c in ih.evaluator("bruteforce").cliques] == [2]
+    masks = [1, (1 << n) - 1, 1 << 10]
+    for dp in (0.3, 0.05, 1e-6):
+        rng, ref_rng = derive_rng(3, n), derive_rng(3, n)
+        stats, ref_stats = OracleStats(), OracleStats()
+        assert edgefree_restricted(ih, masks, dp, rng, stats=stats)
+        assert edgefree_every_sample(ih, masks, dp, ref_rng, stats=ref_stats)
+        assert rng.getstate() == ref_rng.getstate()
+        assert stats.colourings_sampled == ref_stats.colourings_sampled
+        assert stats.hom_calls == 1
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7])
+def test_colour_classes_draw_as_randrange(k):
+    for seed, width in itertools.product(range(5), (0, 1, 4, 31, 33, 100)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _colour_classes(rng, k, width) == colour_classes(ref_rng, k, width)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("box,searches", [
     # x0 = x2 = 0 and x1 a neighbour of 0: the walk 0-1-0 is a hom but not
     # locally injective, so the box has no answer yet its samples are searched.
@@ -630,6 +672,86 @@ def test_single_walk_mean_near_edge_count():
     assert abs(mean - 5) <= 0.4
 
 
+def _first_asked(ih, rng, backend="bruteforce"):
+    """A memoized randomized oracle, as approx_count_answers builds one, that
+    records each box the first time it is asked."""
+    memo, asked = {}, []
+
+    def oracle(box):
+        if box not in memo:
+            asked.append(box)
+            masks = [(1 << hi) - (1 << lo) for lo, hi in box]
+            memo[box] = edgefree_restricted(ih, masks, 0.01, rng, backend)
+        return memo[box]
+
+    return oracle, asked
+
+
+def test_walks_sharing_a_cache_match_walks_with_fresh_ones():
+    # Shared or not, the cache only drops repeat questions: the estimates,
+    # the distinct boxes the oracle is first asked about, in order, and so
+    # the oracle's random stream are those of walks that split every box.
+    cases = [corpus_instance(seed) for seed in range(20)]
+    cases += [gen_li_hom(P3, _circulant(9)), gen_li_hom(P4, _circulant(8))]
+    for q, d in cases:
+        ih = ImplicitAnswerHypergraph(q, d)
+        runs = []
+        for shared in (True, False):
+            oracle, asked = _first_asked(ih, random.Random(5))
+            live = {} if shared else None
+            walks = [
+                single_walk_estimate(ih, oracle, derive_rng(11, k), live)
+                for k in range(200)
+            ]
+            runs.append((walks, asked))
+        assert runs[0] == runs[1]
+
+
+def test_walk_cache_keeps_dead_ends_and_leaves():
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    full = ih.full_box()
+    asked = []
+
+    def dead(box):
+        asked.append(box)
+        return box != full
+
+    live: dict = {}
+    assert single_walk_estimate(ih, dead, random.Random(0), live) == 0
+    assert live == {full: ()}
+    # A later walk reads the dead end from the cache: 0 again, and the
+    # oracle is asked only about the full box.
+    del asked[:]
+    assert single_walk_estimate(ih, dead, random.Random(1), live) == 0
+    assert asked == [full]
+    # A box of single values is a leaf, not a dead end: its walk counts 1.
+    d = Database.make([0], {"E": (2, [(0, 0)])})
+    one = ImplicitAnswerHypergraph(parse_query("phi(x) :- E(x, x)"), d)
+    live = {}
+    for seed in range(2):
+        assert single_walk_estimate(one, lambda box: False, random.Random(seed), live) == 1
+    assert list(live) == [one.full_box()]
+
+
+def test_estimate_edges_starts_each_call_with_a_fresh_cache(monkeypatch):
+    seen = []
+    walk = reduction.single_walk_estimate
+
+    def spy(ih, edgefree, rng, live=None):
+        if not seen or seen[-1][0] is not live:
+            seen.append((live, len(live)))
+        return walk(ih, edgefree, rng, live)
+
+    monkeypatch.setattr(reduction, "single_walk_estimate", spy)
+    q, d = corpus_instance(4)
+    ih = ImplicitAnswerHypergraph(q, d)
+    for _ in range(2):
+        estimate_edges(ih, exact_oracle(ih), 0.25, 0.1, derive_rng(7, 4), probe_budget=0)
+    # One dict per call, each empty at the call's first walk.
+    assert len(seen) == 2 and seen[0][0] is not seen[1][0]
+    assert [size for _, size in seen] == [0, 0]
+
+
 def test_estimate_edges_probe_path_is_exact():
     for seed in range(30):
         q, d = corpus_instance(seed)
@@ -712,6 +834,24 @@ def test_approx_count_restarts_on_tiny_cap():
     assert stats.restarts >= 1
 
 
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_approx_count_restart_during_walks_golden(backend):
+    # Seed 7 with probe_budget 0 and a cap of 100 runs out during the walks
+    # of attempt 0; attempt 1 walks with a fresh oracle and a fresh walk
+    # cache. Numbers recorded before the walks kept a cache.
+    q, d = gen_li_hom(P3, _circulant(7))
+    stats = OracleStats()
+    got = approx_count_answers(
+        q, d, 0.25, 0.1, seed=7, backend=backend, stats=stats,
+        probe_budget=0, initial_cap=100,
+    )
+    assert got == 85
+    assert stats.as_dict() == {
+        "edgefree_calls": 475, "colourings_sampled": 5435, "hom_calls": 2662,
+        "estimator_walks": 2470, "restarts": 1,
+    }
+
+
 def test_approx_count_td_backend_agrees():
     for seed in (0, 4, 9):
         q, d = corpus_instance(seed)
@@ -762,7 +902,8 @@ def _circulant(n: int) -> list[tuple[int, int]]:
 # was re-recorded when it became the searches run: a box with no witness
 # before colouring runs one search and skips its colour searches. Both
 # backends answer every search alike, so the td-dp rows repeat the
-# bruteforce numbers.
+# bruteforce numbers. The p3-c40 rows, recorded before skipped boxes drew
+# all their samples in one call, pin a domain wider than one 32-bit word.
 GOLDEN_RUNS = [
     ("p3-c7", P3, 7, "bruteforce", 20000, 84, (375, 6688, 2807, 0)),
     ("p3-c7", P3, 7, "bruteforce", 0, 82, (375, 6674, 2793, 2527)),
@@ -770,6 +911,8 @@ GOLDEN_RUNS = [
     ("p3-c7", P3, 7, "td-dp", 0, 82, (375, 6674, 2793, 2527)),
     ("p4-c8", P4, 8, "bruteforce", 20000, 288, (1487, 115639, 43654, 0)),
     ("p4-c8", P4, 8, "bruteforce", 0, 284, (1487, 114858, 42873, 2661)),
+    ("p3-c40", P3, 40, "bruteforce", 0, 471, (3543, 79470, 19621, 4470)),
+    ("p3-c40", P3, 40, "td-dp", 0, 471, (3543, 79470, 19621, 4470)),
     ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 25229, 0)),
     ("ham-p4", P4, 4, "td-dp", 20000, 2, (31, 53870, 25229, 0)),
 ]

@@ -23,6 +23,7 @@ from cqcount import (
     treewidth_exact,
     treewidth_heuristic,
 )
+from cqcount import widths
 from cqcount.lp import LPUnboundedError, solve_min
 from cqcount.widths import (
     induced_hypergraph,
@@ -31,6 +32,7 @@ from cqcount.widths import (
 )
 
 from conftest import random_hypergraph
+from helpers import min_fill_order
 
 EDGE = Hypergraph.from_graph([(0, 1)])
 TRIANGLE = Hypergraph.from_graph([(0, 1), (1, 2), (0, 2)])
@@ -121,6 +123,30 @@ def test_treewidth_exact_matches_oracle():
         assert value == treewidth_oracle(h)
         assert is_valid_td(h, td)
         assert td.width() == value
+
+
+def test_min_fill_order_matches_the_full_rescan():
+    # The heap with local fill updates must pick the vertex the full rescan
+    # picks at every step, ties included: the least (fill, degree), then the
+    # first in _vkey order (so 10 before 2, and "x10" before "x2").
+    rng = random.Random(5)
+    named = [EDGE, TRIANGLE, K4, C4, C5, GRID3, Hypergraph.make([7], [])]
+    randoms = [random_hypergraph(rng, max_vertices=14) for _ in range(150)]
+    dense = [
+        Hypergraph.from_graph(
+            [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            + [(u, u + 1) for u in range(n - 1)]
+        )
+        for n, p in ((25, 0.2), (40, 0.1), (30, 0.5))
+    ]
+    xs = [f"x{i}" for i in range(1100)]
+    path = Hypergraph.from_graph(list(zip(xs, xs[1:])))
+    for h in named + randoms + dense + [path]:
+        order = min_fill_order(h)
+        assert widths._min_fill_order(h) == order
+        width, td = treewidth_heuristic(h)
+        ref = td_from_elimination_order(h, order)
+        assert (width, td) == (ref.width(), ref)
 
 
 def test_treewidth_exact_limit():
