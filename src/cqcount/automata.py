@@ -94,17 +94,18 @@ def _node_rules(
     """The automaton's rules, per node of td, in the DP's one form. Node t's
     states and labels are (t, row of t's bag table) and (t, row's free
     values). Bag tables are made in node order, which fixes the bag that a
-    state_limit error names."""
+    state_limit error names, and all of them from one set of fact indexes."""
     free = set(q.free_vars)
     bag_order = [tuple(sorted(td.bags[t], key=_vkey)) for t in range(td.n_nodes)]
     free_at = [[i for i, x in enumerate(b) if x in free] for b in bag_order]
     sols: dict[tuple, set[tuple]] = {}
+    indexes: dict = {}
 
     def sol(t: int) -> set[tuple]:
         order = bag_order[t]
         got = sols.get(order)
         if got is None:
-            got = sols[order] = sol_bag(q, d, order)
+            got = sols[order] = sol_bag(q, d, order, indexes)
             if state_limit is not None and len(got) > state_limit:
                 raise LimitExceededError(
                     f"bag {list(order)} has {len(got)} partial solutions, "

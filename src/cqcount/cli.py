@@ -79,6 +79,14 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #     256 vertices    788,683: 0.29 s    56 MB
 #     512 vertices  2,701,556: 1.15 s   129 MB
 #   1,024 vertices 13,498,401: 7.5 s    382 MB
+# fhw_vertex_limit caps the vertices of the exact fhw search, a subset DP with
+# one rho* per bag, summed over the bag's connected parts. CPU ms per search,
+# median of 5, Python 3.11, 2-vCPU Xeon:
+#   vertices          6     7     8     9    10
+#   path            2.0   3.3   6.5  13.2  25.7
+#   cycle           3.9   4.4   6.8  15.4  33.8
+#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 87.5
+# Raising it would cost little, but it decides the "exact" flag of reports.
 DEFAULT_LIMITS: dict[str, int | None] = {
     "enum_budget": 10_000_000,
     "probe_budget": 20_000,

@@ -259,7 +259,9 @@ def count_answers_bruteforce(q: Query, d: Database, budget: int = 10_000_000) ->
     return len(enumerate_answers_bruteforce(q, d, budget))
 
 
-def sol_bag(q: Query, d: Database, bag: tuple[str, ...]) -> set[tuple]:
+def sol_bag(
+    q: Query, d: Database, bag: tuple[str, ...], indexes: dict | None = None
+) -> set[tuple]:
     """Partial solutions on the given variables of a plain conjunctive query:
     assignments extendable, per atom individually, to a full satisfying
     assignment of that atom. Output tuples align with the given bag order.
@@ -268,7 +270,10 @@ def sol_bag(q: Query, d: Database, bag: tuple[str, ...]) -> set[tuple]:
     each atom that holds the new variable narrows its values given the row's
     values on the atom's earlier bag variables. Every intermediate table is
     a set of partial solutions on a prefix of the bag, so none holds more
-    than N^rho*(bag) rows, N being the largest relation (the AGM bound)."""
+    than N^rho*(bag) rows, N being the largest relation (the AGM bound).
+
+    The fact indexes are built on first use and kept in `indexes` when one
+    is given, so the bag tables of one run over d can share them."""
     if not q.is_plain_cq():
         raise UnsupportedQueryError("sol_bag is defined for plain conjunctive queries")
     validate_pair(q, d)
@@ -279,28 +284,39 @@ def sol_bag(q: Query, d: Database, bag: tuple[str, ...]) -> set[tuple]:
             raise QueryValidationError(f"bag variable {v!r} not in the query")
     if len(set(bag)) != len(bag):
         raise QueryValidationError("bag contains a duplicate variable")
+    if indexes is None:
+        indexes = {}
+
+    def fact_index(sym, pairs, keys, col) -> dict[tuple, set]:
+        """Map from the values at columns keys to those at column col, over
+        the facts of sym equal at each position pair."""
+        key = (sym, pairs, keys, col)
+        got = indexes.get(key)
+        if got is None:
+            got = indexes[key] = {}
+            facts = d.relations[sym]
+            if pairs:
+                facts = [t for t in facts if all(t[i] == t[j] for i, j in pairs)]
+            for t in facts:
+                got.setdefault(tuple(t[j] for j in keys), set()).add(t[col])
+        return got
 
     # steps[k]: per atom holding bag[k], the bag positions of the atom's
     # earlier bag variables and a map from their values to those of bag[k]
     steps: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in bag]
     for sym, args in q.predicates:
         first = {v: args.index(v) for v in args}
-        pairs = [(i, first[v]) for i, v in enumerate(args) if first[v] != i]
-        facts = d.relations[sym]
+        pairs = tuple((i, first[v]) for i, v in enumerate(args) if first[v] != i)
         at = [k for k, v in enumerate(bag) if v in first]
-        if not at:
-            if not any(all(t[i] == t[j] for i, j in pairs) for t in facts):
-                return set()
-            continue
-        facts = [t for t in facts if all(t[i] == t[j] for i, j in pairs)]
-        if not facts:
-            return set()
         cols = [first[bag[k]] for k in at]
+        # An index keyed on no column is empty exactly when no fact matches
+        # the atom, which then has no solution, whether it meets the bag or not.
+        if not fact_index(sym, pairs, (), cols[0] if cols else 0):
+            return set()
         for n, k in enumerate(at):
-            index: dict[tuple, set] = {}
-            for t in facts:
-                index.setdefault(tuple(t[j] for j in cols[:n]), set()).add(t[cols[n]])
-            steps[k].append((tuple(at[:n]), index))
+            steps[k].append(
+                (tuple(at[:n]), fact_index(sym, pairs, tuple(cols[:n]), cols[n]))
+            )
 
     # A row agrees with some fact of each atom on the atom's earlier bag
     # variables, so no lookup below misses.

@@ -7,7 +7,12 @@ mu-width for a given fractional independent set.
 The fractional independent set number alpha* and the fractional edge cover
 number rho* come from one exact rational LP, the packing LP: alpha* and its
 mass mu are the primal optimum, and its row duals are an optimal fractional
-edge cover, so rho* = alpha*.
+edge cover, so rho* = alpha*. The width searches take a bag's rho* as the
+sum over the connected components of its induced edges, since the LP splits
+along them; a component inside one edge has rho* 1, so only the others
+solve an LP, each once per search. (The bag tables that the fhw pipeline
+builds along the chosen decomposition share one fact index per run; see
+homsolver.sol_bag.)
 """
 
 from __future__ import annotations
@@ -541,15 +546,34 @@ def induced_hypergraph(h: Hypergraph, x: Iterable) -> Hypergraph:
 
 
 def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
+    """rho* of the part of h induced on a bag, memoised per bag and per
+    connected component. No edge meets two components, so the packing LP
+    splits and rho* adds over them; a component inside one edge has rho* 1,
+    and only the others solve the LP. The sum is the same exact Fraction as
+    the bag's own LP."""
     cache: dict[frozenset, Fraction] = {}
 
     def rho(bag: frozenset) -> Fraction:
         got = cache.get(bag)
         if got is None:
-            if not bag:
-                got = Fraction(0)
-            else:
-                got, _ = fractional_edge_cover_number(induced_hypergraph(h, bag))
+            edges = {e & bag for e in h.edges} - {frozenset()}
+            uncovered = bag.difference(*edges)
+            if uncovered:
+                raise UncoverableVertexError(
+                    f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
+                )
+            parts: list[frozenset] = []
+            for e in edges:
+                met = [p for p in parts if not p.isdisjoint(e)]
+                parts = [p for p in parts if p not in met] + [e.union(*met)]
+            got = Fraction(0)
+            for p in parts:
+                r = cache.get(p)
+                if r is None:
+                    r = cache[p] = Fraction(1) if p in edges else (
+                        fractional_edge_cover_number(induced_hypergraph(h, p))[0]
+                    )
+                got += r
             cache[bag] = got
         return got
 

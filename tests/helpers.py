@@ -6,10 +6,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
-from cqcount.widths import Hypergraph, _postorder, _vkey
+from cqcount.widths import (
+    Hypergraph,
+    TreeDecomposition,
+    _elimination_dp,
+    _postorder,
+    _vkey,
+    fractional_edge_cover_number,
+    induced_hypergraph,
+    td_from_elimination_order,
+)
 
 
 def edgefree_general(
@@ -117,6 +127,23 @@ def min_fill_order(h: Hypergraph) -> list:
         remaining.discard(best_v)
         order.append(best_v)
     return order
+
+
+def fhw_exact_small_whole_bag(
+    h: Hypergraph, vertex_limit: int = 8
+) -> tuple[Fraction, TreeDecomposition]:
+    """Reference for widths.fhw_exact_small: the same search over elimination
+    orders, each bag's rho* from one packing LP over the whole bag."""
+    cache: dict[frozenset, Fraction] = {}
+
+    def rho(bag: frozenset) -> Fraction:
+        if bag not in cache:
+            cache[bag] = fractional_edge_cover_number(induced_hypergraph(h, bag))[0]
+        return cache[bag]
+
+    value, order = _elimination_dp(h, rho, vertex_limit, "fhw_exact_small")
+    td = td_from_elimination_order(h, order)
+    return (Fraction(0) if value is None else value), td
 
 
 def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:

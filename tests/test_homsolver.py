@@ -25,8 +25,10 @@ from cqcount import (
     structure_size,
     treewidth_exact,
 )
+from cqcount.automata import fhw_decomposition
 from cqcount.homsolver import complement_symbol, iter_solutions, structure_hypergraph
-from cqcount.qmodel import RelationSymbol
+from cqcount.qmodel import RelationSymbol, build_hypergraph
+from cqcount.widths import _vkey
 
 from conftest import (
     corpus_instance,
@@ -270,6 +272,40 @@ def test_sol_bag_equals_its_definition():
         assert sol_bag(q, d, bag) == sol_bag_by_definition(q, d, bag), (q, bag)
     assert sol_bag(*cases[-1]) == set(itertools.permutations(range(41, 47), 3))
     assert not any(sol_bag(*c) for c in cases[-5:-1])
+
+
+def test_sol_bag_shared_indexes_match_fresh_ones():
+    # The bag tables of one run share one dict of fact indexes. An index is
+    # told apart by its relation, equal positions, key columns and value
+    # column; drop any of them from its key and some table below changes.
+    # One relation read as E(x,x), E(x,y) and E(y,x), one arity-3 relation
+    # with and without a repeated variable; bags in every order of every
+    # subset, so one atom's key columns also come in both orders.
+    q = parse_query("phi(x,y) :- E(x,x), E(x,y), E(y,x), T(x,y,x), T(y,x,z)")
+    rng = random.Random(1)
+    dom = range(6)
+    d = Database.make(dom, {
+        "E": (2, [t for t in itertools.product(dom, repeat=2) if rng.random() < 0.5]),
+        "T": (3, [t for t in itertools.product(dom, repeat=3) if rng.random() < 0.5]),
+    })
+    bags = [
+        bag
+        for k in range(4)
+        for sub in itertools.combinations(q.variables, k)
+        for bag in itertools.permutations(sub)
+    ]
+    assert all(sol_bag(q, d, bag) == sol_bag_by_definition(q, d, bag) for bag in bags)
+    assert sum(len(sol_bag(q, d, bag)) for bag in bags) > 3 * len(bags)
+    runs = [(q, d, bags), (q, d, bags[::-1])]
+    for seed in range(80):
+        q, d = plain_cq_instance(seed)
+        h = build_hypergraph(q)
+        ntd = make_nice(h, fhw_decomposition(h, 8)[1])
+        runs.append((q, d, [tuple(sorted(b, key=_vkey)) for b in ntd.bags]))
+    for q, d, bags in runs:
+        indexes: dict = {}
+        for bag in bags:
+            assert sol_bag(q, d, bag, indexes) == sol_bag(q, d, bag), (q, bag)
 
 
 def test_sol_bag_respects_atoms_inside_bag():

@@ -32,7 +32,7 @@ from cqcount.widths import (
 )
 
 from conftest import random_hypergraph
-from helpers import min_fill_order
+from helpers import fhw_exact_small_whole_bag, min_fill_order
 
 EDGE = Hypergraph.from_graph([(0, 1)])
 TRIANGLE = Hypergraph.from_graph([(0, 1), (1, 2), (0, 2)])
@@ -380,6 +380,72 @@ def test_rho_monotone_under_induced_subsets():
             if s else Fraction(0)
         )
         assert rho(small) <= rho(big)
+
+
+def _subsets(h: Hypergraph):
+    vs = h.sorted_vertices()
+    for mask in range(1 << len(vs)):
+        yield frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+
+
+def test_rho_cache_adds_over_components():
+    # One cache per hypergraph, asked every vertex subset, must give each
+    # bag's whole-bag LP value, whatever it memoised for earlier bags.
+    seen = {"arity 3": 0, "nested": 0, "split": 0}
+    for seed in range(40):
+        h = random_hypergraph(random.Random(seed), max_vertices=7)
+        seen["arity 3"] += h.arity == 3
+        seen["nested"] += any(e < f for e in h.edges for f in h.edges)
+        rho = widths._rho_cache(h)
+        assert rho(frozenset()) == 0
+        for bag in _subsets(h):
+            if not bag:
+                continue
+            sub = induced_hypergraph(h, bag)
+            want, _ = fractional_edge_cover_number(sub)
+            got = rho(bag)
+            assert type(got) is Fraction and got == want, (seed, sorted(bag))
+            adj = sub.primal_adjacency()
+            reach, stack = {min(bag)}, [min(bag)]
+            while stack:
+                for u in adj[stack.pop()] - reach:
+                    reach.add(u)
+                    stack.append(u)
+            # a fractional value needs a part that no single edge covers
+            seen["split"] += reach != bag and want.denominator > 1
+    assert all(seen.values()), seen
+
+
+def test_rho_cache_names_uncovered_vertices_as_the_lp_does():
+    raised = 0
+    for seed in range(40):
+        h = random_hypergraph(random.Random(seed), max_vertices=7, cover_all=False)
+        rho = widths._rho_cache(h)
+        for bag in _subsets(h):
+            try:
+                want = fractional_edge_cover_number(induced_hypergraph(h, bag))[0]
+            except UncoverableVertexError as exc:
+                with pytest.raises(UncoverableVertexError) as got:
+                    rho(bag)
+                assert str(got.value) == str(exc)
+                raised += 1
+            else:
+                assert rho(bag) == want
+    assert raised
+
+
+def test_fhw_exact_small_matches_the_whole_bag_lp():
+    # Equal rho* values make the elimination DP take the same choices, so
+    # the value and the decomposition are identical, not merely as good.
+    # Five vertices keep the whole-bag LPs of 1,500 hypergraphs to seconds.
+    for seed in range(1500):
+        h = random_hypergraph(random.Random(seed), max_vertices=5)
+        value, td = fhw_exact_small(h)
+        want, want_td = fhw_exact_small_whole_bag(h)
+        assert value == want, seed
+        assert (td.root, td.bags, td.children) == (
+            want_td.root, want_td.bags, want_td.children
+        ), seed
 
 
 # ---------------------------------------------------------------------------
