@@ -87,6 +87,14 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #   cycle           3.9   4.4   6.8  15.4  33.8
 #   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 87.5
 # Raising it would cost little, but it decides the "exact" flag of reports.
+# Both vertex limits are at most VERTEX_LIMIT_CEILING: the exact width searches
+# are subset DPs with tables of 2**n entries, so a 41-variable path under a
+# limit of 64 asks for 2**41 and dies of MemoryError. CPU s of each search on
+# an n-vertex path, Python 3.11, 2-vCPU Xeon (both 37 MB max RSS at 20):
+#   vertices            14     16     18     20
+#   treewidth_exact   0.24   1.13   5.48   24.7
+#   fhw_exact_small   0.57   1.95   9.24   41.1
+VERTEX_LIMIT_CEILING = 20
 DEFAULT_LIMITS: dict[str, int | None] = {
     "enum_budget": 10_000_000,
     "probe_budget": 20_000,
@@ -165,6 +173,11 @@ def _check_limit(key, value, source: str):
             kind = "none, an integer or p/q"
         raise QueryValidationError(
             f"limit {key!r} {source} must be {kind} >= {least}, got {value!r}"
+        )
+    if key in ("tw_vertex_limit", "fhw_vertex_limit") and value > VERTEX_LIMIT_CEILING:
+        raise QueryValidationError(
+            f"limit {key!r} {source} must be at most {VERTEX_LIMIT_CEILING}, "
+            f"got {value!r}: the exact width search is exponential in it"
         )
     return value
 

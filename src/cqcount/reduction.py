@@ -27,12 +27,14 @@ evaluator's own form, so any value sets fit; a layer's interval is the mask
 Both homomorphism backends answer a layer-decorated check without building
 the layered structure: tagged relations ignore layer indices, so the check
 collapses to a value-level search with per-variable allowed masks (layer boxes
-plus colour filters). `bruteforce` backtracks over the variables; `td-dp`
-runs one dynamic program along a nice tree decomposition of the query, built
-and checked once per run and flattened into postorder steps over the same
-bitmask tables. Tests pin both against the explicit construction
-(build_hat_A / build_hat_B plus the plain solvers), and td-dp also against
-homsolver.hom_exists_td, the paper's DP over the explicit structures.
+plus colour filters). Each backend plans its search once per run, when its
+evaluator is built. `bruteforce` backtracks over the variables in a fixed
+order, each level holding its forward checks into later neighbours and the
+atoms of arity >= 3 it completes; `td-dp` runs one dynamic program along a
+nice tree decomposition of the query, checked once and flattened into
+postorder steps over the same bitmask tables. Tests pin both against the
+explicit construction (build_hat_A / build_hat_B plus the plain solvers) and
+against homsolver.hom_exists_td, the paper's DP over the explicit structures.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ class _Evaluator:
     def __init__(self, ih: ImplicitAnswerHypergraph, backend: str):
         q, d = ih.query, ih.database
         self.ih = ih
-        self.backend = backend
         self.nvars = len(q.variables)
         pos = {v: i for i, v in enumerate(q.variables)}
         dom = ih.domain
@@ -197,8 +198,18 @@ class _Evaluator:
                 slot[a, b] = (c, i)
         self.red_slots = [slot[p] for p in self.diseq_pos]
 
+        self.clique_sizes = [len(clique) for clique in self.cliques]
+        # A cover of K2s only is diseq_pos itself, each red mask its K2's
+        # draw, so a sample needs no class lists.
+        self.pairs_only = max(self.clique_sizes, default=0) == 2
+
+        # One plan per run; compile() hands self._search each box's domains.
         if backend == "td-dp":
-            self._td_plan = self._plan_td(q, pos)
+            self._plan = self._plan_td(q, pos)
+            self._search = self._td_search
+        else:
+            self._plan = self._plan_bruteforce(ih.ell)
+            self._search = self._bruteforce_search
 
     def red_masks(self, classes) -> list[int]:
         """Per-disequality red masks of one colouring per clique.
@@ -214,8 +225,8 @@ class _Evaluator:
 
         layer_masks: per free variable, the allowed-value bitmask of its box;
         colour_masks: per oriented disequality, the red-value bitmask. The box
-        domains and, for bruteforce, the variable order and atom schedule are
-        set up here once, so each colouring only applies its masks. A witness
+        is intersected with the base masks here once, so each colouring only
+        applies its masks and runs the search planned once per run. A witness
         is the satisfying values in variable order (bruteforce) or () (td-dp).
         """
         box = list(self.base)
@@ -223,11 +234,7 @@ class _Evaluator:
             box[i] &= m
         if not all(box):
             return lambda colour_masks: None
-        if self.backend == "td-dp":
-            search = self._td_search
-        else:
-            search = self._bruteforce_search(box)
-        diseq_pos = self.diseq_pos
+        search, diseq_pos = self._search, self.diseq_pos
 
         def run(colour_masks) -> tuple | None:
             dom = list(box)
@@ -298,7 +305,7 @@ class _Evaluator:
         exists. Stops at the first empty table, since the root's is then
         empty too."""
         tables: list[set[tuple]] = []
-        for step in self._td_plan:
+        for step in self._plan:
             kind = step[0]
             if kind == "leaf":
                 tables.append({()})
@@ -330,61 +337,71 @@ class _Evaluator:
             tables.append(table)
         return ()
 
-    def _bruteforce_search(self, box: list[int]):
-        """Backtracking search over domains within box, in the order of the
-        box domain sizes; each atom of arity >= 3 is checked once its last
-        variable is assigned."""
-        n = self.nvars
-        order = sorted(range(n), key=lambda i: box[i].bit_count())
+    def _plan_bruteforce(self, ell: int) -> list[tuple]:
+        """The bruteforce search as one (x, fwd, atoms) level per variable x:
+        free variables in layer order, then existential ones by base mask
+        size. fwd holds the (y, sup) of each binary atom from x to a later
+        variable y, narrowing y to sup[value of x]; a check back into an
+        earlier neighbour would always pass, since that neighbour's forward
+        check already narrowed x. atoms holds the atoms of arity >= 3 that x
+        completes."""
+        base = self.base
+        order = list(range(ell)) + sorted(
+            range(ell, self.nvars), key=lambda i: base[i].bit_count()
+        )
         rank = {x: k for k, x in enumerate(order)}
-        due: list[list] = [[] for _ in range(n)]
-        for idxs, facts, negated in self.higher:
-            due[max(rank[i] for i in idxs)].append((idxs, facts, negated))
+        due: list[list] = [[] for _ in order]
+        for atom in self.higher:
+            due[max(rank[i] for i in atom[0])].append(atom)
+        return [
+            (x, [(y, sup) for y, sup in self.adj[x] if rank[y] > k], due[k])
+            for k, x in enumerate(order)
+        ]
+
+    def _bruteforce_search(self, dom: list[int]) -> tuple | None:
+        """Backtrack over the plan's levels under the domains dom."""
+        levels = self._plan
+        n = len(levels)
+        if not n:
+            return ()
         values = self.ih.domain
         assigned = [0] * n
-
-        def search(dom: list[int]) -> tuple | None:
-            if not n:
-                return ()
-            # Depth-first over the variables in order, without recursion: m
-            # holds the untried values of order[k] under the domains cur, and
-            # stack the same for each shallower level.
-            k, m, cur = 0, dom[order[0]], dom
-            stack = []
-            while True:
-                if not m:
-                    if not stack:
-                        return None
-                    k, m, cur = stack.pop()
-                    continue
-                low = m & -m
-                m ^= low
-                x = order[k]
-                b = low.bit_length() - 1
-                nxt = list(cur)
-                nxt[x] = low
-                ok = True
-                for y, sup in self.adj[x]:
-                    nxt[y] &= sup[b]
-                    if not nxt[y]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                assigned[x] = b
-                for idxs, facts, negated in due[k]:
-                    hit = tuple(values[assigned[i]] for i in idxs) in facts
-                    if hit == negated:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if k + 1 == n:
-                    return tuple(values[assigned[i]] for i in range(n))
-                stack.append((k, m, cur))
-                k, m, cur = k + 1, nxt[order[k + 1]], nxt
-
-        return search
+        # Depth-first over the levels, without recursion: m holds the untried
+        # values of level k's variable under the domains cur, and stack the
+        # same for each shallower level.
+        k, m, cur = 0, dom[levels[0][0]], dom
+        stack = []
+        while True:
+            if not m:
+                if not stack:
+                    return None
+                k, m, cur = stack.pop()
+                continue
+            low = m & -m
+            m ^= low
+            x, fwd, atoms = levels[k]
+            b = low.bit_length() - 1
+            nxt = list(cur)
+            ok = True
+            for y, sup in fwd:
+                nxt[y] &= sup[b]
+                if not nxt[y]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assigned[x] = b
+            for idxs, facts, negated in atoms:
+                hit = tuple(values[assigned[i]] for i in idxs) in facts
+                if hit == negated:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if k + 1 == n:
+                return tuple(values[i] for i in assigned)
+            stack.append((k, m, cur))
+            k, m, cur = k + 1, nxt[levels[k + 1][0]], nxt
 
 
 # ---------------------------------------------------------------------------
@@ -590,23 +607,20 @@ def edgefree_restricted(
         raise ValueError(f"expected {ih.ell} layer masks, got {len(masks)}")
     if any(m >> len(ih.domain) for m in masks):
         raise ValueError("a layer mask has bits beyond the database domain")
-    if stats is not None:
-        stats.edgefree_calls += 1
+    if stats is None:
+        stats = OracleStats()
+    stats.edgefree_calls += 1
     if not all(masks):
         return True
     ev = ih.evaluator(backend)
     search = ev.compile(masks)
-    if stats is not None:
-        stats.hom_calls += 1
+    stats.hom_calls += 1
     witness = search(())
     if not ev.cliques:
         return witness is None
-    sizes = [len(clique) for clique in ev.cliques]
+    sizes, pairs_only = ev.clique_sizes, ev.pairs_only
     q_reps = clique_repetitions(sizes, delta_prime)
     width = len(ih.domain)
-    # A cover of K2s only is diseq_pos itself, each red mask its K2's draw:
-    # the general path's draws, without building class lists per sample.
-    pairs_only = max(sizes) == 2
     if witness is None:
         # The same draws as the loop below, so rng ends in the same state.
         # getrandbits(width) uses up ceil(width / 32) 32-bit words of the
@@ -617,17 +631,15 @@ def edgefree_restricted(
             for _ in range(q_reps):
                 for k in sizes:
                     _colour_classes(rng, k, width)
-        if stats is not None:
-            stats.colourings_sampled += q_reps
+        stats.colourings_sampled += q_reps
         return True
     for _ in range(q_reps):
         if pairs_only:
             colours = [rng.getrandbits(width) for _ in sizes]
         else:
             colours = ev.red_masks([_colour_classes(rng, k, width) for k in sizes])
-        if stats is not None:
-            stats.colourings_sampled += 1
-            stats.hom_calls += 1
+        stats.colourings_sampled += 1
+        stats.hom_calls += 1
         if search(colours) is not None:
             return False
     return True

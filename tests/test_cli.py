@@ -8,7 +8,7 @@ import re
 import jsonschema
 import pytest
 
-from cqcount import Database, dump_database, gen_hampath
+from cqcount import Database, dump_database, gen_hampath, widths
 from cqcount.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -478,6 +478,54 @@ def test_analyze_limit_exceeded_is_inline(capsys, tmp_path):
     # Over the exact-width cap the tool falls back to the heuristic witness.
     assert doc["measures"]["fhw"]["exact"] is False
     assert doc["measures"]["fhw"]["value"] == "1"
+
+
+def _path_query(tmp_path, n_vars):
+    q = tmp_path / "path.txt"
+    atoms = ", ".join(f"E(y{i}, y{i+1})" for i in range(n_vars - 1))
+    q.write_text(f"q(y0) :- {atoms}", encoding="utf-8")
+    return str(q)
+
+
+@pytest.mark.parametrize("value", [21, 64])
+@pytest.mark.parametrize("key", ["tw_vertex_limit", "fhw_vertex_limit"])
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_vertex_limit_over_ceiling_is_rejected(
+    capsys, tmp_path, monkeypatch, instance, key, value, via
+):
+    # The exact width searches hold 2**n entries per table: a 41-variable
+    # path under a limit of 64 would end in MemoryError, so the value is
+    # refused before any search starts.
+    def no_search(*args):
+        raise AssertionError("a width search ran")
+
+    monkeypatch.setattr(widths, "_elimination_dp", no_search)
+    extra = []
+    if via == "flag":
+        extra = ["--limit", f"{key}={value}"]
+    else:
+        limits = tmp_path / "limits.json"
+        limits.write_text(json.dumps({key: value}), encoding="utf-8")
+        monkeypatch.setenv(LIMITS_ENV_VAR, str(limits))
+    query = _path_query(tmp_path, 41)
+    for argv in (
+        ["analyze", "--query", query, "--measures", "tw,fhw"],
+        ["count", "--query", query, "--db", instance["db"], "--method", "fhw"],
+    ):
+        code, doc, err = run(capsys, argv + extra)
+        assert code == EXIT_VALIDATION
+        assert doc is None
+        assert key in err and "at most 20" in err
+
+
+def test_vertex_limit_ceiling_is_accepted(capsys, tmp_path):
+    code, doc, _ = run(capsys, [
+        "analyze", "--query", _path_query(tmp_path, 6), "--measures", "tw,fhw",
+        "--limit", "tw_vertex_limit=20", "--limit", "fhw_vertex_limit=20",
+    ])
+    assert code == EXIT_OK
+    assert doc["measures"]["tw"]["exact"] is True
+    assert doc["measures"]["fhw"]["exact"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -228,17 +228,19 @@ def _halving_tree(ih: ImplicitAnswerHypergraph) -> list[tuple]:
 
 
 def _assert_td_plan_matches_hom_exists_td(q, d):
-    # The compiled td-dp search against the paper's DP over the query and
-    # database structures, on a decomposition of its own, for every box of
-    # the halving tree and every red mask of each disequality.
+    # Both backends' compiled searches against the paper's DP over the query
+    # and database structures, on a decomposition of its own, for every box
+    # of the halving tree and every red mask of each disequality. A
+    # bruteforce witness must itself satisfy the query under those domains.
     ih = ImplicitAnswerHypergraph(q, d)
-    ev = ih.evaluator("td-dp")
+    evs = [ih.evaluator(b) for b in HOM_BACKENDS]
     a, b = build_A(q), build_B(q, d)
     h = structure_hypergraph(a)
     nice = make_nice(h, treewidth_heuristic(h)[1])
     diseqs = oriented_disequalities(q)
     for box in _halving_tree(ih):
-        search = ev.compile([(1 << hi) - (1 << lo) for lo, hi in box])
+        masks = [(1 << hi) - (1 << lo) for lo, hi in box]
+        searches = [ev.compile(masks) for ev in evs]
         layers = dict(zip(q.free_vars, box_values(ih, box)))
         for reds in itertools.product(range(2 ** len(d.domain)), repeat=len(diseqs)):
             domains = {v: set(layers.get(v, d.domain)) for v in q.variables}
@@ -247,7 +249,17 @@ def _assert_td_plan_matches_hom_exists_td(q, d):
                 domains[x] &= red_set
                 domains[y] -= red_set
             expected = hom_exists_td(a, b, nice, domains)
-            assert (search(list(reds)) is not None) == expected, (box, reds)
+            witnesses = [search(list(reds)) for search in searches]
+            for backend, witness in zip(HOM_BACKENDS, witnesses):
+                assert (witness is not None) == expected, (backend, box, reds)
+            witness = witnesses[HOM_BACKENDS.index("bruteforce")]
+            if witness is not None:
+                env = dict(zip(q.variables, witness))
+                assert all(env[v] in domains[v] for v in q.variables)
+                for sym, args in q.predicates:
+                    assert tuple(env[v] for v in args) in d.relations[sym]
+                for sym, args in q.negated_predicates:
+                    assert tuple(env[v] for v in args) not in d.relations[sym]
 
 
 def test_td_plan_matches_hom_exists_td_on_corpus():
@@ -288,6 +300,24 @@ def test_td_backend_checks_its_decomposition_once(monkeypatch):
     approx_count_answers(q, d, 0.25, 0.1, seed=7, backend="td-dp", stats=stats)
     assert stats.hom_calls > 1
     assert len(nice_checks) == 1
+
+
+def test_bruteforce_backend_plans_its_search_once(monkeypatch):
+    # The variable order, forward checks and atom schedule are planned when
+    # the bruteforce evaluator is built, not for every box.
+    real = reduction._Evaluator._plan_bruteforce
+    plans = []
+
+    def counting(self, ell):
+        plans.append(ell)
+        return real(self, ell)
+
+    monkeypatch.setattr(reduction._Evaluator, "_plan_bruteforce", counting)
+    q, d = gen_li_hom(P3, _circulant(7))
+    stats = OracleStats()
+    approx_count_answers(q, d, 0.25, 0.1, seed=7, backend="bruteforce", stats=stats)
+    assert stats.hom_calls > 1
+    assert len(plans) == 1
 
 
 def test_evaluator_full_box_decides_satisfiability():
