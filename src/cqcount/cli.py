@@ -241,6 +241,9 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             )
         if not (0 < cfg.epsilon < 1) or not (0 < cfg.delta < 1):
             raise QueryValidationError("epsilon and delta must lie in (0, 1)")
+        if cfg.delta / 2 == 0:
+            # The estimator runs at delta/2, which would round to 0.
+            raise QueryValidationError(f"delta {cfg.delta!r} is too small to halve")
         stats = reduction.OracleStats()
         estimate = reduction.approx_count_answers(
             q,

@@ -15,7 +15,9 @@ an edge), bounded in size by the oracle's cap on distinct boxes.
 A box with no witness before any colouring still draws its samples, so the
 random stream does not depend on which boxes are searched; when every clique
 is a K2, all its samples come from one getrandbits call that takes the same
-32-bit words of the generator as one draw per sample.
+32-bit words of the generator as one draw per sample. A sample whose
+colouring leaves some clique's colour class empty can hold no witness, so it
+is counted and drawn like any other but neither masked nor searched.
 
 Halving the full box along the domain order only ever makes products of
 contiguous runs, so a box is named by one half-open index interval (lo, hi)
@@ -74,7 +76,9 @@ class OracleStats:
 
     edgefree_calls: edge-freeness checks of a box (memo hits not counted);
     colourings_sampled: colour samples drawn, searched or not;
-    hom_calls: box searches run, the one with no colour masks included;
+    hom_calls: one per box for its search with no colour masks, plus one
+        per colour sample of a box with a witness there, counted even when
+        the sample empties a colour class and so is not searched;
     estimator_walks: random walks of the edge-count estimator;
     restarts: runs begun again with a larger simulation cap.
     """
@@ -555,12 +559,19 @@ def clique_cover(pairs) -> list[tuple[int, ...]]:
 def clique_repetitions(sizes, delta_prime: float) -> int:
     """Colour samples needed for one-sided failure probability delta_prime
     when each clique K_k of the cover gets one k-colouring: an answer
-    survives a sample with probability prod k^-k."""
+    survives a sample with probability prod k^-k. BudgetExceededError when
+    1 / delta_prime overflows a float, so no finite count is computed."""
     if not 0 < delta_prime < 1:
         raise ValueError("delta_prime must lie in (0, 1)")
     if not sizes:
         return 1
-    return math.ceil(math.log(1 / delta_prime)) * math.prod(k**k for k in sizes)
+    rounds = math.log(1 / delta_prime)
+    if rounds == math.inf:
+        raise BudgetExceededError(
+            f"colour coding needs more than any finite number of samples at "
+            f"failure probability {delta_prime!r} or below"
+        )
+    return math.ceil(rounds) * math.prod(k**k for k in sizes)
 
 
 def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
@@ -602,6 +613,9 @@ def edgefree_restricted(
     colour masks: with no disequalities that is the exact answer, and since
     a colouring only narrows the domains, a box with no witness there has
     none under any colouring, so its samples are drawn but not searched.
+    Nor is a sample whose colouring leaves a clique's colour class empty:
+    that class pins its variable to no value, so the sample is counted but
+    neither masked nor searched.
     """
     if len(masks) != ih.ell:
         raise ValueError(f"expected {ih.ell} layer masks, got {len(masks)}")
@@ -634,12 +648,17 @@ def edgefree_restricted(
         stats.colourings_sampled += q_reps
         return True
     for _ in range(q_reps):
+        stats.colourings_sampled += 1
+        stats.hom_calls += 1
         if pairs_only:
             colours = [rng.getrandbits(width) for _ in sizes]
         else:
-            colours = ev.red_masks([_colour_classes(rng, k, width) for k in sizes])
-        stats.colourings_sampled += 1
-        stats.hom_calls += 1
+            classes = [_colour_classes(rng, k, width) for k in sizes]
+            # An empty class leaves its clique variable no value, so the
+            # search would return None at its empty-domain check.
+            if not all(map(all, classes)):
+                continue
+            colours = ev.red_masks(classes)
         if search(colours) is not None:
             return False
     return True
@@ -758,8 +777,10 @@ def estimate_edges(
     of g walks each, g chosen from a pilot variance estimate so a single mean
     lands within epsilon relative error with probability at least 3/4.
     BudgetExceededError is raised before any walk when the pilot, or the
-    pilot plus the m*g walks, would take more than `walk_budget` walks. The
-    walks of one call share one halving-tree cache (see single_walk_estimate).
+    pilot plus the m*g walks, would take more than `walk_budget` walks, and
+    after the pilot when m*g is not a finite float (epsilon**2 underflows,
+    or 1 / delta overflows), whatever the budget. The walks of one call
+    share one halving-tree cache (see single_walk_estimate).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -794,8 +815,16 @@ def estimate_edges(
     if mean == 0:
         return 0
     var = statistics.pvariance(pilot)
-    g = max(8, math.ceil(8 * var / (epsilon**2 * mean**2)))
-    m = math.ceil(18 * math.log(2 / delta))
+    scale = epsilon**2 * mean**2
+    per_mean = 8 * var / scale if scale else math.inf
+    n_means = 18 * math.log(2 / delta)
+    if not math.isfinite(per_mean * n_means):
+        raise BudgetExceededError(
+            f"walk estimator needs more than any finite number of walks at "
+            f"epsilon {epsilon!r}, delta {delta!r}"
+        )
+    g = max(8, math.ceil(per_mean))
+    m = math.ceil(n_means)
     need(PILOT_WALKS + m * g)
     means = []
     for _ in range(m):
@@ -839,7 +868,9 @@ def approx_count_answers(
 
     cap = initial_cap
     for attempt in range(MAX_ATTEMPTS):
-        delta_prime = (delta / 2) / cap
+        # A share that underflows to 0 stands in as the least positive float,
+        # for which clique_repetitions raises BudgetExceededError.
+        delta_prime = (delta / 2) / cap or math.ulp(0.0)
         oracle_rng = derive_rng(base_seed, attempt, 0)
         est_rng = derive_rng(base_seed, attempt, 1)
         memo: dict = {}

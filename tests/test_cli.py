@@ -351,6 +351,39 @@ def test_exit_budget_walk_budget(capsys, instance):
     assert "walk budget is 10" in err
 
 
+@pytest.mark.parametrize("params,want,words", [
+    # delta/2/oracle_cap underflows to 0: no finite colour-coding count.
+    (["--epsilon", "0.3", "--delta", "1e-320"], EXIT_BUDGET, "samples"),
+    # epsilon**2 underflows to 0: no finite number of walks.
+    (["--epsilon", "1e-170", "--delta", "0.2", "--limit", "probe_budget=0"],
+     EXIT_BUDGET, "walks"),
+    # delta/2 underflows to 0 before anything runs.
+    (["--epsilon", "0.3", "--delta", "5e-324", "--limit", "probe_budget=0"],
+     EXIT_VALIDATION, "too small to halve"),
+], ids=["delta-prime-underflow", "epsilon-squared-underflow", "half-delta-underflow"])
+def test_extreme_epsilon_delta_end_in_one_error_line(capsys, instance, params, want, words):
+    code, doc, err = run(capsys, [
+        "count", "--query", instance["query"], "--db", instance["db"],
+        "--method", "fptras", "--seed", "1", *params,
+    ])
+    assert code == want
+    assert doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+
+
+def test_tiny_epsilon_with_the_exact_probe_still_counts(capsys, instance):
+    # The probe answers before any walk count is taken, so epsilon**2
+    # underflowing does not matter.
+    code, doc, _ = run(capsys, [
+        "count", "--query", instance["query"], "--db", instance["db"],
+        "--method", "fptras", "--seed", "1", "--epsilon", "1e-300", "--delta", "0.2",
+    ])
+    assert code == EXIT_OK
+    assert doc["estimate"] == 6
+    assert doc["oracle_stats"]["estimator_walks"] == 0
+
+
 def test_count_fhw_default_limits_over_fourteen_values(capsys, tmp_path):
     # A bag holding one variable has one partial solution per value, so a
     # state_limit of 14 refused every database with more than 14 values.

@@ -577,6 +577,102 @@ def test_edgefree_box_without_answer_searches(box, searches):
     assert stats.hom_calls == searches
 
 
+@pytest.mark.parametrize("text,sizes", [
+    ("q(x, y, z) :- E(x, y), E(y, z), x != y, y != z, x != z", [3]),
+    ("q(a, b, c, e) :- E(a, b), E(c, e), "
+     "a != b, a != c, a != e, b != c, b != e, c != e", [4]),
+    ("q(a, b, c, e) :- E(a, b), E(c, e), a != b, b != c, a != c, c != e", [3, 2]),
+])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_colouring_with_an_empty_class_has_no_witness(text, sizes, n):
+    # edgefree_restricted skips such a colouring unsearched; this is why.
+    values = range(n)
+    d = Database.make(values, {"E": (2, list(itertools.product(values, repeat=2)))})
+    ih = ImplicitAnswerHypergraph(parse_query(text), d)
+    per_clique = [
+        [
+            [sum(1 << v for v in values if colours[v] == c) for c in range(k)]
+            for colours in itertools.product(range(k), repeat=n)
+        ]
+        for k in sizes
+    ]
+    full = (1 << n) - 1
+    for backend in HOM_BACKENDS:
+        ev = ih.evaluator(backend)
+        assert ev.clique_sizes == sizes
+        found = 0
+        for masks in ([full] * ih.ell, [full, 0b011] + [full] * (ih.ell - 2)):
+            search = ev.compile(masks)
+            for classes in itertools.product(*per_clique):
+                witness = search(ev.red_masks(list(classes)))
+                if not all(map(all, classes)):
+                    assert witness is None, (backend, masks, classes)
+                found += witness is not None
+        # Over enough values the non-empty colourings do find witnesses.
+        assert found or n < max(sizes)
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+@pytest.mark.parametrize("box", [
+    # x1 = x3 = 0: walks such as 0-1-0-1 are homs but no answer, so every
+    # sample is drawn and the non-empty ones searched.
+    ((0,), (0, 1, 2, 3), (0,), (0, 1, 2, 3)),
+    # The full box has answers: the loop stops at the first witness.
+    ((0, 1, 2, 3),) * 4,
+])
+def test_clique_search_runs_only_for_colourings_with_no_empty_class(
+    monkeypatch, backend, box
+):
+    ih = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
+    ev = ih.evaluator(backend)
+    assert ev.clique_sizes == [4]
+    drawn, searched = [], []
+    draw = reduction._colour_classes
+
+    def recording_draw(rng, k, width):
+        drawn.append(draw(rng, k, width))
+        return drawn[-1]
+
+    compile_ = ev.compile
+
+    def counting_compile(layer_masks):
+        run = compile_(layer_masks)
+
+        def counted(colour_masks):
+            searched.append(colour_masks)
+            return run(colour_masks)
+
+        return counted
+
+    monkeypatch.setattr(reduction, "_colour_classes", recording_draw)
+    monkeypatch.setattr(ev, "compile", counting_compile)
+    masks = layer_masks(ih, box)
+    rng, stats = derive_rng(5, len(box[0])), OracleStats()
+    got = edgefree_restricted(ih, masks, 0.3, rng, backend, stats)
+    monkeypatch.undo()
+
+    # The reference sends every colouring through red_masks and the search,
+    # and makes no search before colouring.
+    ref_rng, ref_stats = derive_rng(5, len(box[0])), OracleStats()
+    ref = edgefree_every_sample(ih, masks, 0.3, ref_rng, backend, ref_stats)
+    ref_stats.hom_calls += 1
+    assert got == ref
+    assert stats == ref_stats
+    assert rng.getstate() == ref_rng.getstate()
+    # The search before colouring, then one per colouring with every class
+    # non-empty, with that colouring's red masks.
+    full = [classes for classes in drawn if all(classes)]
+    assert searched == [()] + [ev.red_masks([classes]) for classes in full]
+    assert len(drawn) == stats.colourings_sampled
+    assert len(full) < len(drawn) // 2
+
+
+def test_repetition_count_out_of_float_range_is_a_budget_error():
+    with pytest.raises(BudgetExceededError, match="samples"):
+        clique_repetitions((3,), 1e-310)
+    assert clique_repetitions((3,), 1e-300) == math.ceil(math.log(1e300)) * 27
+
+
 # ---------------------------------------------------------------------------
 # Counting from the oracle
 # ---------------------------------------------------------------------------
