@@ -3,16 +3,23 @@
 A nice tree decomposition of the query turns the database into an automaton
 over binary labeled trees. Each label is a (node, symbol) pair, so the
 accepted trees have the decomposition's shape, and their labelings are in
-bijection with the answers: count them along the decomposition, one table per
-node from that node's own rules, all in one form that one DP step reads.
-The fhw pipeline counts the rules as it emits them; build_automaton collects
-them into a TreeAutomaton, which count_slice_exact counts by the same DP.
+bijection with the answers. Node t's states are the rows of its bag table,
+and a row's label is its free values. The fhw pipeline counts the automaton
+along the decomposition with one table per node (_node_tables,
+_count_masks). Each state set it meets holds rows of one label, which sit
+next to each other in the table, so it is an integer bitmask over that run
+of rows, one bit per row. build_automaton collects the same transitions into
+a TreeAutomaton, the construction as stated, and count_slice_exact counts
+any TreeAutomaton by a DP over frozensets of states (_count_rules); both DPs
+count the same state-set entries against frontier_limit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -49,10 +56,37 @@ class TreeAutomaton:
     initial: object
 
 
-# A node's rules: first child state -> label -> [(state, second child state)],
-# _NO marking a missing child, so leaf and unary rules read as join rules.
+# count_slice_exact's rule form, per node: first child state -> label ->
+# [(state, second child state)], _NO marking a missing child, so leaf and
+# unary rules read as join rules.
 _NO = object()
 _ALONE = {frozenset({_NO}): 1}
+
+
+class _NodeTable(NamedTuple):
+    """A node's states, as the rows of its bag table, and its transitions.
+
+    Nodes with the same bag share rows, labels and base, so a join node and
+    its children number their rows alike. labels[i] is row i's free values;
+    rows with equal labels are contiguous, and base[i] is the first of them.
+    A state set holds rows of one label, so it is a pair (base, mask): row
+    base + k is in it when bit k of mask is set. At a unary node, up[j] lists
+    the (base, mask) parts of the rows that agree with the child's row j; at
+    any other node up is None, and each row passes itself to every child."""
+
+    rows: list[tuple]
+    labels: list[tuple]
+    base: list[int]
+    up: list[list[tuple[int, int]]] | None
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +100,8 @@ def build_automaton(
     state_limit: int | None = None,
 ) -> TreeAutomaton:
     """Automaton whose accepted labelings of td's tree correspond one to one
-    with the answers of the plain conjunctive query."""
+    with the answers of the plain conjunctive query: node t's states and
+    labels are (t, row of t's bag table) and (t, that row's free values)."""
     if not q.is_plain_cq():
         raise UnsupportedQueryError("the automaton construction needs a plain CQ")
     validate_pair(q, d)
@@ -76,76 +111,166 @@ def build_automaton(
         raise DecompositionError("decomposition is not valid for the query hypergraph")
     initial = (td.root, ())  # the root's empty row, and also its one label
     states, alphabet, transitions = {initial}, {initial}, {}
-    for rules in _node_rules(q, d, td, state_limit):
-        for first, by_label in rules.items():
-            for lbl, moves in by_label.items():
-                alphabet.add(lbl)
-                for s, second in moves:
-                    kids = tuple(c for c in (first, second) if c is not _NO)
-                    states.update((s, *kids))
-                    transitions.setdefault((s, lbl), set()).add(kids)
+    tables = _node_tables(q, d, td, state_limit)
+    for t, (rows, labels, _, up) in enumerate(tables):
+        kids = td.children[t]
+        if up is None:
+            moves = [(i, tuple((k, row) for k in kids)) for i, row in enumerate(rows)]
+        else:
+            c, below = kids[0], tables[kids[0]].rows
+            moves = [
+                (b + i, ((c, below[j]),))
+                for j, parts in enumerate(up)
+                for b, m in parts
+                for i in _bits(m)
+            ]
+        for i, kid_states in moves:
+            s, lbl = (t, rows[i]), (t, labels[i])
+            states.add(s)
+            states.update(kid_states)
+            alphabet.add(lbl)
+            transitions.setdefault((s, lbl), set()).add(kid_states)
     frozen = {k: frozenset(v) for k, v in transitions.items()}
     return TreeAutomaton(frozenset(states), frozenset(alphabet), frozen, initial)
 
 
-def _node_rules(
+def _node_tables(
     q: Query, d: Database, td: TreeDecomposition, state_limit: int | None
-) -> list[dict]:
-    """The automaton's rules, per node of td, in the DP's one form. Node t's
-    states and labels are (t, row of t's bag table) and (t, row's free
-    values). Bag tables are made in node order, which fixes the bag that a
-    state_limit error names, and all of them from one set of fact indexes."""
+) -> list[_NodeTable]:
+    """The automaton of the nice decomposition td, per node. Bag tables are
+    made in node order, which fixes the bag that a state_limit error names,
+    and all of them from one set of fact indexes."""
     free = set(q.free_vars)
     bag_order = [tuple(sorted(td.bags[t], key=_vkey)) for t in range(td.n_nodes)]
-    free_at = [[i for i, x in enumerate(b) if x in free] for b in bag_order]
-    sols: dict[tuple, set[tuple]] = {}
+    # Per bag: rows, labels, base, and each row's index once a node needs it.
+    tables: dict[tuple, tuple[list, list, list, dict]] = {}
     indexes: dict = {}
 
-    def sol(t: int) -> set[tuple]:
+    def sol(t: int) -> tuple[list, list, list, dict]:
         order = bag_order[t]
-        got = sols.get(order)
+        got = tables.get(order)
         if got is None:
-            got = sols[order] = sol_bag(q, d, order, indexes)
-            if state_limit is not None and len(got) > state_limit:
-                raise LimitExceededError(
-                    f"bag {list(order)} has {len(got)} partial solutions, "
-                    f"limit is {state_limit}"
-                )
+            rows = list(sol_bag(q, d, order, indexes, state_limit))
+            at = [i for i, x in enumerate(order) if x in free]
+            if not at:  # one label
+                labels, base = [()] * len(rows), [0] * len(rows)
+            elif len(at) == len(order):  # each row its own label
+                labels, base = rows, list(range(len(rows)))
+            else:
+                groups, pick = {}, itemgetter(*at)
+                for row in rows:
+                    groups.setdefault(pick(row), []).append(row)
+                rows, labels, base = [], [], []
+                for lbl, group in groups.items():
+                    base += [len(rows)] * len(group)
+                    labels += [lbl if len(at) > 1 else (lbl,)] * len(group)
+                    rows += group
+            got = tables[order] = (rows, labels, base, {})
         return got
 
-    out: list[dict] = [{} for _ in range(td.n_nodes)]
-
-    def add(t: int, alpha: tuple, first=_NO, second=_NO) -> None:
-        lbl = (t, tuple(alpha[i] for i in free_at[t]))
-        out[t].setdefault(first, {}).setdefault(lbl, []).append(((t, alpha), second))
-
+    out = []
     for t in range(td.n_nodes):
         kids = td.children[t]
-        rows = sol(t)
-        # Leaf and join states pass their row to every child. An empty table
-        # emits nothing; leaving its child's table to the child's own node
-        # keeps the bag that a state_limit error names.
-        if len(kids) != 1 or not rows:
-            for alpha in rows:
-                add(t, alpha, *((k, alpha) for k in kids))
-            continue
-        # Introduce or forget edge: one pass over the larger bag's rows, each
-        # projected onto the smaller bag and kept if it is a row there too.
-        c = kids[0]
-        big, small = (t, c) if td.bags[c] < td.bags[t] else (c, t)
-        keep = [bag_order[big].index(x) for x in bag_order[small]]
-        small_rows = sol(small)
-        for row in sol(big):
-            proj = tuple(row[i] for i in keep)
-            if proj in small_rows:
-                alpha, beta = (row, proj) if big == t else (proj, row)
-                add(t, alpha, (c, beta))
+        rows, labels, base, _ = sol(t)
+        up = None
+        # An empty table has no transitions; leaving its child's table to the
+        # child's own node keeps the bag that a state_limit error names.
+        if len(kids) == 1 and rows:
+            # Introduce or forget x: one pass over the larger bag's rows, each
+            # projected onto the smaller bag, by dropping x, and kept if it is
+            # a row there too.
+            c = kids[0]
+            big, small = (t, c) if td.bags[c] < td.bags[t] else (c, t)
+            (x,) = td.bags[big] - td.bags[small]
+            k = bag_order[big].index(x)
+            small_rows, _, _, pos = sol(small)
+            if not pos:
+                pos.update((row, i) for i, row in enumerate(small_rows))
+            hits = [pos.get(row[:k] + row[k + 1 :]) for row in sol(big)[0]]
+            if big == t:
+                # Rows of one label are contiguous, so the rows that go up
+                # from one child row meet t's label groups one after another.
+                up = [[] for _ in small_rows]
+                for i, j in enumerate(hits):
+                    if j is not None:
+                        b, parts = base[i], up[j]
+                        if parts and parts[-1][0] == b:
+                            parts[-1] = (b, parts[-1][1] | 1 << (i - b))
+                        else:
+                            parts.append((b, 1 << (i - b)))
+            else:
+                up = [
+                    [] if i is None else [(base[i], 1 << (i - base[i]))] for i in hits
+                ]
+        out.append(_NodeTable(rows, labels, base, up))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Slice counting
 # ---------------------------------------------------------------------------
+
+def _count_masks(
+    tables: list[_NodeTable], shape: TreeDecomposition, frontier_limit: int
+) -> int:
+    """Accepted labelings of shape, the decomposition tables were made on.
+    In postorder, node t's table maps each exact set of t's states accepting
+    some labeling of t's subtree, a (base, mask) pair of one label, to the
+    number of such labelings (empty sets are dropped), and pops its
+    children's tables. Tables are kept as base -> mask -> count.
+    - a leaf's sets are its label groups;
+    - a unary node ORs up[j] over the rows j of each child set, per base;
+    - a join node ANDs each left set with each right set of its label, as
+      the sets of two different labels meet in no row.
+    frontier_limit bounds the summed size of the sets built, as in
+    _count_rules, so the two count the same entries."""
+
+    def reach(b: int, mask: int, up: list[list[tuple[int, int]]]):
+        got: dict[int, int] = {}
+        for parts in [up[b + k] for k in _bits(mask)]:
+            for b2, m in parts:
+                got[b2] = got.get(b2, 0) | m
+        return got.items()
+
+    counts: dict[int, dict[int, dict[int, int]]] = {}
+    built = 0
+    for t in shape.postorder():
+        below = [counts.pop(c) for c in shape.children[t]]
+        rows, _, base, up = tables[t]
+        here = counts[t] = {}
+        if not rows:
+            continue
+        if not below:
+            sets = (((b, (1 << n) - 1), 1) for b, n in Counter(base).items())
+        elif up is not None:
+            sets = (
+                (key, cnt)
+                for b, by_mask in below[0].items()
+                for mask, cnt in by_mask.items()
+                for key in reach(b, mask, up)
+            )
+        else:
+            left, right = below
+            sets = (
+                ((b, m1 & m2), cnt1 * cnt2)
+                for b, by_mask in left.items()
+                if b in right
+                for m1, cnt1 in by_mask.items()
+                for m2, cnt2 in right[b].items()
+            )
+        for (b, mask), cnt in sets:
+            built += mask.bit_count()
+            if built > frontier_limit:
+                raise LimitExceededError(
+                    f"slice DP built more than {frontier_limit} state-set "
+                    f"entries at decomposition node {t}"
+                )
+            if mask:
+                by_mask = here.setdefault(b, {})
+                by_mask[mask] = by_mask.get(mask, 0) + cnt
+    # The root's bag is empty: its one row, (), is row 0.
+    return sum(cnt for mask, cnt in counts[shape.root].get(0, {}).items() if mask & 1)
+
 
 def count_slice_exact(
     aut: TreeAutomaton,
@@ -239,7 +364,7 @@ def count_answers_fhw_pipeline(
 
     Decomposes the query hypergraph with fhw_decomposition, refuses
     instances over fhw_limit when one is set, and counts the automaton's
-    rules on the nice decomposition, which it neither builds as a
+    bitmask tables on the nice decomposition, which it neither builds as a
     TreeAutomaton nor re-validates. All limits surface as LimitExceededError.
     """
     if not q.is_plain_cq():
@@ -252,6 +377,5 @@ def count_answers_fhw_pipeline(
             f"fractional hypertreewidth {width} exceeds the limit {fhw_limit}"
         )
     ntd = make_nice(h, td)
-    rules = _node_rules(q, d, ntd, state_limit)
-    count = _count_rules(rules, ntd, (ntd.root, ()), frontier_limit)
+    count = _count_masks(_node_tables(q, d, ntd, state_limit), ntd, frontier_limit)
     return FhwCount(count, width, exact)

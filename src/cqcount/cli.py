@@ -58,12 +58,14 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 
 # Documented defaults for every budget knob; override via --limit key=value
 # (repeatable) or a JSON file named by the CQCOUNT_LIMITS environment variable.
-# state_limit caps the largest bag table of the fhw automaton. Largest table:
-# build time, random 6-regular graphs, Python 3.11, 2-vCPU Xeon:
-#   triangle  384: 0.03 s   8,190: 0.54 s   32,772: 2.30 s
-#   4-cycle   8,100: 0.24 s   65,536: 1.55 s   262,144: 5.7 s
-#   8-path    3,072: 0.69 s   8,190: 2.01 s   32,772: 12.2 s
-# 2**13 rows keeps each of these builds within about 2 s.
+# state_limit caps the largest bag table of the fhw automaton; the last join
+# step of a bag table stops one row past it. Largest table: CPU time of the
+# bag tables and their transitions (min of 3), max RSS, random 6-regular
+# graphs, Python 3.11, 2-vCPU Xeon:
+#   triangle  384: 0.01 s 21 MB    8,190: 0.09 s 30 MB    32,772: 0.61 s  61 MB
+#   4-cycle 8,100: 0.05 s 26 MB   65,536: 0.41 s 48 MB   262,144: 1.55 s 120 MB
+#   8-path  3,072: 0.07 s 30 MB    8,190: 0.23 s 53 MB    32,772: 1.63 s 279 MB
+# 2**13 rows keeps each of these builds within about 0.25 s.
 # walk_budget caps the walks of one fptras estimator run, 48 pilot walks plus
 # m*g (m = 67 at delta 0.1, g >= 8 from the pilot variance). Walks per run,
 # Python 3.11, 2-vCPU Xeon:
@@ -74,11 +76,12 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #   c02 corpus: no run leaves the exact probe
 # 100,000 is 12x the largest run and about 12 s at 0.12 ms/walk.
 # frontier_limit caps the summed size of the state sets the fhw slice DP builds;
-# 2**22 keeps it within about 2 s. Entries: slice DP time, peak RSS, 8-paths
-# with free endpoints over random 6-regular graphs, Python 3.11, 2-vCPU Xeon:
-#     256 vertices    788,683: 0.29 s    56 MB
-#     512 vertices  2,701,556: 1.15 s   129 MB
-#   1,024 vertices 13,498,401: 7.5 s    382 MB
+# 2**22 keeps it within about 1.5 s. Entries: slice DP CPU time, max RSS,
+# 8-paths with free endpoints over random 6-regular graphs, Python 3.11,
+# 2-vCPU Xeon:
+#     256 vertices    783,909: 0.5 s    25 MB
+#     512 vertices  2,648,795: 1.3 s    30 MB
+#   1,024 vertices 13,480,012: 8.1 s    43 MB (refused at 2**22 after 1.1 s)
 # fhw_vertex_limit caps the vertices of the exact fhw search, a subset DP with
 # one rho* per bag, summed over the bag's connected parts. CPU ms per search,
 # median of 5, Python 3.11, 2-vCPU Xeon:

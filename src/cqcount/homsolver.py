@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceededError,
     DecompositionError,
+    LimitExceededError,
     PairValidationError,
     QueryValidationError,
     UnsupportedQueryError,
@@ -260,7 +261,11 @@ def count_answers_bruteforce(q: Query, d: Database, budget: int = 10_000_000) ->
 
 
 def sol_bag(
-    q: Query, d: Database, bag: tuple[str, ...], indexes: dict | None = None
+    q: Query,
+    d: Database,
+    bag: tuple[str, ...],
+    indexes: dict | None = None,
+    limit: int | None = None,
 ) -> set[tuple]:
     """Partial solutions on the given variables of a plain conjunctive query:
     assignments extendable, per atom individually, to a full satisfying
@@ -273,7 +278,9 @@ def sol_bag(
     than N^rho*(bag) rows, N being the largest relation (the AGM bound).
 
     The fact indexes are built on first use and kept in `indexes` when one
-    is given, so the bag tables of one run over d can share them."""
+    is given, so the bag tables of one run over d can share them. With a
+    limit, a table of more than limit rows raises LimitExceededError, and
+    the last step, which makes the table itself, stops as soon as it does."""
     if not q.is_plain_cq():
         raise UnsupportedQueryError("sol_bag is defined for plain conjunctive queries")
     validate_pair(q, d)
@@ -319,14 +326,21 @@ def sol_bag(
             )
 
     # A row agrees with some fact of each atom on the atom's earlier bag
-    # variables, so no lookup below misses.
+    # variables, so no lookup below misses. Rows never repeat, so the last
+    # step makes the table itself, and with a limit it stops one row past it.
     rows: list[tuple] = [()]
-    for atoms in steps:
-        rows = [
+    for n, atoms in enumerate(steps, 1):
+        grown = (
             row + (v,)
             for row in rows
             for v in set.intersection(
                 *(index[tuple(row[i] for i in prev)] for prev, index in atoms)
             )
-        ]
+        )
+        last = n == len(steps) and limit is not None
+        rows = list(itertools.islice(grown, limit + 1) if last else grown)
+    if limit is not None and len(rows) > limit:
+        raise LimitExceededError(
+            f"bag {list(bag)} has more than {limit} partial solutions, limit is {limit}"
+        )
     return set(rows)

@@ -24,6 +24,7 @@ from cqcount import (
     build_hat_A,
     build_hypergraph,
     count_answers_bruteforce,
+    count_answers_fhw_pipeline,
     count_edges_exact_oracle,
     count_slice_exact,
     derive_rng,
@@ -171,10 +172,11 @@ def test_c03_automaton_counts_match_bruteforce():
         nice = make_nice(h, td)
         aut = build_automaton(q, d, nice, state_limit=None)
         got = count_slice_exact(aut, nice)
+        piped = count_answers_fhw_pipeline(q, d, state_limit=None).count
         truth = count_answers_bruteforce(q, d)
-        if got != truth:
-            failures.append((seed, got, truth))
-    _report(3, "automaton count == brute force on 100 fhw<=2 plain CQs",
+        if got != truth or piped != truth:
+            failures.append((seed, got, piped, truth))
+    _report(3, "automaton and pipeline counts == brute force on 100 fhw<=2 plain CQs",
             failures, t0, 300)
 
 

@@ -326,6 +326,46 @@ def test_built_automaton_moves_along_the_decomposition():
                 assert tuple(c for c, _ in o) == ntd.children[t], seed
 
 
+def test_built_automaton_labels_rows_by_their_free_values():
+    # Bags that hold two free variables and an existential one: the triangle
+    # with free x and y, and a path whose middle bag is {x, y, z}.
+    edges = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 1), (1, 1)]
+    d = Database.make(list(range(4)), {"E": (2, edges)})
+    for text in (
+        "phi(x,y) :- E(x,y), E(y,z), E(z,x)",
+        "phi(x,y) :- E(w,x), E(x,z), E(z,y), E(x,y)",
+    ):
+        q = parse_query(text)
+        ntd = _nice_td_for(q)
+        assert any(len(b & {"x", "y"}) == 2 < len(b) for b in ntd.bags), text
+        aut = build_automaton(q, d, ntd)
+        for (t, row), (_, lbl) in aut.transitions:
+            order = sorted(ntd.bags[t], key=_vkey)
+            assert lbl == tuple(v for x, v in zip(order, row) if x in "xy"), text
+        assert count_slice_exact(aut, ntd) == count_answers_bruteforce(q, d), text
+
+
+def test_pipeline_join_of_children_with_different_labels():
+    # A star of three two-edge arms joins at a bag {a, x}, whose state sets
+    # are split by x. On sparse relations some x survives in one child's
+    # subtree and not in the other's, so one child has state sets of a label
+    # that the other lacks.
+    q = parse_query("phi(x) :- E(x,a), E(a,b), F(x,c), F(c,e), G(x,f), G(f,g)")
+    h = build_hypergraph(q)
+    ntd = make_nice(h, fhw_decomposition(h, 8)[1])
+    assert any(
+        len(kids) == 2 and "x" in ntd.bags[t] for t, kids in enumerate(ntd.children)
+    )
+    rng = random.Random(5)
+    pairs = [(u, v) for u in range(5) for v in range(5)]
+    for _ in range(40):
+        rels = {r: (2, [p for p in pairs if rng.random() < 0.25]) for r in "EFG"}
+        d = Database.make(list(range(5)), rels)
+        got = count_answers_fhw_pipeline(q, d).count
+        assert got == count_answers_bruteforce(q, d), rels
+        assert got == count_slice_exact(build_automaton(q, d, ntd), ntd), rels
+
+
 def test_answer_trees_are_accepted():
     # Every brute-force answer yields an accepted tree labeled with its
     # free-variable projections along the decomposition.
@@ -380,6 +420,24 @@ def test_state_limit_enforced():
     )
     with pytest.raises(LimitExceededError):
         count_answers_fhw_pipeline(q, d, state_limit=3)
+
+
+def test_state_limit_names_the_first_bag_over_it():
+    # Node order fixes the bag named: here the edge bag {x, y} has 25 rows
+    # and each one-variable bag 5, so a limit of 5 trips on {x, y} alone.
+    q = parse_query("phi(x,y) :- E(x,y)")
+    d = Database.make(
+        list(range(5)),
+        {"E": (2, [(i, j) for i in range(5) for j in range(5)])},
+    )
+    with pytest.raises(
+        LimitExceededError,
+        match=r"bag \['x', 'y'\] has more than 5 partial solutions, limit is 5",
+    ):
+        count_answers_fhw_pipeline(q, d, state_limit=5)
+    with pytest.raises(LimitExceededError, match=r"bag \['x'\] has more than 4 "):
+        count_answers_fhw_pipeline(q, d, state_limit=4)
+    assert count_answers_fhw_pipeline(q, d, state_limit=25).count == 25
 
 
 def test_fhw_limit_enforced():
@@ -446,6 +504,46 @@ def test_pipeline_matches_built_automaton_on_gate_c03_seeds():
         got = count_answers_fhw_pipeline(q, d, state_limit=None).count
         assert got == count_slice_exact(build_automaton(q, d, nice), nice), seed
         assert got == count_answers_bruteforce(q, d), seed
+
+
+def _smallest_passing_frontier(count) -> int:
+    """Smallest frontier_limit under which count(frontier_limit) returns."""
+
+    def passes(limit: int) -> bool:
+        try:
+            count(limit)
+        except LimitExceededError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not passes(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
+    return lo
+
+
+def test_pipeline_frontier_matches_built_automaton():
+    # The pipeline's bitmask DP and count_slice_exact's frozenset DP build
+    # state sets of the same sizes, so the same smallest frontier_limit passes.
+    for seed in range(80):
+        q, d = plain_cq_instance(seed)
+        h = build_hypergraph(q)
+        ntd = make_nice(h, fhw_decomposition(h, 8)[1])
+        aut = build_automaton(q, d, ntd)
+        limit = _smallest_passing_frontier(
+            lambda f: count_slice_exact(aut, ntd, frontier_limit=f)
+        )
+        assert count_answers_fhw_pipeline(
+            q, d, state_limit=None, frontier_limit=limit
+        ).count == count_slice_exact(aut, ntd), seed
+        if limit:
+            with pytest.raises(LimitExceededError, match="more than"):
+                count_answers_fhw_pipeline(
+                    q, d, state_limit=None, frontier_limit=limit - 1
+                )
 
 
 def test_pipeline_long_path_at_default_limits():

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from cqcount import (
     BudgetExceededError,
     Database,
+    LimitExceededError,
     Structure,
     UnsupportedQueryError,
     build_A,
@@ -313,6 +315,49 @@ def test_sol_bag_respects_atoms_inside_bag():
     d = Database.make([0, 1], {"E": (2, [(0, 1), (1, 0)]), "U": (1, [(0,)])})
     assert sol_bag(q, d, ("x", "y")) == {(0, 1)}
     assert sol_bag(q, d, ("y",)) == {(0,), (1,)}
+
+
+def test_sol_bag_limit_bounds_the_table_not_its_prefixes():
+    # The prefix table on x has 10 rows and the table 5, so a limit of 5
+    # passes and gives the whole table; only the table itself is limited.
+    q = parse_query("phi(x,y) :- E(x,y), V(y)")
+    d = Database.make(
+        list(range(10)), {"E": (2, [(i, i % 2) for i in range(10)]), "V": (1, [(0,)])}
+    )
+    assert sol_bag(q, d, ("x", "y"), limit=5) == {(i, 0) for i in range(0, 10, 2)}
+    with pytest.raises(LimitExceededError, match=r"bag \['x', 'y'\] has more than 4 "):
+        sol_bag(q, d, ("x", "y"), limit=4)
+    assert sol_bag(q, d, (), limit=1) == {()}
+    with pytest.raises(LimitExceededError, match=r"bag \[\] has more than 0 "):
+        sol_bag(q, d, (), limit=0)
+
+
+def test_sol_bag_limit_stops_the_last_step():
+    # A complete relation over 200 values: the table would hold 40,000 rows,
+    # but the last step stops at the first prefix row that takes it past the
+    # limit, 200 rows in. The first call builds the fact indexes.
+    n = 200
+    q = parse_query("phi(x,y) :- E(x,y)")
+    d = Database.make(
+        list(range(n)), {"E": (2, [(i, j) for i in range(n) for j in range(n)])}
+    )
+    indexes: dict = {}
+    with pytest.raises(LimitExceededError):
+        sol_bag(q, d, ("x", "y"), indexes, limit=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            LimitExceededError,
+            match=r"bag \['x', 'y'\] has more than 10 partial solutions, limit is 10",
+        ):
+            sol_bag(q, d, ("x", "y"), indexes, limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert len(sol_bag(q, d, ("x", "y"), indexes, limit=n * n)) == n * n
+    with pytest.raises(LimitExceededError):
+        sol_bag(q, d, ("x", "y"), indexes, limit=n * n - 1)
 
 
 def test_sol_bag_rejects_non_cq():
