@@ -10,16 +10,17 @@ _count_masks). Each state set it meets holds rows of one label, which sit
 next to each other in the table, so it is an integer bitmask over that run
 of rows, one bit per row. build_automaton collects the same transitions into
 a TreeAutomaton, the construction as stated, and count_slice_exact counts
-any TreeAutomaton by a DP over frozensets of states (_count_rules); both DPs
-count the same state-set entries against frontier_limit.
+any TreeAutomaton by the plain DP over frozensets of states; both DPs count
+the same state-set entries against frontier_limit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import contains, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -32,6 +33,7 @@ from .qmodel import Database, Query, build_hypergraph, validate_pair
 from .widths import (
     Hypergraph,
     TreeDecomposition,
+    _bits,
     _vkey,
     fhw_exact_small,
     fhw_of_td,
@@ -56,37 +58,21 @@ class TreeAutomaton:
     initial: object
 
 
-# count_slice_exact's rule form, per node: first child state -> label ->
-# [(state, second child state)], _NO marking a missing child, so leaf and
-# unary rules read as join rules.
-_NO = object()
-_ALONE = {frozenset({_NO}): 1}
-
-
 class _NodeTable(NamedTuple):
     """A node's states, as the rows of its bag table, and its transitions.
 
-    Nodes with the same bag share rows, labels and base, so a join node and
-    its children number their rows alike. labels[i] is row i's free values;
-    rows with equal labels are contiguous, and base[i] is the first of them.
+    Nodes with the same bag share rows and base, so a join node and its
+    children number their rows alike. A row's label is its free values; rows
+    with equal labels are contiguous, and base[i] is the first row of row
+    i's label.
     A state set holds rows of one label, so it is a pair (base, mask): row
     base + k is in it when bit k of mask is set. At a unary node, up[j] lists
     the (base, mask) parts of the rows that agree with the child's row j; at
     any other node up is None, and each row passes itself to every child."""
 
     rows: list[tuple]
-    labels: list[tuple]
     base: list[int]
     up: list[list[tuple[int, int]]] | None
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +97,11 @@ def build_automaton(
         raise DecompositionError("decomposition is not valid for the query hypergraph")
     initial = (td.root, ())  # the root's empty row, and also its one label
     states, alphabet, transitions = {initial}, {initial}, {}
+    free = set(q.free_vars)
     tables = _node_tables(q, d, td, state_limit)
-    for t, (rows, labels, _, up) in enumerate(tables):
+    for t, (rows, _, up) in enumerate(tables):
         kids = td.children[t]
+        at = [i for i, x in enumerate(sorted(td.bags[t], key=_vkey)) if x in free]
         if up is None:
             moves = [(i, tuple((k, row) for k in kids)) for i, row in enumerate(rows)]
         else:
@@ -125,7 +113,7 @@ def build_automaton(
                 for i in _bits(m)
             ]
         for i, kid_states in moves:
-            s, lbl = (t, rows[i]), (t, labels[i])
+            s, lbl = (t, rows[i]), (t, tuple(rows[i][k] for k in at))
             states.add(s)
             states.update(kid_states)
             alphabet.add(lbl)
@@ -142,36 +130,35 @@ def _node_tables(
     and all of them from one set of fact indexes."""
     free = set(q.free_vars)
     bag_order = [tuple(sorted(td.bags[t], key=_vkey)) for t in range(td.n_nodes)]
-    # Per bag: rows, labels, base, and each row's index once a node needs it.
-    tables: dict[tuple, tuple[list, list, list, dict]] = {}
+    # Per bag: rows, base, and each row's index once a node needs it.
+    tables: dict[tuple, tuple[list, list, dict]] = {}
     indexes: dict = {}
 
-    def sol(t: int) -> tuple[list, list, list, dict]:
+    def sol(t: int) -> tuple[list, list, dict]:
         order = bag_order[t]
         got = tables.get(order)
         if got is None:
             rows = list(sol_bag(q, d, order, indexes, state_limit))
             at = [i for i, x in enumerate(order) if x in free]
             if not at:  # one label
-                labels, base = [()] * len(rows), [0] * len(rows)
+                base = [0] * len(rows)
             elif len(at) == len(order):  # each row its own label
-                labels, base = rows, list(range(len(rows)))
+                base = list(range(len(rows)))
             else:
                 groups, pick = {}, itemgetter(*at)
                 for row in rows:
                     groups.setdefault(pick(row), []).append(row)
-                rows, labels, base = [], [], []
-                for lbl, group in groups.items():
+                rows, base = [], []
+                for group in groups.values():
                     base += [len(rows)] * len(group)
-                    labels += [lbl if len(at) > 1 else (lbl,)] * len(group)
                     rows += group
-            got = tables[order] = (rows, labels, base, {})
+            got = tables[order] = (rows, base, {})
         return got
 
     out = []
     for t in range(td.n_nodes):
         kids = td.children[t]
-        rows, labels, base, _ = sol(t)
+        rows, base, _ = sol(t)
         up = None
         # An empty table has no transitions; leaving its child's table to the
         # child's own node keeps the bag that a state_limit error names.
@@ -183,7 +170,7 @@ def _node_tables(
             big, small = (t, c) if td.bags[c] < td.bags[t] else (c, t)
             (x,) = td.bags[big] - td.bags[small]
             k = bag_order[big].index(x)
-            small_rows, _, _, pos = sol(small)
+            small_rows, _, pos = sol(small)
             if not pos:
                 pos.update((row, i) for i, row in enumerate(small_rows))
             hits = [pos.get(row[:k] + row[k + 1 :]) for row in sol(big)[0]]
@@ -202,7 +189,7 @@ def _node_tables(
                 up = [
                     [] if i is None else [(base[i], 1 << (i - base[i]))] for i in hits
                 ]
-        out.append(_NodeTable(rows, labels, base, up))
+        out.append(_NodeTable(rows, base, up))
     return out
 
 
@@ -218,12 +205,12 @@ def _count_masks(
     some labeling of t's subtree, a (base, mask) pair of one label, to the
     number of such labelings (empty sets are dropped), and pops its
     children's tables. Tables are kept as base -> mask -> count.
-    - a leaf's sets are its label groups;
+    - a leaf's one set is its one row, as its bag is empty;
     - a unary node ORs up[j] over the rows j of each child set, per base;
     - a join node ANDs each left set with each right set of its label, as
       the sets of two different labels meet in no row.
     frontier_limit bounds the summed size of the sets built, as in
-    _count_rules, so the two count the same entries."""
+    count_slice_exact, so the two count the same entries."""
 
     def reach(b: int, mask: int, up: list[list[tuple[int, int]]]):
         got: dict[int, int] = {}
@@ -236,12 +223,12 @@ def _count_masks(
     built = 0
     for t in shape.postorder():
         below = [counts.pop(c) for c in shape.children[t]]
-        rows, _, base, up = tables[t]
+        rows, _, up = tables[t]
         here = counts[t] = {}
         if not rows:
             continue
         if not below:
-            sets = (((b, (1 << n) - 1), 1) for b, n in Counter(base).items())
+            sets = [((0, 1), 1)]
         elif up is not None:
             sets = (
                 (key, cnt)
@@ -277,54 +264,47 @@ def count_slice_exact(
     shape: TreeDecomposition,
     frontier_limit: int = 4_194_304,
 ) -> int:
-    """Number of labelings of shape's ordered tree that the automaton accepts,
-    counted by _count_rules. Every label is a (node, symbol) pair, as
-    build_automaton makes them, and a labeling puts only labels of node t at
-    t; a label that names no node of shape raises ValueError."""
+    """Number of labelings of shape's ordered tree that the automaton accepts.
+    Every label is a (node, symbol) pair, as build_automaton makes them, and a
+    labeling puts only labels of node t at t; a label that names no node of
+    shape raises ValueError. In postorder, node t's table maps each exact set
+    of states accepting some labeling of t's subtree to the number of such
+    labelings (empty sets are dropped), and pops its children's tables. For
+    one set from each child's table and one label of t, the new set is the
+    states with an outcome as long as t's child list whose i-th state is in
+    the i-th set, so a node with more than two children accepts nothing.
+    frontier_limit bounds the summed size of the sets built, so it bounds time
+    and memory."""
     nodes = range(shape.n_nodes)
     for lbl in aut.alphabet:
         if not (isinstance(lbl, tuple) and len(lbl) == 2 and lbl[0] in nodes):
             raise ValueError(f"label {lbl!r} names no node of the decomposition")
-    rules: list[dict] = [{} for _ in nodes]
+    # Per node t, label -> [(state, outcome)], one outcome state per child.
+    moves: list[dict] = [{} for _ in nodes]
     for (s, lbl), outs in aut.transitions.items():
+        t = lbl[0]
         for o in outs:
-            first, second = (*o, _NO, _NO)[:2]
-            rules[lbl[0]].setdefault(first, {}).setdefault(lbl, []).append((s, second))
-    return _count_rules(rules, shape, aut.initial, frontier_limit)
-
-
-def _count_rules(
-    rules: list[dict], shape: TreeDecomposition, initial, frontier_limit: int
-) -> int:
-    """Labelings of shape accepted from initial, node t reading rules[t]. In
-    postorder, node t's table maps each exact set of states accepting some
-    labeling of t's subtree to the number of such labelings (empty sets are
-    dropped), built from t's rules and its children's tables, which it frees;
-    a missing child reads as the table _ALONE. frontier_limit bounds the
-    summed size of the state sets built, so it bounds time and memory."""
+            if len(o) == len(shape.children[t]):
+                moves[t].setdefault(lbl, []).append((s, o))
     tables: dict[int, dict[frozenset, int]] = {}
     built = 0
     for t in shape.postorder():
-        below = [tables.pop(c) for c in shape.children[t]]
-        left, right = (*below, _ALONE, _ALONE)[:2]
+        below = [tables.pop(c).items() for c in shape.children[t]]
         here = tables[t] = {}
-        for s1, cnt1 in left.items():
-            pairs: dict = {}
-            for c1 in s1:
-                for lbl, moves in rules[t].get(c1, {}).items():
-                    pairs.setdefault(lbl, []).extend(moves)
-            for s2, cnt2 in right.items() if pairs else ():
-                for moves in pairs.values():
-                    key = frozenset([s for s, c2 in moves if c2 in s2])
-                    built += len(key)
-                    if built > frontier_limit:
-                        raise LimitExceededError(
-                            f"slice DP built more than {frontier_limit} state-set "
-                            f"entries at decomposition node {t}"
-                        )
-                    if key:
-                        here[key] = here.get(key, 0) + cnt1 * cnt2
-    return sum(cnt for ss, cnt in tables[shape.root].items() if initial in ss)
+        for picks in itertools.product(*below):
+            sets = [ss for ss, _ in picks]
+            cnt = math.prod(n for _, n in picks)
+            for pairs in moves[t].values():
+                key = frozenset([s for s, o in pairs if all(map(contains, sets, o))])
+                built += len(key)
+                if built > frontier_limit:
+                    raise LimitExceededError(
+                        f"slice DP built more than {frontier_limit} state-set "
+                        f"entries at decomposition node {t}"
+                    )
+                if key:
+                    here[key] = here.get(key, 0) + cnt
+    return sum(cnt for ss, cnt in tables[shape.root].items() if aut.initial in ss)
 
 
 # ---------------------------------------------------------------------------

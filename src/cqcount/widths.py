@@ -1,8 +1,7 @@
 """Hypergraphs, tree decompositions and width measures.
 
 Provides exact treewidth (small inputs), a min-fill heuristic, conversion to
-nice decompositions, fractional hypertreewidth for small hypergraphs, and
-mu-width for a given fractional independent set.
+nice decompositions, and fractional hypertreewidth for small hypergraphs.
 
 The fractional independent set number alpha* and the fractional edge cover
 number rho* come from one exact rational LP, the packing LP: alpha* and its
@@ -20,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DecompositionError, LimitExceededError, UncoverableVertexError
 from .lp import solve_min
@@ -317,10 +316,12 @@ def _elimination_dp(
 
 
 def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+    """Indices of the set bits of mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecomposition:
@@ -528,14 +529,6 @@ def fractional_edge_cover_number(
     return value, weights
 
 
-def fractional_independent_set_number(
-    h: Hypergraph,
-) -> tuple[Fraction, dict[Vertex, Fraction]]:
-    """Exact maximum total mass of a fractional independent set (the dual)."""
-    value, mu, _ = _packing_lp(h)
-    return value, mu
-
-
 def induced_hypergraph(h: Hypergraph, x: Iterable) -> Hypergraph:
     """Restriction to X: edges are the nonempty intersections with X."""
     xs = frozenset(x)
@@ -598,33 +591,3 @@ def fhw_exact_small(
     if value is None:
         return Fraction(0), td
     return value, td
-
-
-def validate_fractional_independent_set(
-    h: Hypergraph, mu: Mapping
-) -> dict[Vertex, Fraction]:
-    out = {}
-    for v in h.vertices:
-        if v not in mu:
-            raise ValueError(f"mu assigns no weight to vertex {v!r}")
-        w = Fraction(mu[v])
-        if not 0 <= w <= 1:
-            raise ValueError(f"mu[{v!r}] = {w} outside [0, 1]")
-        out[v] = w
-    for e in h.edges:
-        total = sum(out[v] for v in e)
-        if total > 1:
-            raise ValueError(f"mu sums to {total} > 1 on edge {sorted(e, key=_vkey)}")
-    return out
-
-
-def mu_width(h: Hypergraph, mu: Mapping, vertex_limit: int = 8) -> Fraction:
-    """Minimum over decompositions of the maximum bag mass under mu."""
-    weights = validate_fractional_independent_set(h, mu)
-    value, _ = _elimination_dp(
-        h,
-        lambda bag: sum((weights[v] for v in bag), Fraction(0)),
-        vertex_limit,
-        "mu_width",
-    )
-    return Fraction(0) if value is None else value

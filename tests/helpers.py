@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
@@ -14,6 +15,7 @@ from cqcount.widths import (
     Hypergraph,
     TreeDecomposition,
     _elimination_dp,
+    _packing_lp,
     _postorder,
     _vkey,
     fractional_edge_cover_number,
@@ -144,6 +146,43 @@ def fhw_exact_small_whole_bag(
     value, order = _elimination_dp(h, rho, vertex_limit, "fhw_exact_small")
     td = td_from_elimination_order(h, order)
     return (Fraction(0) if value is None else value), td
+
+
+def fractional_independent_set_number(h: Hypergraph) -> tuple[Fraction, dict]:
+    """Exact maximum total mass of a fractional independent set: the packing
+    LP's primal optimum, a duality certificate for its edge cover."""
+    value, mu, _ = _packing_lp(h)
+    return value, mu
+
+
+def validate_fractional_independent_set(h: Hypergraph, mu: Mapping) -> dict:
+    """mu as Fractions, checked to be a fractional independent set of h: a
+    weight in [0, 1] on every vertex, summing to at most 1 on every edge."""
+    out = {}
+    for v in h.vertices:
+        if v not in mu:
+            raise ValueError(f"mu assigns no weight to vertex {v!r}")
+        w = Fraction(mu[v])
+        if not 0 <= w <= 1:
+            raise ValueError(f"mu[{v!r}] = {w} outside [0, 1]")
+        out[v] = w
+    for e in h.edges:
+        total = sum(out[v] for v in e)
+        if total > 1:
+            raise ValueError(f"mu sums to {total} > 1 on edge {sorted(e, key=_vkey)}")
+    return out
+
+
+def mu_width(h: Hypergraph, mu: Mapping, vertex_limit: int = 8) -> Fraction:
+    """Minimum over decompositions of the maximum bag mass under mu."""
+    weights = validate_fractional_independent_set(h, mu)
+    value, _ = _elimination_dp(
+        h,
+        lambda bag: sum((weights[v] for v in bag), Fraction(0)),
+        vertex_limit,
+        "mu_width",
+    )
+    return Fraction(0) if value is None else value
 
 
 def restricted_parts(ih: ImplicitAnswerHypergraph, vs) -> list[frozenset]:

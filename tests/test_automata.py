@@ -282,6 +282,24 @@ def test_count_slice_empty_transitions():
         assert count_labelings_oracle(aut, chain(n)) == 0
 
 
+def test_count_slice_node_with_three_children_accepts_nothing():
+    # The root's one move is binary and every leaf accepts: with two leaf
+    # children the tree is accepted, with three it is not, as no outcome may
+    # drop the third child.
+    for kids, want in [(2, 1), (3, 0)]:
+        shape = TreeDecomposition.make(
+            0, [tuple(range(1, kids + 1))] + [()] * kids, [()] * (kids + 1)
+        )
+        aut = make_automaton(
+            {"r", "l"},
+            {(t, "a") for t in range(kids + 1)},
+            {("r", (0, "a")): {("l", "l")}}
+            | {("l", (t, "a")): {()} for t in range(1, kids + 1)},
+            "r",
+        )
+        assert count_slice_exact(aut, shape) == want, kids
+
+
 def _nice_td_for(q):
     h = build_hypergraph(q)
     _, td = fhw_exact_small(h)

@@ -16,23 +16,23 @@ from cqcount import (
     fhw_exact_small,
     fhw_of_td,
     fractional_edge_cover_number,
-    fractional_independent_set_number,
     is_valid_td,
     make_nice,
-    mu_width,
     treewidth_exact,
     treewidth_heuristic,
 )
 from cqcount import widths
 from cqcount.lp import LPUnboundedError, solve_min
-from cqcount.widths import (
-    induced_hypergraph,
-    td_from_elimination_order,
-    validate_fractional_independent_set,
-)
+from cqcount.widths import induced_hypergraph, td_from_elimination_order
 
 from conftest import random_hypergraph
-from helpers import fhw_exact_small_whole_bag, min_fill_order
+from helpers import (
+    fhw_exact_small_whole_bag,
+    fractional_independent_set_number,
+    min_fill_order,
+    mu_width,
+    validate_fractional_independent_set,
+)
 
 EDGE = Hypergraph.from_graph([(0, 1)])
 TRIANGLE = Hypergraph.from_graph([(0, 1), (1, 2), (0, 2)])
