@@ -49,8 +49,9 @@ class Query:
 
     Invariants (enforced by :meth:`make`):
       * free and existential variables are disjoint, no duplicates;
-      * every variable occurs in at least one atom (equalities count until
-        normalization removes them);
+      * every variable occurs somewhere in the body: in a relation atom, a
+        negated atom, a disequality or an equality (until normalization
+        removes equalities);
       * each relation name is used with a single arity;
       * disequality and equality pairs relate two distinct / declared
         variables and are stored canonically sorted.

@@ -29,14 +29,20 @@ evaluator's own form, so any value sets fit; a layer's interval is the mask
 Both homomorphism backends answer a layer-decorated check without building
 the layered structure: tagged relations ignore layer indices, so the check
 collapses to a value-level search with per-variable allowed masks (layer boxes
-plus colour filters). Each backend plans its search once per run, when its
-evaluator is built. `bruteforce` backtracks over the variables in a fixed
-order, each level holding its forward checks into later neighbours and the
-atoms of arity >= 3 it completes; `td-dp` runs one dynamic program along a
-nice tree decomposition of the query, checked once and flattened into
-postorder steps over the same bitmask tables. Tests pin both against the
-explicit construction (build_hat_A / build_hat_B plus the plain solvers) and
-against homsolver.hom_exists_td, the paper's DP over the explicit structures.
+plus colour filters). The evaluator builds each atom once from its facts,
+keeping those that agree wherever the atom repeats a variable, as domain
+indices of its distinct variables: an atom over one variable narrows that
+variable's base mask, one over two becomes a support mask per value in each
+direction, and one over more keeps its set of index rows. A negated atom
+complements its masks, or needs its row missing. Both backends plan their
+search once per run over that form, when the evaluator is built.
+`bruteforce` backtracks over the variables in a fixed order, each level
+holding its forward checks into later neighbours and the atoms over three or
+more variables it completes; `td-dp` runs one dynamic program along a nice
+tree decomposition of the query, checked once and flattened into postorder
+steps over the same bitmask tables. Tests pin both against the explicit
+construction (build_hat_A / build_hat_B plus the plain solvers) and against
+homsolver.hom_exists_td, the paper's DP over the explicit structures.
 """
 
 from __future__ import annotations
@@ -147,49 +153,45 @@ class _Evaluator:
 
     def __init__(self, ih: ImplicitAnswerHypergraph, backend: str):
         q, d = ih.query, ih.database
-        self.ih = ih
         self.nvars = len(q.variables)
         pos = {v: i for i, v in enumerate(q.variables)}
-        dom = ih.domain
-        nd = len(dom)
-        self.full_mask = (1 << nd) - 1
+        self.values = ih.domain
+        index = {w: i for i, w in enumerate(ih.domain)}
+        nd = len(ih.domain)
+        full = self.full_mask = (1 << nd) - 1
 
-        base = [self.full_mask] * self.nvars
-        binary: list[tuple[int, int, list[int]]] = []
-        higher: list[tuple[tuple[int, ...], frozenset, bool]] = []
+        # rows: the facts that agree wherever the atom repeats a variable, as
+        # value indices of its distinct variables in first-occurrence order.
+        self.base = [full] * self.nvars
+        self.adj: list[list[tuple[int, list[int]]]] = [[] for _ in range(self.nvars)]
+        self.higher: list[tuple[tuple[int, ...], frozenset, bool]] = []
         for sym, args, negated in [(s, a, False) for s, a in q.predicates] + [
             (s, a, True) for s, a in q.negated_predicates
         ]:
-            facts = d.relations[sym]
             distinct = tuple(dict.fromkeys(args))
+            first = [args.index(v) for v in args]
+            cols = [args.index(v) for v in distinct]
+            rows = {
+                tuple(index[t[p]] for p in cols)
+                for t in d.relations[sym]
+                if all(t[p] == t[f] for p, f in enumerate(first))
+            }
             if len(distinct) == 1:
-                x = pos[distinct[0]]
-                mask = 0
-                for i, w in enumerate(dom):
-                    hit = tuple(w for _ in args) in facts
-                    if hit != negated:
-                        mask |= 1 << i
-                base[x] &= mask
+                mask = sum(1 << a for (a,) in rows)
+                self.base[pos[distinct[0]]] &= mask ^ full if negated else mask
             elif len(distinct) == 2:
                 xi, xj = pos[distinct[0]], pos[distinct[1]]
-                sup_i = [0] * nd
-                sup_j = [0] * nd
-                for a, wa in enumerate(dom):
-                    for b, wb in enumerate(dom):
-                        sub = {distinct[0]: wa, distinct[1]: wb}
-                        hit = tuple(sub[v] for v in args) in facts
-                        if hit != negated:
-                            sup_i[a] |= 1 << b
-                            sup_j[b] |= 1 << a
-                binary.append((xi, xj, sup_i))
-                binary.append((xj, xi, sup_j))
+                sup_i, sup_j = [0] * nd, [0] * nd
+                for a, b in rows:
+                    sup_i[a] |= 1 << b
+                    sup_j[b] |= 1 << a
+                if negated:
+                    sup_i = [m ^ full for m in sup_i]
+                    sup_j = [m ^ full for m in sup_j]
+                self.adj[xi].append((xj, sup_i))
+                self.adj[xj].append((xi, sup_j))
             else:
-                higher.append((tuple(pos[v] for v in args), facts, negated))
-        self.base = base
-        self.higher = higher
-        self.adj: list[list[tuple[int, list[int]]]] = [[] for _ in range(self.nvars)]
-        for xi, xj, sup in binary:
-            self.adj[xi].append((xj, sup))
+                self.higher.append((tuple(pos[v] for v in distinct), frozenset(rows), negated))
 
         self.diseq_pos = [
             (pos[a], pos[b]) for a, b in oriented_disequalities(q)
@@ -261,8 +263,8 @@ class _Evaluator:
         inserts x's values at position p, narrowed by the support mask
         sup[row[cp]] of each (cp, sup) in nbrs, one per binary atom joining x
         to a child bag variable at row position cp, and keeps the rows that
-        satisfy each (positions, facts, negated) of atoms: the atoms of arity
-        >= 3 that hold x and lie in the bag, with facts as value indices.
+        satisfy each (positions, facts, negated) of atoms: the evaluator's
+        atoms over three or more variables that hold x and lie in the bag.
         """
         h = build_hypergraph(q)
         # Past the exact search's vertex limit, min-fill, as analyze does.
@@ -271,11 +273,6 @@ class _Evaluator:
         td = make_nice(h, td)
         if not (td.is_nice() and is_valid_td(h, td)):
             raise DecompositionError("td-dp needs a valid nice decomposition")
-        index = {w: i for i, w in enumerate(self.ih.domain)}
-        higher = [
-            (idxs, frozenset(tuple(index[w] for w in t) for t in facts), negated)
-            for idxs, facts, negated in self.higher
-        ]
         order = [sorted(pos[v] for v in bag) for bag in td.bags]
         plan: list[tuple] = []
         for t in td.postorder():
@@ -298,7 +295,7 @@ class _Evaluator:
                 ]
                 atoms = [
                     (tuple(row.index(i) for i in idxs), facts, negated)
-                    for idxs, facts, negated in higher
+                    for idxs, facts, negated in self.higher
                     if x in idxs and set(idxs) <= set(row)
                 ]
                 plan.append(("introduce", x, row.index(x), nbrs, atoms))
@@ -347,8 +344,8 @@ class _Evaluator:
         size. fwd holds the (y, sup) of each binary atom from x to a later
         variable y, narrowing y to sup[value of x]; a check back into an
         earlier neighbour would always pass, since that neighbour's forward
-        check already narrowed x. atoms holds the atoms of arity >= 3 that x
-        completes."""
+        check already narrowed x. atoms holds the atoms over three or more
+        variables that x completes."""
         base = self.base
         order = list(range(ell)) + sorted(
             range(ell, self.nvars), key=lambda i: base[i].bit_count()
@@ -366,9 +363,6 @@ class _Evaluator:
         """Backtrack over the plan's levels under the domains dom."""
         levels = self._plan
         n = len(levels)
-        if not n:
-            return ()
-        values = self.ih.domain
         assigned = [0] * n
         # Depth-first over the levels, without recursion: m holds the untried
         # values of level k's variable under the domains cur, and stack the
@@ -396,14 +390,13 @@ class _Evaluator:
                 continue
             assigned[x] = b
             for idxs, facts, negated in atoms:
-                hit = tuple(values[assigned[i]] for i in idxs) in facts
-                if hit == negated:
+                if (tuple(assigned[i] for i in idxs) in facts) == negated:
                     ok = False
                     break
             if not ok:
                 continue
             if k + 1 == n:
-                return tuple(values[i] for i in assigned)
+                return tuple(self.values[i] for i in assigned)
             stack.append((k, m, cur))
             k, m, cur = k + 1, nxt[levels[k + 1][0]], nxt
 
@@ -841,7 +834,7 @@ def approx_count_answers(
     d: Database,
     epsilon: float,
     delta: float,
-    seed: int | random.Random,
+    seed: int,
     backend: str = "bruteforce",
     stats: OracleStats | None = None,
     probe_budget: int = 20_000,
@@ -859,10 +852,6 @@ def approx_count_answers(
     of each attempt's estimator (see estimate_edges).
     """
     ih = ImplicitAnswerHypergraph(q, d)
-    if isinstance(seed, random.Random):
-        base_seed = seed.getrandbits(64)
-    else:
-        base_seed = int(seed)
     if stats is None:
         stats = OracleStats()
 
@@ -871,8 +860,8 @@ def approx_count_answers(
         # A share that underflows to 0 stands in as the least positive float,
         # for which clique_repetitions raises BudgetExceededError.
         delta_prime = (delta / 2) / cap or math.ulp(0.0)
-        oracle_rng = derive_rng(base_seed, attempt, 0)
-        est_rng = derive_rng(base_seed, attempt, 1)
+        oracle_rng = derive_rng(seed, attempt, 0)
+        est_rng = derive_rng(seed, attempt, 1)
         memo: dict = {}
         sims = 0
 

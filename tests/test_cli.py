@@ -112,6 +112,26 @@ def test_count_fptras_long_path(capsys, tmp_path):
     assert docs["bruteforce"]["oracle_stats"] == docs["td-dp"]["oracle_stats"]
 
 
+def test_variable_only_in_a_disequality(capsys, instance, tmp_path):
+    # z occurs in no relation atom, only in x != z, and the query is still
+    # accepted: z ranges over the whole domain. The query hypergraph has no
+    # edge holding z, so the measures that cover vertices by edges fail.
+    query = tmp_path / "lone.txt"
+    query.write_text("q(x, z) :- E(x, y), x != z", encoding="utf-8")
+    count = ["count", "--query", str(query), "--db", instance["db"]]
+    code, doc, _ = run(capsys, [*count, "--method", "exact"])
+    assert code == EXIT_OK
+    assert doc["count"] == 6
+    for backend in ("bruteforce", "td-dp"):
+        code, doc, _ = run(capsys, [*count, *FPTRAS, "--hom-backend", backend])
+        assert code == EXIT_OK
+        assert doc["estimate"] == 6
+    code, doc, _ = run(capsys, ["analyze", "--query", str(query)])
+    assert code == EXIT_OK
+    for measure in ("fhw", "rho"):
+        assert doc["measures"][measure]["error"] == "uncoverable-vertex"
+
+
 def test_count_fhw(capsys, instance):
     code, doc, _ = run(capsys, [
         "count", "--query", instance["plain"], "--db", instance["db"],

@@ -185,11 +185,38 @@ def test_hat_A_markers():
     assert names == {"E", "@p1", "@p2", "@r1", "@b1"}
 
 
+# Atoms whose facts the evaluator must filter or complement with care: a
+# repeated variable, whose facts count only where they agree (R(2, 0, 1) must
+# not pass for R(x, y, x) at x = 2, y = 0), plain and under negation, and a
+# negated binary atom whose complement holds a value, 3, that is in no fact.
+HAND_ATOMS = [
+    (
+        parse_query("q(x, y) :- E(x, y), !E(x, x), x != y"),
+        Database.make([0, 1, 2], {"E": (2, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])}),
+    ),
+    (
+        parse_query("q(x, y) :- R(x, y, x)"),
+        Database.make([0, 1, 2], {"R": (3, [(0, 1, 0), (0, 1, 2), (1, 2, 1), (2, 0, 1)])}),
+    ),
+    (
+        parse_query("q(x, z) :- E(x, z), !R(x, y, x), x != z"),
+        Database.make([0, 1, 2], {
+            "E": (2, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]),
+            "R": (3, [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 2, 1), (2, 0, 1)]),
+        }),
+    ),
+    (
+        parse_query("q(x, y) :- E(x, z), !F(z, y), x != y"),
+        Database.make([0, 1, 2, 3], {"E": (2, [(0, 1), (1, 2)]), "F": (2, [(1, 0), (2, 1)])}),
+    ),
+]
+
+
 def test_explicit_hat_hom_equals_evaluator():
     # The fast per-variable-mask search must decide exactly the same
     # question as a homomorphism between the explicit decorated structures.
-    for seed in range(25):
-        q, d = corpus_instance(seed, max_vars=4, max_domain=3)
+    cases = [corpus_instance(seed, max_vars=4, max_domain=3) for seed in range(25)]
+    for seed, (q, d) in enumerate(cases + HAND_ATOMS):
         ih = ImplicitAnswerHypergraph(q, d)
         rng = random.Random(seed)
         hat_a = build_hat_A(q)
@@ -272,12 +299,12 @@ def test_td_plan_matches_hom_exists_td_on_hand_cases():
     # The 17-variable path is past treewidth_exact's limit, so the evaluator
     # decomposes it by min-fill. The star's two arms meet at a join node on
     # x, and no value of x has both, so only intersecting them finds that
-    # the full box holds no answer.
+    # the full box holds no answer. HAND_ATOMS pin how atoms are built.
     star = (
         parse_query("q(x) :- E(x, y), F(x, z)"),
         Database.make([0, 1, 2], {"E": (2, [(0, 1)]), "F": (2, [(1, 2)])}),
     )
-    for q, d in (_path17(), star):
+    for q, d in [_path17(), star] + HAND_ATOMS:
         _assert_td_plan_matches_hom_exists_td(q, d)
 
 
@@ -509,16 +536,33 @@ def test_edgefree_search_before_colouring_keeps_the_stream(backend):
         _assert_same_draws(ImplicitAnswerHypergraph(q, d), backend, seed)
 
 
+def _k3_with_pendant():
+    """A K3 of disequalities plus a pendant K2, over both directions of a
+    5-cycle with one chord: a mixed clique cover, so each sample draws the
+    K3's classes value by value and the K2's through _colour_classes's
+    single-draw branch."""
+    q = parse_query(
+        "q(a, b, c, e) :- E(a, b), E(b, c), E(c, e), a != b, b != c, a != c, c != e"
+    )
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
+    d = Database.make(range(5), {"E": (2, edges + [(v, u) for u, v in edges])})
+    return q, d
+
+
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
 def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
     # hampath(K4) is one K4 clique and the star K1,3 lihom one K3 clique, so
-    # both draw through _colour_classes, not the single K2 draw.
+    # both draw through _colour_classes, not the single K2 draw; the K3 with
+    # a pendant K2 draws through both of its branches.
     ham = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
     star = ImplicitAnswerHypergraph(*gen_li_hom([(0, 1), (0, 2), (0, 3)], K4))
+    mixed = ImplicitAnswerHypergraph(*_k3_with_pendant())
     assert [len(c) for c in ham.evaluator(backend).cliques] == [4]
     assert [len(c) for c in star.evaluator(backend).cliques] == [3]
+    assert [len(c) for c in mixed.evaluator(backend).cliques] == [3, 2]
     _assert_same_draws(ham, backend, 0, delta_prime=0.3)
     _assert_same_draws(star, backend, 1)
+    _assert_same_draws(mixed, backend, 2)
 
 
 @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 65, 100])
@@ -976,6 +1020,15 @@ def test_approx_count_restart_during_walks_golden(backend):
         "edgefree_calls": 475, "colourings_sampled": 5435, "hom_calls": 2662,
         "estimator_walks": 2470, "restarts": 1,
     }
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+@pytest.mark.parametrize("probe", [20_000, 0])
+def test_approx_count_mixed_clique_cover(backend, probe):
+    q, d = _k3_with_pendant()
+    true = count_answers_bruteforce(q, d)
+    got = approx_count_answers(q, d, 0.3, 0.2, seed=3, backend=backend, probe_budget=probe)
+    assert abs(got - true) <= 0.3 * true, (got, true)
 
 
 def test_approx_count_td_backend_agrees():
