@@ -61,17 +61,15 @@ class TreeAutomaton:
 class _NodeTable(NamedTuple):
     """A node's states, as the rows of its bag table, and its transitions.
 
-    Nodes with the same bag share rows and base, so a join node and its
-    children number their rows alike. A row's label is its free values; rows
-    with equal labels are contiguous, and base[i] is the first row of row
-    i's label.
-    A state set holds rows of one label, so it is a pair (base, mask): row
-    base + k is in it when bit k of mask is set. At a unary node, up[j] lists
-    the (base, mask) parts of the rows that agree with the child's row j; at
-    any other node up is None, and each row passes itself to every child."""
+    Nodes with the same bag share rows, so a join node and its children
+    number their rows alike. A row's label is its free values, and rows with
+    equal labels are contiguous. A state set holds rows of one label, so it
+    is a pair (base, mask), base being the label's first row: row base + k is
+    in it when bit k of mask is set. At a unary node, up[j] lists the
+    (base, mask) parts of the rows that agree with the child's row j; at any
+    other node up is None, and each row passes itself to every child."""
 
     rows: list[tuple]
-    base: list[int]
     up: list[list[tuple[int, int]]] | None
 
 
@@ -99,7 +97,7 @@ def build_automaton(
     states, alphabet, transitions = {initial}, {initial}, {}
     free = set(q.free_vars)
     tables = _node_tables(q, d, td, state_limit)
-    for t, (rows, _, up) in enumerate(tables):
+    for t, (rows, up) in enumerate(tables):
         kids = td.children[t]
         at = [i for i, x in enumerate(sorted(td.bags[t], key=_vkey)) if x in free]
         if up is None:
@@ -189,7 +187,7 @@ def _node_tables(
                 up = [
                     [] if i is None else [(base[i], 1 << (i - base[i]))] for i in hits
                 ]
-        out.append(_NodeTable(rows, base, up))
+        out.append(_NodeTable(rows, up))
     return out
 
 
@@ -223,7 +221,7 @@ def _count_masks(
     built = 0
     for t in shape.postorder():
         below = [counts.pop(c) for c in shape.children[t]]
-        rows, _, up = tables[t]
+        rows, up = tables[t]
         here = counts[t] = {}
         if not rows:
             continue

@@ -150,14 +150,6 @@ class RunConfig:
     hom_backend: str = "bruteforce"
     limits: dict = field(default_factory=dict)
 
-    def limit(self, key: str):
-        return limit_value(self.limits, key)
-
-
-def limit_value(limits: dict, key: str):
-    """The value of a limit: its override in `limits`, else its default."""
-    return limits[key] if key in limits else DEFAULT_LIMITS[key]
-
 
 def _check_limit(key, value, source: str):
     """A validated limit override; QueryValidationError names the key otherwise."""
@@ -232,11 +224,10 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
     q, _ = normalize_equalities(q)
     validate_pair(q, d)
     report: dict = {"method": cfg.method, "query": q.name}
+    limits = {**DEFAULT_LIMITS, **cfg.limits}
 
     if cfg.method == "exact":
-        report["count"] = count_answers_bruteforce(
-            q, d, budget=cfg.limit("enum_budget")
-        )
+        report["count"] = count_answers_bruteforce(q, d, budget=limits["enum_budget"])
     elif cfg.method == "fptras":
         if cfg.epsilon is None or cfg.delta is None or cfg.seed is None:
             raise QueryValidationError(
@@ -256,9 +247,9 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             cfg.seed,
             backend=cfg.hom_backend,
             stats=stats,
-            probe_budget=cfg.limit("probe_budget"),
-            initial_cap=cfg.limit("oracle_cap"),
-            walk_budget=cfg.limit("walk_budget"),
+            probe_budget=limits["probe_budget"],
+            initial_cap=limits["oracle_cap"],
+            walk_budget=limits["walk_budget"],
         )
         report.update(
             estimate=estimate,
@@ -269,14 +260,14 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             oracle_stats=stats.as_dict(),
         )
     elif cfg.method == "fhw":
-        fhw_limit = cfg.limit("fhw_limit")
+        fhw_limit = limits["fhw_limit"]
         result = automata.count_answers_fhw_pipeline(
             q,
             d,
             fhw_limit=Fraction(fhw_limit) if fhw_limit is not None else None,
-            state_limit=cfg.limit("state_limit"),
-            exact_width_vertex_limit=cfg.limit("fhw_vertex_limit"),
-            frontier_limit=cfg.limit("frontier_limit"),
+            state_limit=limits["state_limit"],
+            exact_width_vertex_limit=limits["fhw_vertex_limit"],
+            frontier_limit=limits["frontier_limit"],
         )
         report["count"] = result.count
         report["widths"] = {"fhw": _frac_str(result.fhw), "exact": result.exact}
@@ -300,13 +291,14 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
     q = load_query(query_path)
     q, _ = normalize_equalities(q)
     h = build_hypergraph(q)
+    limits = {**DEFAULT_LIMITS, **limits}
 
     out: dict = {"query": q.name, "measures": {}}
     for measure in measures:
         entry: dict = {}
         try:
             if measure == "tw":
-                vertex_limit = limit_value(limits, "tw_vertex_limit")
+                vertex_limit = limits["tw_vertex_limit"]
                 exact = len(h.vertices) <= vertex_limit
                 if exact:
                     value, td = widths.treewidth_exact(h, vertex_limit)
@@ -314,9 +306,7 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
                     value, td = widths.treewidth_heuristic(h)
                 entry = {"value": value, "exact": exact, "decomposition": td.to_doc()}
             elif measure == "fhw":
-                value, td, exact = automata.fhw_decomposition(
-                    h, limit_value(limits, "fhw_vertex_limit")
-                )
+                value, td, exact = automata.fhw_decomposition(h, limits["fhw_vertex_limit"])
                 entry = {
                     "value": _frac_str(value),
                     "exact": exact,

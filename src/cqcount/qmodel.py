@@ -160,14 +160,9 @@ class Query:
         return Query(name, free, tuple(exist), preds, negs, diseqs, eqs)
 
 
-def var_positions(q: Query) -> dict[str, int]:
-    """Map each variable to its index in the free-then-existential enumeration."""
-    return {v: i for i, v in enumerate(q.variables)}
-
-
 def oriented_disequalities(q: Query) -> tuple[VarPair, ...]:
     """Disequalities oriented and sorted by the variable enumeration order."""
-    pos = var_positions(q)
+    pos = {v: i for i, v in enumerate(q.variables)}
     oriented = []
     for a, b in q.disequalities:
         if pos[a] > pos[b]:

@@ -39,7 +39,7 @@ search once per run over that form, when the evaluator is built.
 `bruteforce` backtracks over the variables in a fixed order, each level
 holding its forward checks into later neighbours and the atoms over three or
 more variables it completes; `td-dp` runs one dynamic program along a nice
-tree decomposition of the query, checked once and flattened into postorder
+tree decomposition of the query, built once and flattened into postorder
 steps over the same bitmask tables. Tests pin both against the explicit
 construction (build_hat_A / build_hat_B plus the plain solvers) and against
 homsolver.hom_exists_td, the paper's DP over the explicit structures.
@@ -54,7 +54,7 @@ import random
 import statistics
 from dataclasses import asdict, dataclass
 
-from .errors import BudgetExceededError, DecompositionError, QueryValidationError
+from .errors import BudgetExceededError, QueryValidationError
 from .homsolver import Structure, build_A, build_B, enumerate_answers_bruteforce
 from .homsolver import hom_exists_td  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .qmodel import (
@@ -67,7 +67,6 @@ from .qmodel import (
 )
 from .widths import (
     TW_EXACT_VERTEX_LIMIT,
-    is_valid_td,
     make_nice,
     treewidth_exact,
     treewidth_heuristic,
@@ -238,8 +237,6 @@ class _Evaluator:
         box = list(self.base)
         for i, m in enumerate(layer_masks):
             box[i] &= m
-        if not all(box):
-            return lambda colour_masks: None
         search, diseq_pos = self._search, self.diseq_pos
 
         def run(colour_masks) -> tuple | None:
@@ -255,7 +252,7 @@ class _Evaluator:
 
     def _plan_td(self, q: Query, pos: dict) -> list[tuple]:
         """The td-dp search as flat postorder steps over a nice decomposition
-        of the query, checked here once. A bag's rows are tuples of value
+        of the query, built here once. A bag's rows are tuples of value
         indices in the order of its variable indices.
 
         ("leaf",); ("join",) intersects the two children's tables;
@@ -271,8 +268,6 @@ class _Evaluator:
         exact = len(h.vertices) <= TW_EXACT_VERTEX_LIMIT
         _, td = treewidth_exact(h) if exact else treewidth_heuristic(h)
         td = make_nice(h, td)
-        if not (td.is_nice() and is_valid_td(h, td)):
-            raise DecompositionError("td-dp needs a valid nice decomposition")
         order = [sorted(pos[v] for v in bag) for bag in td.bags]
         plan: list[tuple] = []
         for t in td.postorder():
@@ -673,6 +668,10 @@ def _halves(box: tuple[tuple[int, int], ...]) -> tuple:
     return ()
 
 
+class _CallBudgetExceeded(BudgetExceededError):
+    """Internal: count_edges_exact_oracle's own call budget ran out."""
+
+
 def count_edges_exact_oracle(
     ih: ImplicitAnswerHypergraph,
     edgefree,
@@ -690,7 +689,7 @@ def count_edges_exact_oracle(
         nonlocal calls
         calls += 1
         if budget is not None and calls > budget:
-            raise BudgetExceededError(
+            raise _CallBudgetExceeded(
                 f"edge-freeness call budget of {budget} exhausted"
             )
         return edgefree(box)
@@ -765,7 +764,9 @@ def estimate_edges(
     """(epsilon, delta)-style edge count estimate from edge-freeness queries.
 
     First probes with the exact counter under `probe_budget` queries and
-    returns its answer when the instance is small enough. Otherwise runs
+    returns its answer when the instance is small enough; the probe stops
+    only on that call budget, and any other error of edgefree, such as
+    clique_repetitions' BudgetExceededError, propagates. Otherwise runs
     median-of-means over random-walk samples: m = ceil(18 ln(2/delta)) means
     of g walks each, g chosen from a pilot variance estimate so a single mean
     lands within epsilon relative error with probability at least 3/4.
@@ -782,7 +783,7 @@ def estimate_edges(
     if probe_budget > 0:
         try:
             return count_edges_exact_oracle(ih, edgefree, budget=probe_budget)
-        except BudgetExceededError:
+        except _CallBudgetExceeded:
             pass
     base = rng.getrandbits(64)
     counter = 0

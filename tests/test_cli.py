@@ -374,13 +374,19 @@ def test_exit_budget_walk_budget(capsys, instance):
 @pytest.mark.parametrize("params,want,words", [
     # delta/2/oracle_cap underflows to 0: no finite colour-coding count.
     (["--epsilon", "0.3", "--delta", "1e-320"], EXIT_BUDGET, "samples"),
+    # The same, under a walk budget the pilot would exceed: the exact probe
+    # stops only on its own call budget, so the colour-coding error is not
+    # taken for a reason to walk.
+    (["--epsilon", "0.3", "--delta", "1e-320", "--limit", "walk_budget=10"],
+     EXIT_BUDGET, "samples"),
     # epsilon**2 underflows to 0: no finite number of walks.
     (["--epsilon", "1e-170", "--delta", "0.2", "--limit", "probe_budget=0"],
      EXIT_BUDGET, "walks"),
     # delta/2 underflows to 0 before anything runs.
     (["--epsilon", "0.3", "--delta", "5e-324", "--limit", "probe_budget=0"],
      EXIT_VALIDATION, "too small to halve"),
-], ids=["delta-prime-underflow", "epsilon-squared-underflow", "half-delta-underflow"])
+], ids=["delta-prime-underflow", "delta-prime-underflow-walk-budget",
+        "epsilon-squared-underflow", "half-delta-underflow"])
 def test_extreme_epsilon_delta_end_in_one_error_line(capsys, instance, params, want, words):
     code, doc, err = run(capsys, [
         "count", "--query", instance["query"], "--db", instance["db"],

@@ -309,13 +309,15 @@ def test_td_plan_matches_hom_exists_td_on_hand_cases():
 
 
 def test_td_backend_checks_its_decomposition_once(monkeypatch):
-    # The nice decomposition is checked when the td-dp evaluator is built,
-    # not on every search. make_nice's check of the decomposition it is
-    # given, which is not nice, is not counted.
+    # The decomposition is checked once, when the td-dp evaluator is built:
+    # make_nice checks the one it is given, which is not nice, and asserts
+    # that its own output is nice, so nothing checks that output again,
+    # neither the plan nor any search.
     real = widths.is_valid_td
-    nice_checks = []
+    checks, nice_checks = [], []
 
     def counting(h, td):
+        checks.append(td)
         if td.is_nice():
             nice_checks.append(td)
         return real(h, td)
@@ -326,7 +328,8 @@ def test_td_backend_checks_its_decomposition_once(monkeypatch):
     stats = OracleStats()
     approx_count_answers(q, d, 0.25, 0.1, seed=7, backend="td-dp", stats=stats)
     assert stats.hom_calls > 1
-    assert len(nice_checks) == 1
+    assert len(checks) == 1
+    assert len(nice_checks) == 0
 
 
 def test_bruteforce_backend_plans_its_search_once(monkeypatch):
@@ -1020,6 +1023,17 @@ def test_approx_count_restart_during_walks_golden(backend):
         "edgefree_calls": 475, "colourings_sampled": 5435, "hom_calls": 2662,
         "estimator_walks": 2470, "restarts": 1,
     }
+
+
+def test_approx_count_gives_up_after_max_attempts(monkeypatch):
+    # A cap of 1, then 4, runs out on each attempt's probe, so the restart
+    # loop ends in its own error, having counted a restart per attempt.
+    monkeypatch.setattr(reduction, "MAX_ATTEMPTS", 2)
+    q, d = gen_li_hom(P3, _circulant(7))
+    stats = OracleStats()
+    with pytest.raises(BudgetExceededError, match="after 2 attempts"):
+        approx_count_answers(q, d, 0.25, 0.1, seed=7, stats=stats, initial_cap=1)
+    assert stats.restarts == 2
 
 
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
