@@ -2,7 +2,7 @@
 
 One command is one batch process. The report is a single JSON document on
 standard output; logs go to standard error. Exit codes: 0 success, 2 parse
-error, 3 validation error, 4 budget or limit exceeded.
+error, 4 budget or limit exceeded, 3 any other cqcount error or unreadable file.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ from pathlib import Path
 from . import automata, reduction, widths
 from .errors import (
     BudgetExceededError,
+    CqcountError,
     DatabaseParseError,
-    DatabaseValidationError,
-    DecompositionError,
     LimitExceededError,
-    PairValidationError,
     QueryParseError,
     QueryValidationError,
     UncoverableVertexError,
-    UnsupportedQueryError,
 )
 from .homsolver import count_answers_bruteforce
 from .qmodel import (
@@ -161,6 +158,8 @@ def _check_limit(key, value, source: str):
         return None
     if key == "fhw_limit" and isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         return Fraction(value)
+    if key == "fhw_limit" and isinstance(value, Fraction) and value >= 0:
+        return value
     least = 1 if key == "oracle_cap" else 0
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         kind = "none or an integer" if key in NULLABLE_LIMITS else "an integer"
@@ -203,13 +202,15 @@ def _load_limits(pairs: list[str] | None) -> dict:
     return limits
 
 
+def _limits(overrides: dict) -> dict:
+    """DEFAULT_LIMITS with each override checked and merged over it."""
+    checked = {key: _check_limit(key, value, "in limits") for key, value in overrides.items()}
+    return {**DEFAULT_LIMITS, **checked}
+
+
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +220,12 @@ def _frac_str(x: Fraction) -> str:
 def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
     """Count or estimate the answers; returns the report document."""
     start = time.monotonic()
+    limits = _limits(cfg.limits)
     q = load_query(query_path)
     d = load_database(db_path)
     q, _ = normalize_equalities(q)
     validate_pair(q, d)
     report: dict = {"method": cfg.method, "query": q.name}
-    limits = {**DEFAULT_LIMITS, **cfg.limits}
 
     if cfg.method == "exact":
         report["count"] = count_answers_bruteforce(q, d, budget=limits["enum_budget"])
@@ -260,17 +261,16 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             oracle_stats=stats.as_dict(),
         )
     elif cfg.method == "fhw":
-        fhw_limit = limits["fhw_limit"]
         result = automata.count_answers_fhw_pipeline(
             q,
             d,
-            fhw_limit=Fraction(fhw_limit) if fhw_limit is not None else None,
+            fhw_limit=limits["fhw_limit"],
             state_limit=limits["state_limit"],
             exact_width_vertex_limit=limits["fhw_vertex_limit"],
             frontier_limit=limits["frontier_limit"],
         )
         report["count"] = result.count
-        report["widths"] = {"fhw": _frac_str(result.fhw), "exact": result.exact}
+        report["widths"] = {"fhw": str(result.fhw), "exact": result.exact}
     else:
         raise QueryValidationError(f"unknown method {cfg.method!r}")
 
@@ -288,10 +288,10 @@ ALL_MEASURES = ("tw", "fhw", "rho")
 def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
     """Width measures of the query hypergraph, with witness decompositions."""
     start = time.monotonic()
+    limits = _limits(limits)
     q = load_query(query_path)
     q, _ = normalize_equalities(q)
     h = build_hypergraph(q)
-    limits = {**DEFAULT_LIMITS, **limits}
 
     out: dict = {"query": q.name, "measures": {}}
     for measure in measures:
@@ -307,17 +307,13 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
                 entry = {"value": value, "exact": exact, "decomposition": td.to_doc()}
             elif measure == "fhw":
                 value, td, exact = automata.fhw_decomposition(h, limits["fhw_vertex_limit"])
-                entry = {
-                    "value": _frac_str(value),
-                    "exact": exact,
-                    "decomposition": td.to_doc(),
-                }
+                entry = {"value": str(value), "exact": exact, "decomposition": td.to_doc()}
             elif measure == "rho":
                 value, weights = widths.fractional_edge_cover_number(h)
                 entry = {
-                    "value": _frac_str(value),
+                    "value": str(value),
                     "weights": {
-                        "/".join(str(v) for v in sorted(e, key=repr)): _frac_str(w)
+                        "/".join(str(v) for v in sorted(e, key=repr)): str(w)
                         for e, w in weights.items()
                     },
                 }
@@ -325,8 +321,6 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
                 raise QueryValidationError(
                     f"unknown measure {measure!r}; known: {', '.join(ALL_MEASURES)}"
                 )
-        except LimitExceededError as exc:
-            entry = {"error": "limit-exceeded", "detail": str(exc)}
         except UncoverableVertexError as exc:
             entry = {"error": "uncoverable-vertex", "detail": str(exc)}
         out["measures"][measure] = entry
@@ -449,20 +443,12 @@ def main(argv: list[str] | None = None) -> int:
     except (QueryParseError, DatabaseParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        QueryValidationError,
-        DatabaseValidationError,
-        PairValidationError,
-        UnsupportedQueryError,
-        DecompositionError,
-        UncoverableVertexError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (BudgetExceededError, LimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (CqcountError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

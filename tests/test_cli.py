@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from cqcount import Database, dump_database, gen_hampath, widths
+from cqcount import Database, cli, dump_database, gen_hampath, widths
 from cqcount.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -16,7 +17,18 @@ from cqcount.cli import (
     EXIT_VALIDATION,
     LIMITS_ENV_VAR,
     REPORT_SCHEMA,
+    RunConfig,
+    cmd_analyze,
+    cmd_count,
     main,
+)
+from cqcount.errors import (
+    BudgetExceededError,
+    CqcountError,
+    DatabaseParseError,
+    LimitExceededError,
+    QueryParseError,
+    QueryValidationError,
 )
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -115,21 +127,28 @@ def test_count_fptras_long_path(capsys, tmp_path):
 def test_variable_only_in_a_disequality(capsys, instance, tmp_path):
     # z occurs in no relation atom, only in x != z, and the query is still
     # accepted: z ranges over the whole domain. The query hypergraph has no
-    # edge holding z, so the measures that cover vertices by edges fail.
+    # edge holding z, so the measures that cover vertices by edges fail. In
+    # the second query z is existential: Query.make adds it to the
+    # existential variables from the disequality, since no atom holds it.
     query = tmp_path / "lone.txt"
-    query.write_text("q(x, z) :- E(x, y), x != z", encoding="utf-8")
-    count = ["count", "--query", str(query), "--db", instance["db"]]
-    code, doc, _ = run(capsys, [*count, "--method", "exact"])
-    assert code == EXIT_OK
-    assert doc["count"] == 6
-    for backend in ("bruteforce", "td-dp"):
-        code, doc, _ = run(capsys, [*count, *FPTRAS, "--hom-backend", backend])
+    for text, answers in [
+        ("q(x, z) :- E(x, y), x != z", 6),
+        ("q(x) :- E(x, y), x != z", 3),
+    ]:
+        query.write_text(text, encoding="utf-8")
+        count = ["count", "--query", str(query), "--db", instance["db"]]
+        code, doc, _ = run(capsys, [*count, "--method", "exact"])
         assert code == EXIT_OK
-        assert doc["estimate"] == 6
-    code, doc, _ = run(capsys, ["analyze", "--query", str(query)])
-    assert code == EXIT_OK
-    for measure in ("fhw", "rho"):
-        assert doc["measures"][measure]["error"] == "uncoverable-vertex"
+        assert doc["count"] == answers
+        for backend in ("bruteforce", "td-dp"):
+            code, doc, _ = run(capsys, [*count, *FPTRAS, "--hom-backend", backend])
+            assert code == EXIT_OK
+            assert doc["estimate"] == answers
+        code, doc, _ = run(capsys, ["analyze", "--query", str(query)])
+        assert code == EXIT_OK
+        for measure in ("fhw", "rho"):
+            assert doc["measures"][measure]["error"] == "uncoverable-vertex"
+        assert "error" not in doc["measures"]["tw"]
 
 
 def test_count_fhw(capsys, instance):
@@ -291,6 +310,39 @@ def test_exit_validation_bad_limit_flag(capsys, instance, limit, method):
     ])
     assert code == EXIT_VALIDATION
     assert limit.partition("=")[0] in err
+
+
+@pytest.mark.parametrize("limits, key", [
+    ({"walk_budgett": 10}, "walk_budgett"),
+    ({"walk_budget": -5}, "walk_budget"),
+    ({"fhw_limit": Fraction(-1, 2)}, "fhw_limit"),
+    ({"fhw_limit": 1.5}, "fhw_limit"),
+])
+def test_limits_built_in_code_are_checked_before_any_work(monkeypatch, instance, limits, key):
+    # A RunConfig or an analyze limits dict built in code passes the same
+    # check as --limit: a misspelt key is not ignored, and a bad value does
+    # not reach the estimator.
+    def no_work(path):
+        raise AssertionError("a file was loaded")
+
+    monkeypatch.setattr(cli, "load_query", no_work)
+    cfg = RunConfig("fptras", 0.3, 0.2, 1, limits=limits)
+    with pytest.raises(QueryValidationError, match=key):
+        cmd_count(instance["query"], instance["db"], cfg)
+    with pytest.raises(QueryValidationError, match=key):
+        cmd_analyze(instance["query"], ["tw"], limits)
+
+
+@pytest.mark.parametrize("method, limits", [
+    ("fhw", {"fhw_limit": "3/2"}),
+    ("fhw", {"fhw_limit": Fraction(3, 2)}),
+    ("fhw", {"state_limit": None}),
+    ("fptras", {"probe_budget": 500}),
+])
+def test_limits_built_in_code_that_pass_the_check(instance, method, limits):
+    cfg = RunConfig(method, 0.3, 0.2, 4, limits=limits)
+    doc = cmd_count(instance["plain"], instance["db"], cfg)
+    assert doc.get("count", doc.get("estimate")) == 6
 
 
 @pytest.mark.parametrize("content, named", [
@@ -497,6 +549,33 @@ def test_count_and_analyze_report_the_same_fhw(
     assert analyzed["measures"]["fhw"]["exact"] is exact
 
 
+def _error_classes(cls=CqcountError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_error_class_has_an_exit_code(capsys, monkeypatch, error):
+    # The exit code follows the error's class: parse errors 2, budget and
+    # limit errors 4, every other cqcount error 3, and never a traceback.
+    exc = error("boom", 0) if issubclass(error, QueryParseError) else error("boom")
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    code, doc, err = run(capsys, ["analyze", "--query", "unread.txt"])
+    if issubclass(error, (QueryParseError, DatabaseParseError)):
+        assert code == EXIT_PARSE
+    elif issubclass(error, (BudgetExceededError, LimitExceededError)):
+        assert code == EXIT_BUDGET
+    else:
+        assert code == EXIT_VALIDATION
+    assert doc is None
+    assert err.splitlines() == [f"error: {exc}"]
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -530,11 +609,13 @@ def test_analyze_limit_exceeded_is_inline(capsys, tmp_path):
     atoms = ", ".join(f"E(y{i}, y{i+1})" for i in range(10))
     q.write_text(f"q(y0) :- {atoms}", encoding="utf-8")
     code, doc, _ = run(capsys, [
-        "analyze", "--query", str(q), "--measures", "fhw",
+        "analyze", "--query", str(q), "--measures", "tw,fhw",
         "--limit", "fhw_vertex_limit=4", "--limit", "tw_vertex_limit=4",
     ])
     assert code == EXIT_OK
     # Over the exact-width cap the tool falls back to the heuristic witness.
+    assert doc["measures"]["tw"]["exact"] is False
+    assert doc["measures"]["tw"]["value"] == 1
     assert doc["measures"]["fhw"]["exact"] is False
     assert doc["measures"]["fhw"]["value"] == "1"
 
