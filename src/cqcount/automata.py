@@ -8,7 +8,9 @@ and a row's label is its free values. The fhw pipeline counts the automaton
 along the decomposition with one table per node (_node_tables,
 _count_masks). Each state set it meets holds rows of one label, which sit
 next to each other in the table, so it is an integer bitmask over that run
-of rows, one bit per row. build_automaton collects the same transitions into
+of rows, one bit per row. A forget node keeps, per row of t, the mask of
+child rows that agree with it, so it builds a set with one AND per row of
+t's label. build_automaton collects the same transitions into
 a TreeAutomaton, the construction as stated, and count_slice_exact counts
 any TreeAutomaton by the plain DP over frozensets of states; both DPs count
 the same state-set entries against frontier_limit.
@@ -65,12 +67,18 @@ class _NodeTable(NamedTuple):
     number their rows alike. A row's label is its free values, and rows with
     equal labels are contiguous. A state set holds rows of one label, so it
     is a pair (base, mask), base being the label's first row: row base + k is
-    in it when bit k of mask is set. At a unary node, up[j] lists the
-    (base, mask) parts of the rows that agree with the child's row j; at any
-    other node up is None, and each row passes itself to every child."""
+    in it when bit k of mask is set.
+    - At an introduce node, up[j] lists the (base, mask) parts of the rows
+      that agree with the child's row j.
+    - At a forget node, the rows of one child label agree with rows of one
+      label of t: forget maps the child label's base b to (t's base, {k:
+      mask of the child rows b + i that agree with t's row base + k}).
+    - At a leaf or join node both are None, and each row passes itself to
+      every child."""
 
     rows: list[tuple]
     up: list[list[tuple[int, int]]] | None
+    forget: dict[int, tuple[int, dict[int, int]]] | None
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +105,26 @@ def build_automaton(
     states, alphabet, transitions = {initial}, {initial}, {}
     free = set(q.free_vars)
     tables = _node_tables(q, d, td, state_limit)
-    for t, (rows, up) in enumerate(tables):
+    for t, (rows, up, forget) in enumerate(tables):
         kids = td.children[t]
         at = [i for i, x in enumerate(sorted(td.bags[t], key=_vkey)) if x in free]
-        if up is None:
-            moves = [(i, tuple((k, row) for k in kids)) for i, row in enumerate(rows)]
-        else:
-            c, below = kids[0], tables[kids[0]].rows
+        below = tables[kids[0]].rows if kids else []
+        if forget is not None:
             moves = [
-                (b + i, ((c, below[j]),))
+                (tb + k, ((kids[0], below[b + i]),))
+                for b, (tb, parts) in forget.items()
+                for k, m in parts.items()
+                for i in _bits(m)
+            ]
+        elif up is not None:
+            moves = [
+                (b + i, ((kids[0], below[j]),))
                 for j, parts in enumerate(up)
                 for b, m in parts
                 for i in _bits(m)
             ]
+        else:
+            moves = [(i, tuple((k, row) for k in kids)) for i, row in enumerate(rows)]
         for i, kid_states in moves:
             s, lbl = (t, rows[i]), (t, tuple(rows[i][k] for k in at))
             states.add(s)
@@ -157,7 +172,7 @@ def _node_tables(
     for t in range(td.n_nodes):
         kids = td.children[t]
         rows, base, _ = sol(t)
-        up = None
+        up = forget = None
         # An empty table has no transitions; leaving its child's table to the
         # child's own node keeps the bag that a state_limit error names.
         if len(kids) == 1 and rows:
@@ -171,7 +186,8 @@ def _node_tables(
             small_rows, _, pos = sol(small)
             if not pos:
                 pos.update((row, i) for i, row in enumerate(small_rows))
-            hits = [pos.get(row[:k] + row[k + 1 :]) for row in sol(big)[0]]
+            big_rows, big_base, _ = sol(big)
+            hits = [pos.get(row[:k] + row[k + 1 :]) for row in big_rows]
             if big == t:
                 # Rows of one label are contiguous, so the rows that go up
                 # from one child row meet t's label groups one after another.
@@ -184,10 +200,15 @@ def _node_tables(
                         else:
                             parts.append((b, 1 << (i - b)))
             else:
-                up = [
-                    [] if i is None else [(base[i], 1 << (i - base[i]))] for i in hits
-                ]
-        out.append(_NodeTable(rows, up))
+                # All rows of one child label project onto rows of one label
+                # of t: when x is free, its value is all that t's label drops.
+                forget = {}
+                for i, j in enumerate(hits):
+                    if j is not None:
+                        b = big_base[i]
+                        tb, parts = forget.setdefault(b, (base[j], {}))
+                        parts[j - tb] = parts.get(j - tb, 0) | 1 << (i - b)
+        out.append(_NodeTable(rows, up, forget))
     return out
 
 
@@ -204,7 +225,10 @@ def _count_masks(
     number of such labelings (empty sets are dropped), and pops its
     children's tables. Tables are kept as base -> mask -> count.
     - a leaf's one set is its one row, as its bag is empty;
-    - a unary node ORs up[j] over the rows j of each child set, per base;
+    - an introduce node ORs up[j] over the rows j of each child set, per base;
+    - a forget node keeps t's row base + k when its mask of child rows meets
+      the child set: one AND per row of t's label, where walking the set's
+      bits would take one step per child row;
     - a join node ANDs each left set with each right set of its label, as
       the sets of two different labels meet in no row.
     frontier_limit bounds the summed size of the sets built, as in
@@ -221,12 +245,19 @@ def _count_masks(
     built = 0
     for t in shape.postorder():
         below = [counts.pop(c) for c in shape.children[t]]
-        rows, up = tables[t]
+        rows, up, forget = tables[t]
         here = counts[t] = {}
         if not rows:
             continue
         if not below:
             sets = [((0, 1), 1)]
+        elif forget is not None:
+            sets = (
+                ((tb, sum(1 << k for k, m in parts.items() if m & mask)), cnt)
+                for b, by_mask in below[0].items()
+                for tb, parts in [forget[b]]
+                for mask, cnt in by_mask.items()
+            )
         elif up is not None:
             sets = (
                 (key, cnt)

@@ -73,17 +73,18 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #   c02 corpus: no run leaves the exact probe
 # 100,000 is 12x the largest run and about 12 s at 0.12 ms/walk.
 # frontier_limit caps the summed size of the state sets the fhw slice DP builds;
-# 2**22 keeps it within about 1.5 s. Entries: slice DP CPU time, max RSS,
-# 8-paths with free endpoints over random 6-regular graphs, Python 3.11,
-# 2-vCPU Xeon:
-#     256 vertices    783,909: 0.5 s    25 MB
-#     512 vertices  2,648,795: 1.3 s    30 MB
-#   1,024 vertices 13,480,012: 8.1 s    43 MB (refused at 2**22 after 1.1 s)
+# 2**22 keeps it within about 1.5 s. Entries: slice DP CPU time (min of 3),
+# max RSS, 8-paths with free endpoints over random 6-regular graphs, Python
+# 3.11, 2-vCPU Xeon:
+#     256 vertices    790,349: 0.15 s   23 MB
+#     512 vertices  2,706,434: 0.53 s   27 MB
+#   1,024 vertices 13,492,829: 2.4 s    38 MB (refused at 2**22 after 1.3 s)
 # fhw_vertex_limit caps the vertices of the exact fhw search, a subset DP with
-# one rho* per bag, summed over the bag's connected parts. CPU ms per search,
-# median of 5, Python 3.11, 2-vCPU Xeon:
+# one rho* per bag, summed over the bag's connected parts; an acyclic query,
+# such as a path, needs no rho* at all. CPU ms per search, median of 5 (path:
+# of 21), Python 3.11, 2-vCPU Xeon:
 #   vertices          6     7     8     9    10
-#   path            2.0   3.3   6.5  13.2  25.7
+#   path            0.7   0.7   1.5   4.3  11.6
 #   cycle           3.9   4.4   6.8  15.4  33.8
 #   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 87.5
 # Raising it would cost little, but it decides the "exact" flag of reports.
@@ -93,7 +94,7 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 # an n-vertex path, Python 3.11, 2-vCPU Xeon (both 37 MB max RSS at 20):
 #   vertices            14     16     18     20
 #   treewidth_exact   0.24   1.13   5.48   24.7
-#   fhw_exact_small   0.57   1.95   9.24   41.1
+#   fhw_exact_small   0.18   0.89   4.11   16.4
 VERTEX_LIMIT_CEILING = 20
 DEFAULT_LIMITS: dict[str, int | None] = {
     "enum_budget": 10_000_000,

@@ -9,7 +9,10 @@ mass mu are the primal optimum, and its row duals are an optimal fractional
 edge cover, so rho* = alpha*. The width searches take a bag's rho* as the
 sum over the connected components of its induced edges, since the LP splits
 along them; a component inside one edge has rho* 1, so only the others
-solve an LP, each once per search. (The bag tables that the fhw pipeline
+solve an LP, each once per search. An alpha-acyclic hypergraph, which a
+GYO reduction recognises, has fractional hypertreewidth 1, and its search
+runs on the integer cost "1 if the bag lies inside an edge, else 2", with
+no LP at all. (The bag tables that the fhw pipeline
 builds along the chosen decomposition share one fact index per run; see
 homsolver.sol_bag.)
 """
@@ -17,6 +20,7 @@ homsolver.sol_bag.)
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
@@ -581,13 +585,43 @@ def fhw_of_td(h: Hypergraph, td: TreeDecomposition) -> Fraction:
     return max((rho(b) for b in td.bags), default=Fraction(0))
 
 
+def _is_acyclic(h: Hypergraph) -> bool:
+    """GYO reduction: h is alpha-acyclic when dropping each vertex that lies
+    in one edge only, and each edge that lies inside another, leaves at most
+    one edge. A vertex in no edge makes h not acyclic here, as its rho* is
+    unbounded."""
+    if h.covered() != h.vertices:
+        return False
+    edges = list(h.edges)
+    while len(edges) > 1:
+        seen = Counter(v for e in edges for v in e)
+        edges = [frozenset(v for v in e if seen[v] > 1) for e in edges]
+        for i, e in enumerate(edges):
+            if any(e <= f for f in edges[:i] + edges[i + 1 :]):
+                del edges[i]
+                break
+        else:
+            return False
+    return True
+
+
 def fhw_exact_small(
     h: Hypergraph, vertex_limit: int = 8
 ) -> tuple[Fraction, TreeDecomposition]:
-    """Exact fractional hypertreewidth by exhausting elimination orders."""
-    rho = _rho_cache(h)
-    value, order = _elimination_dp(h, rho, vertex_limit, "fhw_exact_small")
+    """Exact fractional hypertreewidth by exhausting elimination orders.
+
+    An acyclic h has width 1, and rho*(bag) = 1 exactly when the bag lies
+    inside an edge. So the cost "1 inside an edge, else 2" gives best 1 on
+    the same subsets as rho*, and the same lowest-vertex choices on them,
+    which the order is read from: the same decomposition, with no LP."""
+    edges = h.edges
+
+    def inside(bag: frozenset) -> int:
+        return 1 if any(bag <= e for e in edges) else 2
+
+    cost = inside if _is_acyclic(h) else _rho_cache(h)
+    value, order = _elimination_dp(h, cost, vertex_limit, "fhw_exact_small")
     td = td_from_elimination_order(h, order)
     if value is None:
         return Fraction(0), td
-    return value, td
+    return Fraction(value), td

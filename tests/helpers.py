@@ -132,16 +132,22 @@ def min_fill_order(h: Hypergraph) -> list:
 
 
 def fhw_exact_small_whole_bag(
-    h: Hypergraph, vertex_limit: int = 8
+    h: Hypergraph, vertex_limit: int = 8, lps: dict | None = None
 ) -> tuple[Fraction, TreeDecomposition]:
     """Reference for widths.fhw_exact_small: the same search over elimination
-    orders, each bag's rho* from one packing LP over the whole bag."""
-    cache: dict[frozenset, Fraction] = {}
+    orders, each bag's rho* from one packing LP over the whole bag.
+
+    rho* depends only on the bag's induced hypergraph up to renaming, so the
+    LP values are kept under its edges with each vertex renamed to its rank
+    in the bag; callers checking many hypergraphs may share one lps dict."""
+    lps = {} if lps is None else lps
 
     def rho(bag: frozenset) -> Fraction:
-        if bag not in cache:
-            cache[bag] = fractional_edge_cover_number(induced_hypergraph(h, bag))[0]
-        return cache[bag]
+        rank = {v: i for i, v in enumerate(sorted(bag, key=_vkey))}
+        key = len(bag), frozenset(frozenset(rank[v] for v in e & bag) for e in h.edges)
+        if key not in lps:
+            lps[key] = fractional_edge_cover_number(induced_hypergraph(h, bag))[0]
+        return lps[key]
 
     value, order = _elimination_dp(h, rho, vertex_limit, "fhw_exact_small")
     td = td_from_elimination_order(h, order)

@@ -23,7 +23,7 @@ from cqcount import (
     make_nice,
     parse_query,
 )
-from cqcount.automata import fhw_decomposition
+from cqcount.automata import _count_masks, _node_tables, fhw_decomposition
 from cqcount.widths import _vkey
 
 from conftest import plain_cq_instance
@@ -562,6 +562,50 @@ def test_pipeline_frontier_matches_built_automaton():
                 count_answers_fhw_pipeline(
                     q, d, state_limit=None, frontier_limit=limit - 1
                 )
+
+
+def test_forget_steps_match_the_built_automaton_and_brute_force():
+    # Every variable is forgotten on the way up to the empty root bag. A free
+    # one splits the child's rows into label groups that meet one label of
+    # t; over a complete graph, with a free interior variable, the child sets
+    # are dense. The forget step's ANDs per row of t must build the sets that
+    # the built automaton's transitions give, so the counts and the smallest
+    # passing frontier_limit agree.
+    complete = [(u, v) for u in range(5) for v in range(5) if u != v]
+    triples = [(u, v, w) for u, v, w in itertools.product(range(5), repeat=3) if u != w]
+    rng = random.Random(3)
+    sparse = [p for p in itertools.product(range(5), repeat=2) if rng.random() < 0.4]
+    some = [t for t in triples if rng.random() < 0.3]
+    for text in (
+        "phi(y) :- E(x,y), E(y,z), E(z,w)",
+        "phi(x,z) :- E(x,y), E(y,z), E(z,w)",
+        "phi(y,w) :- R(x,y,z), E(z,w)",
+    ):
+        q = parse_query(text)
+        h = build_hypergraph(q)
+        ntd = make_nice(h, fhw_decomposition(h, 8)[1])
+        for edges, facts in ((complete, triples), (sparse, some)):
+            d = Database.make(list(range(5)), {"E": (2, edges), "R": (3, facts)})
+            tables = _node_tables(q, d, ntd, None)
+            split = dense = False
+            for t, (rows, _, forget) in enumerate(tables):
+                if forget:
+                    (x,) = ntd.bags[ntd.children[t][0]] - ntd.bags[t]
+                    groups = [tb for tb, _ in forget.values()]
+                    split |= x in q.free_vars and len(set(groups)) < len(groups)
+                    dense |= any(
+                        max(parts.values()).bit_length() > len(parts)
+                        for _, parts in forget.values()
+                    )
+            assert split and dense, (text, edges is complete)
+            aut = build_automaton(q, d, ntd)
+            got = _count_masks(tables, ntd, 4_194_304)
+            assert got == count_slice_exact(aut, ntd) == count_answers_bruteforce(q, d)
+            assert _smallest_passing_frontier(
+                lambda f: _count_masks(tables, ntd, f)
+            ) == _smallest_passing_frontier(
+                lambda f: count_slice_exact(aut, ntd, frontier_limit=f)
+            ), (text, edges is complete)
 
 
 def test_pipeline_long_path_at_default_limits():
