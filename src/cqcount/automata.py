@@ -177,8 +177,10 @@ def _node_tables(
         # child's own node keeps the bag that a state_limit error names.
         if len(kids) == 1 and rows:
             # Introduce or forget x: one pass over the larger bag's rows, each
-            # projected onto the smaller bag, by dropping x, and kept if it is
-            # a row there too.
+            # projected onto the smaller bag by dropping x. The projection is
+            # a row there: sol_bag keeps exactly the assignments whose
+            # restriction to each atom extends to a fact, and dropping x
+            # keeps that.
             c = kids[0]
             big, small = (t, c) if td.bags[c] < td.bags[t] else (c, t)
             (x,) = td.bags[big] - td.bags[small]
@@ -187,27 +189,25 @@ def _node_tables(
             if not pos:
                 pos.update((row, i) for i, row in enumerate(small_rows))
             big_rows, big_base, _ = sol(big)
-            hits = [pos.get(row[:k] + row[k + 1 :]) for row in big_rows]
+            hits = [pos[row[:k] + row[k + 1 :]] for row in big_rows]
             if big == t:
                 # Rows of one label are contiguous, so the rows that go up
                 # from one child row meet t's label groups one after another.
                 up = [[] for _ in small_rows]
                 for i, j in enumerate(hits):
-                    if j is not None:
-                        b, parts = base[i], up[j]
-                        if parts and parts[-1][0] == b:
-                            parts[-1] = (b, parts[-1][1] | 1 << (i - b))
-                        else:
-                            parts.append((b, 1 << (i - b)))
+                    b, parts = base[i], up[j]
+                    if parts and parts[-1][0] == b:
+                        parts[-1] = (b, parts[-1][1] | 1 << (i - b))
+                    else:
+                        parts.append((b, 1 << (i - b)))
             else:
                 # All rows of one child label project onto rows of one label
                 # of t: when x is free, its value is all that t's label drops.
                 forget = {}
                 for i, j in enumerate(hits):
-                    if j is not None:
-                        b = big_base[i]
-                        tb, parts = forget.setdefault(b, (base[j], {}))
-                        parts[j - tb] = parts.get(j - tb, 0) | 1 << (i - b)
+                    b = big_base[i]
+                    tb, parts = forget.setdefault(b, (base[j], {}))
+                    parts[j - tb] = parts.get(j - tb, 0) | 1 << (i - b)
         out.append(_NodeTable(rows, up, forget))
     return out
 

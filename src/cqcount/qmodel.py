@@ -445,7 +445,8 @@ class Database:
                     )
                 tt = tuple(t)
                 for v in tt:
-                    if not isinstance(v, (str, int)) or v not in dom_set:
+                    # The domain holds no bool, but True == 1 would find 1 in it.
+                    if not isinstance(v, (str, int)) or isinstance(v, bool) or v not in dom_set:
                         raise DatabaseValidationError(
                             f"relation {name}: value {v!r} not in domain"
                         )

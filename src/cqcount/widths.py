@@ -331,11 +331,11 @@ def _bits(mask: int):
 def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecomposition:
     """Fill-in decomposition: one bag per vertex, linked along the order."""
     n = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    if set(pos) != set(h.vertices) or n != len(h.vertices):
+        raise DecompositionError("order must enumerate each vertex exactly once")
     if n == 0:
         return TreeDecomposition.make(0, [()], [frozenset()])
-    pos = {v: i for i, v in enumerate(order)}
-    if set(pos) != set(h.vertices) or len(pos) != len(h.vertices):
-        raise DecompositionError("order must enumerate each vertex exactly once")
     nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
     bags: list[frozenset] = []
     succ: list[int | None] = []
@@ -543,35 +543,33 @@ def induced_hypergraph(h: Hypergraph, x: Iterable) -> Hypergraph:
 
 
 def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
-    """rho* of the part of h induced on a bag, memoised per bag and per
-    connected component. No edge meets two components, so the packing LP
-    splits and rho* adds over them; a component inside one edge has rho* 1,
-    and only the others solve the LP. The sum is the same exact Fraction as
-    the bag's own LP."""
+    """rho* of the part of h induced on a bag, memoised per connected
+    component. No edge meets two components, so the packing LP splits and
+    rho* adds over them; a component inside one edge has rho* 1, and only
+    the others solve the LP. The sum is the same exact Fraction as the bag's
+    own LP. Bags are not memoised: _elimination_dp already asks each bag
+    once, and fhw_of_td's min-fill bags are distinct."""
     cache: dict[frozenset, Fraction] = {}
 
     def rho(bag: frozenset) -> Fraction:
-        got = cache.get(bag)
-        if got is None:
-            edges = {e & bag for e in h.edges} - {frozenset()}
-            uncovered = bag.difference(*edges)
-            if uncovered:
-                raise UncoverableVertexError(
-                    f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
+        edges = {e & bag for e in h.edges} - {frozenset()}
+        uncovered = bag.difference(*edges)
+        if uncovered:
+            raise UncoverableVertexError(
+                f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
+            )
+        parts: list[frozenset] = []
+        for e in edges:
+            met = [p for p in parts if not p.isdisjoint(e)]
+            parts = [p for p in parts if p not in met] + [e.union(*met)]
+        got = Fraction(0)
+        for p in parts:
+            r = cache.get(p)
+            if r is None:
+                r = cache[p] = Fraction(1) if p in edges else (
+                    fractional_edge_cover_number(induced_hypergraph(h, p))[0]
                 )
-            parts: list[frozenset] = []
-            for e in edges:
-                met = [p for p in parts if not p.isdisjoint(e)]
-                parts = [p for p in parts if p not in met] + [e.union(*met)]
-            got = Fraction(0)
-            for p in parts:
-                r = cache.get(p)
-                if r is None:
-                    r = cache[p] = Fraction(1) if p in edges else (
-                        fractional_edge_cover_number(induced_hypergraph(h, p))[0]
-                    )
-                got += r
-            cache[bag] = got
+            got += r
         return got
 
     return rho

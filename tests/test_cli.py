@@ -365,6 +365,28 @@ def test_exit_validation_bad_limits_file(
     assert named in err
 
 
+@pytest.mark.parametrize("limits_file, flags, want, message", [
+    (None, ["--limit", "enum_budget"], EXIT_VALIDATION,
+     "error: --limit expects key=value, got 'enum_budget'"),
+    ("absent.json", [], EXIT_PARSE, "error: cannot read limits file "),
+    ("broken.json", [], EXIT_PARSE, "error: cannot read limits file "),
+], ids=["flag-without-equals", "file-absent", "file-not-json"])
+def test_limits_that_cannot_be_read(
+    capsys, tmp_path, monkeypatch, instance, limits_file, flags, want, message
+):
+    if limits_file:
+        if limits_file == "broken.json":
+            (tmp_path / limits_file).write_text("{not json", encoding="utf-8")
+        monkeypatch.setenv(LIMITS_ENV_VAR, str(tmp_path / limits_file))
+    code, doc, err = run(capsys, [
+        "count", "--query", instance["query"], "--db", instance["db"],
+        "--method", "exact", *flags,
+    ])
+    assert (code, doc) == (want, None)
+    (line,) = err.splitlines()
+    assert line.startswith(message)
+
+
 def test_exit_budget_fhw_limit(capsys, tmp_path, instance):
     query = tmp_path / "tri.txt"
     query.write_text("q(x, y, z) :- E(x, y), E(y, z), E(z, x)", encoding="utf-8")
@@ -484,8 +506,10 @@ def test_count_fhw_default_limits_over_fourteen_values(capsys, tmp_path):
     ([0, 1], {"arity": 2, "tuples": 5}, "relation F"),
     ([0, 1], {"arity": 2, "tuples": [5]}, "relation F"),
     ([0, 1], {"arity": 2, "tuples": [[[1], 0]]}, "relation F"),
+    ([0, 1], {"arity": 2, "tuples": [[1, True]]}, "relation F: value True"),  # used to be accepted
     (5, {"arity": 2, "tuples": [[0, 1]]}, "domain"),
-], ids=["str-arity", "float-arity", "int-tuples", "int-tuple", "list-value", "int-domain"])
+], ids=["str-arity", "float-arity", "int-tuples", "int-tuple", "list-value", "bool-value",
+        "int-domain"])
 def test_exit_validation_malformed_database(
     capsys, tmp_path, instance, domain, relation, named
 ):
@@ -500,7 +524,8 @@ def test_exit_validation_malformed_database(
         "count", "--query", instance["plain"], "--db", str(db), "--method", "exact",
     ])
     assert code == EXIT_VALIDATION
-    assert named in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and named in line
 
 
 @pytest.mark.parametrize("which", ["query", "db"])

@@ -247,6 +247,13 @@ def test_database_rejects_bad_tuples():
         Database.make([0, 0], {})
 
 
+def test_database_rejects_bool_values():
+    # True == 1, so a bool used to pass as the domain value 1, as JSON true.
+    with pytest.raises(DatabaseValidationError) as err:
+        Database.make([1, 2], {"E": (2, [(1, True)])})
+    assert str(err.value) == "relation E: value True not in domain"
+
+
 def test_database_json_roundtrip(tmp_path):
     _, d = corpus_instance(11)
     path = tmp_path / "db.json"

@@ -269,6 +269,84 @@ def test_make_nice_root_and_leaves_empty():
 
 
 # ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+EMPTY = Hypergraph.make([], [])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0], []], "hyperedges must be nonempty"),
+    ([[0, 1]], "edge [0, 1] uses undeclared vertices"),
+], ids=["empty-edge", "undeclared-vertex"])
+def test_hypergraph_make_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError) as err:
+        Hypergraph.make([0], edges)
+    assert str(err.value) == message
+
+
+def test_hypergraph_from_graph_rejects_self_loops():
+    with pytest.raises(ValueError) as err:
+        Hypergraph.from_graph([(0, 1), (2, 2)])
+    assert str(err.value) == "self-loop 2"
+
+
+@pytest.mark.parametrize("root, children, n_bags, message", [
+    (0, [()], 2, "children and bags must have the same length"),
+    (1, [()], 1, "root id out of range"),
+    (0, [(1,)], 1, "child id 1 out of range"),
+    (0, [(1, 2), (2,), ()], 3, "node 2 has two parents"),
+    (0, [(1,), (0,)], 2, "root cannot have a parent"),
+    (0, [(), (2,), (1,)], 3, "decomposition tree is not connected"),
+], ids=["lengths", "root", "child", "two-parents", "root-parent", "forest"])
+def test_tree_decomposition_make_rejects_non_trees(root, children, n_bags, message):
+    with pytest.raises(DecompositionError) as err:
+        TreeDecomposition.make(root, children, [frozenset()] * n_bags)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("children, bags", [
+    ([()], [{0}]),
+    ([(1, 2, 3), (), (), ()], [set()] * 4),
+    ([(1,), ()], [set(), {0}]),
+    ([(1,), ()], [set(), {0, 1}]),
+    ([(1, 2), (), ()], [set(), {0}, set()]),
+], ids=["root-bag", "three-children", "leaf-bag", "two-vertex-step", "join-bags"])
+def test_is_nice_rejects(children, bags):
+    # Each case breaks one rule, the others hold where the check reaches it.
+    assert not TreeDecomposition.make(0, children, bags).is_nice()
+
+
+@pytest.mark.parametrize("h, bags", [
+    (EDGE, [{0, 1, 2}]),
+    (Hypergraph.make([0, 1, 2], [(0, 1)]), [{0, 1}]),
+], ids=["bag-outside-vertices", "vertex-in-no-bag"])
+def test_is_valid_td_rejects(h, bags):
+    assert not is_valid_td(h, TreeDecomposition.make(0, [()], bags))
+
+
+def test_make_nice_rejects_invalid():
+    td = TreeDecomposition.make(0, [()], [frozenset({0, 1})])
+    with pytest.raises(DecompositionError, match="not valid for the hypergraph"):
+        make_nice(TRIANGLE, td)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1, 2], [0, 1, 2, 3], []],
+                         ids=["missing", "repeated", "extra", "none"])
+def test_td_from_elimination_order_rejects_bad_orders(order):
+    with pytest.raises(DecompositionError, match="each vertex exactly once"):
+        td_from_elimination_order(TRIANGLE, order)
+
+
+def test_empty_hypergraph():
+    # One empty bag; treewidth -1 and fhw 0 by convention.
+    td = TreeDecomposition.make(0, [()], [frozenset()])
+    assert td_from_elimination_order(EMPTY, []) == td
+    assert treewidth_exact(EMPTY) == (-1, td)
+    assert fhw_exact_small(EMPTY) == (Fraction(0), td)
+
+
+# ---------------------------------------------------------------------------
 # Exact rational LP
 # ---------------------------------------------------------------------------
 
