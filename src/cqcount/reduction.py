@@ -15,7 +15,14 @@ an edge), bounded in size by the oracle's cap on distinct boxes.
 A box with no witness before any colouring still draws its samples, so the
 random stream does not depend on which boxes are searched; when every clique
 is a K2, all its samples come from one getrandbits call that takes the same
-32-bit words of the generator as one draw per sample. A sample whose
+32-bit words of the generator as one draw per sample. A clique of k >= 3
+variables colours each value with one rng.randrange(k); those draws are
+decoded a block at a time from the high bytes of the same 32-bit words
+(_draw_values), which is why a clique has at most 255 variables. When every
+clique has one size k >= 3, a box draws a block of samples at once, searches
+each distinct colouring that fills every class once, and on a witness
+rewinds the generator to the block's start and redraws up to that sample,
+so it ends where one draw per sample would leave it. A sample whose
 colouring leaves some clique's colour class empty can hold no witness, so it
 is counted and drawn like any other but neither masked nor searched.
 
@@ -47,6 +54,7 @@ homsolver.hom_exists_td, the paper's DP over the explicit structures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -83,7 +91,8 @@ class OracleStats:
     colourings_sampled: colour samples drawn, searched or not;
     hom_calls: one per box for its search with no colour masks, plus one
         per colour sample of a box with a witness there, counted even when
-        the sample empties a colour class and so is not searched;
+        the sample empties a colour class, or repeats a colouring the box
+        has searched, and so is not searched;
     estimator_walks: random walks of the edge-count estimator;
     restarts: runs begun again with a larger simulation cap.
     """
@@ -204,9 +213,11 @@ class _Evaluator:
         self.red_slots = [slot[p] for p in self.diseq_pos]
 
         self.clique_sizes = [len(clique) for clique in self.cliques]
-        # A cover of K2s only is diseq_pos itself, each red mask its K2's
-        # draw, so a sample needs no class lists.
-        self.pairs_only = max(self.clique_sizes, default=0) == 2
+        # The size of every clique, or 0 when they differ. A cover of K2s
+        # only is diseq_pos itself, each red mask its K2's draw, so a sample
+        # needs no class lists; one of larger cliques draws blocks of samples.
+        sizes = set(self.clique_sizes)
+        self.one_size = sizes.pop() if len(sizes) == 1 else 0
 
         # One plan per run; compile() hands self._search each box's domains.
         if backend == "td-dp":
@@ -548,11 +559,18 @@ def clique_repetitions(sizes, delta_prime: float) -> int:
     """Colour samples needed for one-sided failure probability delta_prime
     when each clique K_k of the cover gets one k-colouring: an answer
     survives a sample with probability prod k^-k. BudgetExceededError when
-    1 / delta_prime overflows a float, so no finite count is computed."""
+    1 / delta_prime overflows a float, so no finite count is computed, or
+    when a clique has more than 255 variables, whose colours do not fit the
+    byte a value's draw is decoded into."""
     if not 0 < delta_prime < 1:
         raise ValueError("delta_prime must lie in (0, 1)")
     if not sizes:
         return 1
+    if max(sizes) > 255:
+        raise BudgetExceededError(
+            f"colour coding needs {max(sizes)}^{max(sizes)} samples per box for "
+            f"a clique of {max(sizes)} disequal variables; at most 255 are supported"
+        )
     rounds = math.log(1 / delta_prime)
     if rounds == math.inf:
         raise BudgetExceededError(
@@ -562,25 +580,97 @@ def clique_repetitions(sizes, delta_prime: float) -> int:
     return math.ceil(rounds) * math.prod(k**k for k in sizes)
 
 
+# A box whose cliques have one size k >= 3 draws its samples in blocks of
+# about this many values.
+_BLOCK_VALUES = 4096
+
+
+@functools.cache
+def _tables(k: int) -> tuple[bytes, bytes, list[bytes]]:
+    """For colours 0..k-1, 3 <= k <= 255: the translate table and deleted
+    bytes that turn a 32-bit word's high byte into its rng.randrange(k) draw
+    (the top k.bit_length() bits, redrawn while they are k or more), and
+    per colour the table that writes a value of that colour as b"1", any
+    other as b"0"."""
+    shift = 8 - k.bit_length()
+    decode = bytes(b >> shift for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= k)
+    ones = [bytes(48 + (b == c) for b in range(256)) for c in range(k)]
+    return decode, reject, ones
+
+
+def _draw_values(rng: random.Random, k: int, n: int) -> bytes:
+    """n draws of rng.randrange(k), one byte each, from the same 32-bit words
+    of the generator in the same order. getrandbits(32 * m) draws m words,
+    the first in the lowest bits; each round draws one word per value still
+    missing, so it never draws a word past the n-th value's."""
+    decode, reject, _ = _tables(k)
+    vals = b""
+    while len(vals) < n:
+        need = n - len(vals)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        vals += words[3::4].translate(decode, reject)
+    return vals
+
+
+def _classes(vals: bytes, ones: list[bytes]) -> list[int]:
+    """The class masks of a colouring that gives value i the colour vals[i]."""
+    rev = vals[::-1]
+    return [int(rev.translate(t) or b"0", 2) for t in ones]
+
+
 def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
     """A uniform k-colouring of the width domain values as k class masks.
 
     A K2 takes one getrandbits draw whose set bits are class 0, the draw
-    per disequality that a triangle-free query has always made.
+    per disequality that a triangle-free query has always made; a larger
+    clique takes one rng.randrange(k) per value.
     """
     if k == 2:
         red = rng.getrandbits(width)
         return [red, ~red & ((1 << width) - 1)]
-    # rng.randrange(k) per value, inlined: Random._randbelow_with_getrandbits
-    # redraws getrandbits(k.bit_length()) while the result is k or more.
-    getrandbits, nbits = rng.getrandbits, k.bit_length()
-    classes = [0] * k
-    for idx in range(width):
-        c = getrandbits(nbits)
-        while c >= k:
-            c = getrandbits(nbits)
-        classes[c] |= 1 << idx
-    return classes
+    return _classes(_draw_values(rng, k, width), _tables(k)[2])
+
+
+def _search_blocks(
+    ev: _Evaluator, search, rng: random.Random, q_reps: int, width: int, stats: OracleStats
+) -> bool:
+    """The sample loop of edgefree_restricted for a cover whose cliques all
+    have one size k >= 3, with the same answer, stats and rng state.
+
+    The samples are drawn a block at a time from the same words as one at
+    a time, and only those whose colouring fills every class are searched,
+    each distinct colouring once, since the search of one box depends on
+    nothing else. A witness at a block's sample s rewinds rng to the
+    block's start and redraws its samples 0..s, so no later sample's words
+    are drawn.
+    """
+    k, per = ev.one_size, len(ev.cliques) * width
+    ones = _tables(k)[2]
+    block = max(1, _BLOCK_VALUES // per)
+    tried = set()
+    for start in range(0, q_reps, block):
+        size = min(block, q_reps - start)
+        state = rng.getstate()
+        vals = _draw_values(rng, k, size * per)
+        samples = [vals[i : i + per] for i in range(0, size * per, per)]
+        for sample in dict.fromkeys(samples):
+            if sample in tried:
+                continue
+            tried.add(sample)
+            parts = [sample[i : i + width] for i in range(0, per, width)]
+            if all(len(set(p)) == k for p in parts) and search(
+                ev.red_masks([_classes(p, ones) for p in parts])
+            ) is not None:
+                s = samples.index(sample)
+                rng.setstate(state)
+                _draw_values(rng, k, (s + 1) * per)
+                stats.colourings_sampled += start + s + 1
+                stats.hom_calls += start + s + 1
+                return False
+    stats.colourings_sampled += q_reps
+    stats.hom_calls += q_reps
+    return True
 
 
 def edgefree_restricted(
@@ -597,13 +687,17 @@ def edgefree_restricted(
     'Has an edge' answers are always correct; 'edge-free' is wrong with
     probability at most delta_prime. Each sample colours the domain once per
     clique of the evaluator's disequality cover, so clique_repetitions() of
-    the clique sizes samples suffice. The box is first searched with no
+    the clique sizes samples suffice; a clique of more than 255 variables is
+    a BudgetExceededError before any draw. The box is first searched with no
     colour masks: with no disequalities that is the exact answer, and since
     a colouring only narrows the domains, a box with no witness there has
     none under any colouring, so its samples are drawn but not searched.
     Nor is a sample whose colouring leaves a clique's colour class empty:
     that class pins its variable to no value, so the sample is counted but
-    neither masked nor searched.
+    neither masked nor searched. When the cliques all have one size k >= 3,
+    samples are drawn in blocks and a colouring already searched in the box
+    is not searched again; a witness rewinds rng to its block's start and
+    redraws up to its sample, so rng ends as if drawn one sample at a time.
     """
     if len(masks) != ih.ell:
         raise ValueError(f"expected {ih.ell} layer masks, got {len(masks)}")
@@ -620,28 +714,34 @@ def edgefree_restricted(
     witness = search(())
     if not ev.cliques:
         return witness is None
-    sizes, pairs_only = ev.clique_sizes, ev.pairs_only
+    sizes, k = ev.clique_sizes, ev.one_size
     q_reps = clique_repetitions(sizes, delta_prime)
     width = len(ih.domain)
     if witness is None:
-        # The same draws as the loop below, so rng ends in the same state.
+        # The same draws as the loops below, so rng ends in the same state.
         # getrandbits(width) uses up ceil(width / 32) 32-bit words of the
         # generator, so one call of that many words per K2 and sample does.
-        if pairs_only:
+        if k == 2:
             rng.getrandbits(32 * ((width + 31) // 32) * q_reps * len(sizes))
+        elif k:
+            total = q_reps * len(sizes) * width
+            for start in range(0, total, _BLOCK_VALUES):
+                _draw_values(rng, k, min(_BLOCK_VALUES, total - start))
         else:
             for _ in range(q_reps):
-                for k in sizes:
-                    _colour_classes(rng, k, width)
+                for c in sizes:
+                    _colour_classes(rng, c, width)
         stats.colourings_sampled += q_reps
         return True
+    if k > 2:
+        return _search_blocks(ev, search, rng, q_reps, width, stats)
     for _ in range(q_reps):
         stats.colourings_sampled += 1
         stats.hom_calls += 1
-        if pairs_only:
+        if k == 2:
             colours = [rng.getrandbits(width) for _ in sizes]
         else:
-            classes = [_colour_classes(rng, k, width) for k in sizes]
+            classes = [_colour_classes(rng, c, width) for c in sizes]
             # An empty class leaves its clique variable no value, so the
             # search would return None at its empty-domain check.
             if not all(map(all, classes)):

@@ -134,8 +134,6 @@ class TreeDecomposition:
         while stack:
             t = stack.pop()
             for c in children[t]:
-                if c in reach:
-                    raise DecompositionError("cycle in decomposition tree")
                 reach.add(c)
                 stack.append(c)
         if len(reach) != n:

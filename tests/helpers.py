@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from cqcount import OracleStats, TreeAutomaton, edgefree_restricted
+from cqcount import Database, OracleStats, TreeAutomaton, edgefree_restricted, parse_query
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
 from cqcount.widths import (
     Hypergraph,
@@ -98,6 +98,19 @@ def colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
     for idx in range(width):
         classes[rng.randrange(k)] |= 1 << idx
     return classes
+
+
+def k3_with_pendant():
+    """A K3 of disequalities plus a pendant K2, over both directions of a
+    5-cycle with one chord: a mixed clique cover, so each sample draws the
+    K3's colouring as one rng.randrange(3) per value and the K2's as one
+    getrandbits(width)."""
+    q = parse_query(
+        "q(a, b, c, e) :- E(a, b), E(b, c), E(c, e), a != b, b != c, a != c, c != e"
+    )
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
+    d = Database.make(range(5), {"E": (2, edges + [(v, u) for u, v in edges])})
+    return q, d
 
 
 def min_fill_order(h: Hypergraph) -> list:

@@ -9,7 +9,13 @@ identity.json holds one row per run:
   count_answers_fhw_pipeline: the count, the fhw and whether it is exact;
 - cli: cli.main runs over graphs on string names, whose sets iterate in
   an order that string hashing decides: the argv, the exit code, the report
-  without duration_seconds (None when there is none) and the error: lines.
+  without duration_seconds (None when there is none) and the error: lines;
+- clique: fptras runs, as in the fptras rows, whose disequality cliques
+  have three or more variables: a K3 over domains wider than one 32-bit
+  word, a K4 whose boxes draw several blocks of samples, a K3 with a pendant
+  K2 and two K3s. Their colourings are decoded from the high bytes of the
+  generator's 32-bit words, in an order that the Python version could in
+  principle change.
 
 One process sees one string hash seed, so CI runs this file under two
 PYTHONHASHSEED values. A change that alters these outputs on purpose
@@ -23,6 +29,7 @@ and says in CHANGES.md why they changed.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import sys
@@ -32,25 +39,66 @@ from pathlib import Path
 
 import pytest
 
-from cqcount import OracleStats, approx_count_answers, cli, count_answers_fhw_pipeline
+from cqcount import (
+    Database,
+    OracleStats,
+    approx_count_answers,
+    cli,
+    count_answers_fhw_pipeline,
+    gen_hampath,
+    gen_li_hom,
+    parse_query,
+)
 from cqcount.reduction import HOM_BACKENDS
 
 from conftest import corpus_instance, plain_cq_instance
+from helpers import k3_with_pendant
 
 PINNED = Path(__file__).with_name("identity.json")
 
 
+def fptras_runs(q, d, seed):
+    for backend in HOM_BACKENDS:
+        for probe in (20_000, 0):
+            stats = OracleStats()
+            estimate = approx_count_answers(
+                q, d, 0.3, 0.2, seed, backend, stats, probe_budget=probe
+            )
+            yield {"backend": backend, "probe_budget": probe,
+                   "estimate": estimate, **stats.as_dict()}
+
+
 def fptras_rows():
     for seed in range(60):
-        q, d = corpus_instance(seed)
-        for backend in HOM_BACKENDS:
-            for probe in (20_000, 0):
-                stats = OracleStats()
-                estimate = approx_count_answers(
-                    q, d, 0.3, 0.2, seed, backend, stats, probe_budget=probe
-                )
-                yield {"seed": seed, "backend": backend, "probe_budget": probe,
-                       "estimate": estimate, **stats.as_dict()}
+        for row in fptras_runs(*corpus_instance(seed), seed):
+            yield {"seed": seed, **row}
+
+
+def clique_instances():
+    star = [(0, 1), (0, 2), (0, 3)]
+    for n in (33, 64):
+        # A cycle with one chord: only the chord's ends have three
+        # neighbours, so the star has 12 answers over n values, more than
+        # one 32-bit word of draws per colouring.
+        cycle = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]
+        yield f"star-c{n}", gen_li_hom(star, cycle)
+    # One K4 over 4 values: at delta 0.2 each box has 14 * 4**4 = 3,584
+    # samples, several blocks of them.
+    yield "ham-k4", gen_hampath(list(itertools.combinations(range(4), 2)), 4)
+    yield "k3-pendant", k3_with_pendant()
+    # Two K3s of one size: a sample colours the domain once per clique.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
+    yield "two-k3", (
+        parse_query("q(a, x) :- E(a, b), E(b, c), E(x, y), E(y, z), "
+                    "a != b, b != c, a != c, x != y, y != z, x != z"),
+        Database.make(range(5), {"E": (2, edges + [(v, u) for u, v in edges])}),
+    )
+
+
+def clique_rows():
+    for case, (q, d) in clique_instances():
+        for row in fptras_runs(q, d, 3):
+            yield {"case": case, **row}
 
 
 def fhw_rows():
@@ -61,16 +109,17 @@ def fhw_rows():
 
 QUERIES = {
     "q": "q(x, y) :- E(x, y), E(y, z), !E(z, x), x != z",
-    # A K3 of disequalities draws its colourings one value at a time in
-    # _colour_classes, a path that the single K2 of q never takes.
+    # A K3 of disequalities draws one rng.randrange(3) per value, decoded
+    # in blocks of samples by _draw_values, a path that the single K2 of q
+    # never takes.
     "k3": "q(x, y, z) :- E(x, y), E(y, z), x != y, y != z, x != z",
     # A K4 of disequalities over 5 values: most of its colourings leave a
     # colour class empty, and those are counted but not searched.
     "ham": "q(a, b, c, e) :- E(a, b), E(b, c), E(c, e), "
            "a != b, a != c, a != e, b != c, b != e, c != e",
     # A K3 plus a pendant K2 of disequalities, so each sample draws through
-    # both branches of _colour_classes, and a negated atom on a repeated
-    # variable, over the graph with self-loops.
+    # both branches of _colour_classes, one sample at a time, and a negated
+    # atom on a repeated variable, over the graph with self-loops.
     "mix": "q(x, y, z) :- E(x, y), E(y, z), E(z, w), !E(y, y), "
            "x != y, y != z, x != z, z != w",
     # Its count needs frontier_limit 659, and its bag tables have at most
@@ -166,7 +215,7 @@ def cli_rows():
     return rows
 
 
-ROWS = {"fptras": fptras_rows, "fhw": fhw_rows, "cli": cli_rows}
+ROWS = {"fptras": fptras_rows, "fhw": fhw_rows, "cli": cli_rows, "clique": clique_rows}
 
 
 def pinned() -> dict[str, list]:

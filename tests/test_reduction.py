@@ -37,6 +37,7 @@ from cqcount.reduction import (
     HOM_BACKENDS,
     ImplicitAnswerHypergraph,
     _colour_classes,
+    _draw_values,
     _halves,
     clique_cover,
     clique_repetitions,
@@ -50,6 +51,7 @@ from helpers import (
     colour_classes,
     edgefree_every_sample,
     edgefree_general,
+    k3_with_pendant,
     layer_masks,
     restricted_parts,
 )
@@ -539,27 +541,14 @@ def test_edgefree_search_before_colouring_keeps_the_stream(backend):
         _assert_same_draws(ImplicitAnswerHypergraph(q, d), backend, seed)
 
 
-def _k3_with_pendant():
-    """A K3 of disequalities plus a pendant K2, over both directions of a
-    5-cycle with one chord: a mixed clique cover, so each sample draws the
-    K3's classes value by value and the K2's through _colour_classes's
-    single-draw branch."""
-    q = parse_query(
-        "q(a, b, c, e) :- E(a, b), E(b, c), E(c, e), a != b, b != c, a != c, c != e"
-    )
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
-    d = Database.make(range(5), {"E": (2, edges + [(v, u) for u, v in edges])})
-    return q, d
-
-
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
 def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
     # hampath(K4) is one K4 clique and the star K1,3 lihom one K3 clique, so
-    # both draw through _colour_classes, not the single K2 draw; the K3 with
-    # a pendant K2 draws through both of its branches.
+    # both draw blocks of randrange values, not the single K2 draw; the K3
+    # with a pendant K2 draws through both branches of _colour_classes.
     ham = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
     star = ImplicitAnswerHypergraph(*gen_li_hom([(0, 1), (0, 2), (0, 3)], K4))
-    mixed = ImplicitAnswerHypergraph(*_k3_with_pendant())
+    mixed = ImplicitAnswerHypergraph(*k3_with_pendant())
     assert [len(c) for c in ham.evaluator(backend).cliques] == [4]
     assert [len(c) for c in star.evaluator(backend).cliques] == [3]
     assert [len(c) for c in mixed.evaluator(backend).cliques] == [3, 2]
@@ -606,6 +595,90 @@ def test_colour_classes_draw_as_randrange(k):
         for _ in range(3):
             assert _colour_classes(rng, k, width) == colour_classes(ref_rng, k, width)
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 8, 255])
+def test_draw_values_are_randrange_draws(k):
+    for seed, width in itertools.product(range(5), (0, 1, 4, 31, 33, 100)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            want = bytes(ref_rng.randrange(k) for _ in range(width))
+            assert _draw_values(rng, k, width) == want
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def _first_pinned_at(at: int):
+    """A seed and a box of one value per layer, such that the K5 colourings
+    drawn one rng.randrange(5) per value from random.Random(seed) first give
+    the box's i-th value colour i, for every i, at sample `at`."""
+    for seed in range(1000):
+        rng = random.Random(seed)
+        draws = [tuple(rng.randrange(5) for _ in range(5)) for _ in range(at + 1)]
+        if len(set(draws[at])) == 5 and draws[at] not in draws[:at]:
+            return seed, tuple((draws[at].index(c),) for c in range(5))
+    raise AssertionError(f"no seed pins a box first at sample {at}")
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+@pytest.mark.parametrize("where", ["first", "block-end", "next-block", "none"])
+def test_blocked_clique_samples_match_one_at_a_time(backend, where):
+    # hampath(K5) is one K5 over 5 values, so its samples are drawn in
+    # blocks of _BLOCK_VALUES // 5. A box of single values holds one answer,
+    # which only the sample that colours its i-th value i finds.
+    ih = ImplicitAnswerHypergraph(*gen_hampath(list(itertools.combinations(range(5), 2)), 5))
+    assert ih.evaluator(backend).clique_sizes == [5]
+    block = reduction._BLOCK_VALUES // 5
+    q_reps = clique_repetitions([5], 0.3)
+    assert q_reps > 2 * block
+    if where == "none":
+        # x1 = x3 = 0: walks are homs but no answer, so every sample is
+        # drawn, blocks past the first too.
+        at, seed, box = None, 0, ((0,), range(5), (0,), range(5), range(5))
+    else:
+        at = {"first": 0, "block-end": block - 1, "next-block": block}[where]
+        seed, box = _first_pinned_at(at)
+    masks = layer_masks(ih, box)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    stats, ref_stats = OracleStats(), OracleStats()
+    got = edgefree_restricted(ih, masks, 0.3, rng, backend, stats)
+    ref = edgefree_every_sample(ih, masks, 0.3, ref_rng, backend, ref_stats)
+    # The reference makes no search before colouring.
+    ref_stats.hom_calls += 1
+    assert got == ref == (at is None)
+    assert stats == ref_stats
+    assert rng.getstate() == ref_rng.getstate()
+    assert stats.colourings_sampled == (q_reps if at is None else at + 1)
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_skipped_clique_box_draws_its_samples_in_chunks(backend):
+    # hampath over the path 0-1-2-3-4 and x1 = x2 = 0: no hom at all, so
+    # the box's q_reps K5 samples, several chunks of _BLOCK_VALUES values,
+    # are drawn but not searched.
+    ih = ImplicitAnswerHypergraph(*gen_hampath([(i, i + 1) for i in range(4)], 5))
+    box = ((0,), (0,), range(5), range(5), range(5))
+    q_reps = clique_repetitions([5], 0.3)
+    assert q_reps * 5 > 2 * reduction._BLOCK_VALUES
+    rng, ref_rng = random.Random(4), random.Random(4)
+    stats, ref_stats = OracleStats(), OracleStats()
+    assert edgefree_restricted(ih, layer_masks(ih, box), 0.3, rng, backend, stats)
+    assert edgefree_every_sample(ih, layer_masks(ih, box), 0.3, ref_rng, backend, ref_stats)
+    assert rng.getstate() == ref_rng.getstate()
+    assert stats.colourings_sampled == ref_stats.colourings_sampled == q_reps
+    assert stats.hom_calls == 1
+
+
+def test_clique_over_255_variables_is_a_budget_error_before_any_draw():
+    # A value's colour is decoded from one byte, so at most 255 colours.
+    with pytest.raises(BudgetExceededError, match="255 are supported"):
+        clique_repetitions((2, 256), 0.5)
+    assert clique_repetitions((255,), 0.5) == 255**255
+    ih = ImplicitAnswerHypergraph(*gen_hampath([(i, i + 1) for i in range(255)], 256))
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(BudgetExceededError, match="256\\^256 samples"):
+        edgefree_restricted(ih, [(1 << 256) - 1] * 256, 0.5, rng)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("box,searches", [
@@ -673,13 +746,7 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
     ih = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
     ev = ih.evaluator(backend)
     assert ev.clique_sizes == [4]
-    drawn, searched = [], []
-    draw = reduction._colour_classes
-
-    def recording_draw(rng, k, width):
-        drawn.append(draw(rng, k, width))
-        return drawn[-1]
-
+    searched = []
     compile_ = ev.compile
 
     def counting_compile(layer_masks):
@@ -691,12 +758,16 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
 
         return counted
 
-    monkeypatch.setattr(reduction, "_colour_classes", recording_draw)
     monkeypatch.setattr(ev, "compile", counting_compile)
     masks = layer_masks(ih, box)
     rng, stats = derive_rng(5, len(box[0])), OracleStats()
     got = edgefree_restricted(ih, masks, 0.3, rng, backend, stats)
     monkeypatch.undo()
+    # The colourings drawn, one at a time from a twin generator, up to the
+    # state the run left rng in.
+    twin, drawn = derive_rng(5, len(box[0])), []
+    while twin.getstate() != rng.getstate() and len(drawn) <= stats.colourings_sampled:
+        drawn.append(colour_classes(twin, 4, len(ih.domain)))
 
     # The reference sends every colouring through red_masks and the search,
     # and makes no search before colouring.
@@ -706,10 +777,12 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
     assert got == ref
     assert stats == ref_stats
     assert rng.getstate() == ref_rng.getstate()
-    # The search before colouring, then one per colouring with every class
-    # non-empty, with that colouring's red masks.
+    # The search before colouring, then one per distinct colouring with
+    # every class non-empty, in the order first drawn, with its red masks.
     full = [classes for classes in drawn if all(classes)]
-    assert searched == [()] + [ev.red_masks([classes]) for classes in full]
+    distinct = dict.fromkeys(tuple(classes) for classes in full)
+    assert searched == [()] + [ev.red_masks([classes]) for classes in distinct]
+    assert len(searched) <= 1 + 4 * 3 * 2
     assert len(drawn) == stats.colourings_sampled
     assert len(full) < len(drawn) // 2
 
@@ -1039,7 +1112,7 @@ def test_approx_count_gives_up_after_max_attempts(monkeypatch):
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
 @pytest.mark.parametrize("probe", [20_000, 0])
 def test_approx_count_mixed_clique_cover(backend, probe):
-    q, d = _k3_with_pendant()
+    q, d = k3_with_pendant()
     true = count_answers_bruteforce(q, d)
     got = approx_count_answers(q, d, 0.3, 0.2, seed=3, backend=backend, probe_budget=probe)
     assert abs(got - true) <= 0.3 * true, (got, true)
@@ -1134,7 +1207,12 @@ def test_approx_count_golden_seeded_runs(name, pattern, n, backend, probe, estim
 def test_approx_count_empty_domain(backend):
     # The full box is (0, 0) per layer, mask 0; a Boolean query has no layer.
     d = Database.make([], {"E": (2, [])})
-    for text in ("phi(x, y) :- E(x, y), x != y", "phi() :- E(x, y), x != y"):
+    for text in (
+        "phi(x, y) :- E(x, y), x != y",
+        "phi() :- E(x, y), x != y",
+        # A K3 and a K2: each skipped sample colours the empty domain.
+        "phi() :- E(a, b), E(c, e), a != b, b != c, a != c, c != e",
+    ):
         q = parse_query(text)
         assert approx_count_answers(q, d, 0.3, 0.2, seed=0, backend=backend) == 0
 

@@ -209,7 +209,7 @@ def test_is_valid_td_accepts_triangle_bag():
 
 
 def test_tree_decomposition_make_rejects_cycles():
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match="root cannot have a parent"):
         TreeDecomposition.make(0, [(1,), (0,)], [frozenset(), frozenset()])
 
 
