@@ -12,7 +12,8 @@ with median-of-means amplification sit on top. The walks of one estimate run
 share a cache of the halving tree (each split box maps to its children with
 an edge), bounded in size by the oracle's cap on distinct boxes.
 
-A box with no witness before any colouring still draws its samples, so the
+A box with no witness before any colouring, or one that bruteforce proves
+answer-free (see edgefree_restricted), still draws its samples, so the
 random stream does not depend on which boxes are searched; when every clique
 is a K2, all its samples come from one getrandbits call that takes the same
 32-bit words of the generator as one draw per sample. A clique of k >= 3
@@ -92,7 +93,8 @@ class OracleStats:
     hom_calls: one per box for its search with no colour masks, plus one
         per colour sample of a box with a witness there, counted even when
         the sample empties a colour class, or repeats a colouring the box
-        has searched, and so is not searched;
+        has searched, or the box is proved answer-free, and so is not
+        searched;
     estimator_walks: random walks of the edge-count estimator;
     restarts: runs begun again with a larger simulation cap.
     """
@@ -219,6 +221,8 @@ class _Evaluator:
         sizes = set(self.clique_sizes)
         self.one_size = sizes.pop() if len(sizes) == 1 else 0
 
+        self._reps: dict[float, int] = {}  # repetitions() per delta_prime
+
         # One plan per run; compile() hands self._search each box's domains.
         if backend == "td-dp":
             self._plan = self._plan_td(q, pos)
@@ -236,6 +240,23 @@ class _Evaluator:
         """
         return [classes[c][i] for c, i in self.red_slots]
 
+    def repetitions(self, delta_prime: float) -> int:
+        """clique_repetitions of the cover, once per delta_prime."""
+        reps = self._reps.get(delta_prime)
+        if reps is None:
+            reps = self._reps[delta_prime] = clique_repetitions(self.clique_sizes, delta_prime)
+        return reps
+
+    def _box(self, layer_masks) -> list[int]:
+        box = list(self.base)
+        for i, m in enumerate(layer_masks):
+            box[i] &= m
+        return box
+
+    def answer_in(self, layer_masks) -> tuple | None:
+        """bruteforce only: an answer's values in the box, or None."""
+        return self._bruteforce_search(self._box(layer_masks), distinct=True)
+
     def compile(self, layer_masks):
         """The search of one box, as a callable colour_masks -> witness | None.
 
@@ -245,9 +266,7 @@ class _Evaluator:
         applies its masks and runs the search planned once per run. A witness
         is the satisfying values in variable order (bruteforce) or () (td-dp).
         """
-        box = list(self.base)
-        for i, m in enumerate(layer_masks):
-            box[i] &= m
+        box = self._box(layer_masks)
         search, diseq_pos = self._search, self.diseq_pos
 
         def run(colour_masks) -> tuple | None:
@@ -345,13 +364,14 @@ class _Evaluator:
         return ()
 
     def _plan_bruteforce(self, ell: int) -> list[tuple]:
-        """The bruteforce search as one (x, fwd, atoms) level per variable x:
-        free variables in layer order, then existential ones by base mask
-        size. fwd holds the (y, sup) of each binary atom from x to a later
-        variable y, narrowing y to sup[value of x]; a check back into an
-        earlier neighbour would always pass, since that neighbour's forward
-        check already narrowed x. atoms holds the atoms over three or more
-        variables that x completes."""
+        """The bruteforce search as one (x, fwd, atoms, neq) level per
+        variable x: free variables in layer order, then existential ones by
+        base mask size. fwd holds the (y, sup) of each binary atom from x to
+        a later variable y, narrowing y to sup[value of x]; a check back into
+        an earlier neighbour would always pass, since that neighbour's
+        forward check already narrowed x. atoms holds the atoms over three or
+        more variables that x completes, and neq the later variables that
+        share a disequality with x."""
         base = self.base
         order = list(range(ell)) + sorted(
             range(ell, self.nvars), key=lambda i: base[i].bit_count()
@@ -360,13 +380,18 @@ class _Evaluator:
         due: list[list] = [[] for _ in order]
         for atom in self.higher:
             due[max(rank[i] for i in atom[0])].append(atom)
+        neq: list[list[int]] = [[] for _ in order]
+        for pair in self.diseq_pos:
+            x, y = sorted(pair, key=rank.get)
+            neq[x].append(y)
         return [
-            (x, [(y, sup) for y, sup in self.adj[x] if rank[y] > k], due[k])
+            (x, [(y, sup) for y, sup in self.adj[x] if rank[y] > k], due[k], neq[x])
             for k, x in enumerate(order)
         ]
 
-    def _bruteforce_search(self, dom: list[int]) -> tuple | None:
-        """Backtrack over the plan's levels under the domains dom."""
+    def _bruteforce_search(self, dom: list[int], distinct: bool = False) -> tuple | None:
+        """Backtrack over the plan's levels under the domains dom; with
+        distinct, a witness also meets every disequality."""
         levels = self._plan
         n = len(levels)
         assigned = [0] * n
@@ -383,7 +408,7 @@ class _Evaluator:
                 continue
             low = m & -m
             m ^= low
-            x, fwd, atoms = levels[k]
+            x, fwd, atoms, neq = levels[k]
             b = low.bit_length() - 1
             nxt = list(cur)
             ok = True
@@ -392,6 +417,12 @@ class _Evaluator:
                 if not nxt[y]:
                     ok = False
                     break
+            if distinct and ok:
+                for y in neq:
+                    nxt[y] &= ~low
+                    if not nxt[y]:
+                        ok = False
+                        break
             if not ok:
                 continue
             assigned[x] = b
@@ -692,9 +723,12 @@ def edgefree_restricted(
     colour masks: with no disequalities that is the exact answer, and since
     a colouring only narrows the domains, a box with no witness there has
     none under any colouring, so its samples are drawn but not searched.
-    Nor is a sample whose colouring leaves a clique's colour class empty:
-    that class pins its variable to no value, so the sample is counted but
-    neither masked nor searched. When the cliques all have one size k >= 3,
+    Nor, on bruteforce, are those of a box that a search enforcing every
+    disequality proves answer-free, though they count as hom calls; td-dp
+    keeps colour coding, as that search has no FPT bound. Nor is a sample
+    whose colouring leaves a clique's colour class empty: that class pins
+    its variable to no value, so the sample is counted but neither masked
+    nor searched. When the cliques all have one size k >= 3,
     samples are drawn in blocks and a colouring already searched in the box
     is not searched again; a witness rewinds rng to its block's start and
     redraws up to its sample, so rng ends as if drawn one sample at a time.
@@ -715,9 +749,18 @@ def edgefree_restricted(
     if not ev.cliques:
         return witness is None
     sizes, k = ev.clique_sizes, ev.one_size
-    q_reps = clique_repetitions(sizes, delta_prime)
+    q_reps = ev.repetitions(delta_prime)
     width = len(ih.domain)
-    if witness is None:
+    # A colour search only finds answers, so where bruteforce finds none in
+    # the box, each of its samples would be searched and found empty. A
+    # witness that meets every disequality is such an answer already.
+    answer_free = (
+        witness is not None
+        and backend == "bruteforce"
+        and any(witness[i] == witness[j] for i, j in ev.diseq_pos)
+        and ev.answer_in(masks) is None
+    )
+    if witness is None or answer_free:
         # The same draws as the loops below, so rng ends in the same state.
         # getrandbits(width) uses up ceil(width / 32) 32-bit words of the
         # generator, so one call of that many words per K2 and sample does.
@@ -732,6 +775,8 @@ def edgefree_restricted(
                 for c in sizes:
                     _colour_classes(rng, c, width)
         stats.colourings_sampled += q_reps
+        if answer_free:
+            stats.hom_calls += q_reps
         return True
     if k > 2:
         return _search_blocks(ev, search, rng, q_reps, width, stats)

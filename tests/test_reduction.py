@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -352,6 +353,30 @@ def test_bruteforce_backend_plans_its_search_once(monkeypatch):
     assert len(plans) == 1
 
 
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_repetitions_are_computed_once_per_attempt(monkeypatch, backend):
+    # Every box of one attempt shares its delta_prime, so its sample count.
+    real = reduction.clique_repetitions
+    shares = []
+
+    def counting(sizes, delta_prime):
+        shares.append(delta_prime)
+        return real(sizes, delta_prime)
+
+    monkeypatch.setattr(reduction, "clique_repetitions", counting)
+    q, d = gen_li_hom(P3, _circulant(7))
+    stats = OracleStats()
+    approx_count_answers(q, d, 0.25, 0.1, seed=7, backend=backend, stats=stats, initial_cap=4)
+    assert stats.restarts >= 2
+    assert stats.edgefree_calls > 10 * len(shares)
+    assert len(shares) == len(set(shares)) == stats.restarts + 1
+    # A share whose count raises stores nothing, so it raises again.
+    ev = ImplicitAnswerHypergraph(q, d).evaluator(backend)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="samples"):
+            ev.repetitions(1e-310)
+
+
 def test_evaluator_full_box_decides_satisfiability():
     for seed in range(40):
         q, d = corpus_instance(seed, max_diseq=0)
@@ -683,7 +708,8 @@ def test_clique_over_255_variables_is_a_budget_error_before_any_draw():
 
 @pytest.mark.parametrize("box,searches", [
     # x0 = x2 = 0 and x1 a neighbour of 0: the walk 0-1-0 is a hom but not
-    # locally injective, so the box has no answer yet its samples are searched.
+    # locally injective, so the box has no answer yet its samples count as
+    # hom calls.
     (((0,), (1, 3), (0,)), clique_repetitions([2], 0.05) + 1),
     # No hom at all: the uncoloured search is the only one.
     (((0,), (2,), (0,)), 1),
@@ -695,6 +721,69 @@ def test_edgefree_box_without_answer_searches(box, searches):
     assert edgefree_restricted(ih, masks, 0.05, random.Random(0), stats=stats)
     assert stats.colourings_sampled == clique_repetitions([2], 0.05)
     assert stats.hom_calls == searches
+
+
+def _random_boxes(seeds, boxes_per_query=6):
+    """(cover kind, ih, value sets) of seeded random boxes over small random
+    queries with negated and ternary atoms and up to ten disequalities; the
+    kind is "k2" for a cover of K2s only, "clique" for one of cliques of one
+    size k >= 3, and "mixed" otherwise, one per draw branch."""
+    for seed in seeds:
+        q, d = corpus_instance(30_000 + seed, max_vars=5, max_diseq=10, max_neg=2)
+        ih = ImplicitAnswerHypergraph(q, d)
+        ev = ih.evaluator("bruteforce")
+        if not ev.cliques:
+            continue
+        kind = {2: "k2", 0: "mixed"}.get(ev.one_size, "clique")
+        rng = random.Random(seed)
+        for _ in range(boxes_per_query):
+            vs = [tuple(w for w in ih.domain if rng.random() < 0.6) for _ in range(ih.ell)]
+            yield kind, ih, vs
+
+
+def test_answer_search_finds_none_exactly_on_edge_free_boxes():
+    certified = collections.Counter()
+    seen = {"negated binary": 0, "ternary": 0}
+    for kind, ih, vs in _random_boxes(range(300)):
+        ev = ih.evaluator("bruteforce")
+        masks = layer_masks(ih, vs)
+        answer = ev.answer_in(masks)
+        assert (answer is None) == edgefree_bruteforce(ih, restricted_parts(ih, vs))
+        if answer is not None:
+            assert answer[: ih.ell] in ih.answers()
+            assert all(w in layer for w, layer in zip(answer, vs))
+        elif all(masks) and ev.compile(masks)(()) is not None:
+            certified[kind] += 1
+        seen["negated binary"] += any(sym.arity == 2 for sym, _ in ih.query.negated_predicates)
+        seen["ternary"] += any(len(idxs) == 3 for idxs, _, _ in ev.higher)
+    # Answer-free boxes that hold a plain hom, the ones the answer search
+    # spares their colour searches, under every kind of cover.
+    assert min(certified[kind] for kind in ("k2", "clique", "mixed")) >= 10, certified
+    assert min(seen.values()) >= 100, seen
+
+
+def test_certified_box_keeps_answer_stats_and_stream():
+    # A box that holds a plain hom but no answer takes no colour search on
+    # bruteforce, yet ends as the reference that searches every sample.
+    done = collections.Counter()
+    for seed, (kind, ih, vs) in enumerate(_random_boxes(range(300))):
+        ev = ih.evaluator("bruteforce")
+        masks = layer_masks(ih, vs)
+        if done[kind] == 3 or not all(masks) or ev.compile(masks)(()) is None:
+            continue
+        if ev.answer_in(masks) is not None:
+            continue
+        done[kind] += 1
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        stats, ref_stats = OracleStats(), OracleStats()
+        assert edgefree_restricted(ih, masks, 0.3, rng, "bruteforce", stats)
+        assert edgefree_every_sample(ih, masks, 0.3, ref_rng, "bruteforce", ref_stats)
+        # The reference makes no search before colouring.
+        ref_stats.hom_calls += 1
+        assert stats == ref_stats
+        assert stats.hom_calls == 1 + clique_repetitions(ev.clique_sizes, 0.3)
+        assert rng.getstate() == ref_rng.getstate()
+    assert done == {"k2": 3, "clique": 3, "mixed": 3}
 
 
 @pytest.mark.parametrize("text,sizes", [
@@ -735,7 +824,8 @@ def test_a_colouring_with_an_empty_class_has_no_witness(text, sizes, n):
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
 @pytest.mark.parametrize("box", [
     # x1 = x3 = 0: walks such as 0-1-0-1 are homs but no answer, so every
-    # sample is drawn and the non-empty ones searched.
+    # sample is drawn; td-dp searches the non-empty ones, and bruteforce,
+    # which proves the box answer-free before colouring, none.
     ((0,), (0, 1, 2, 3), (0,), (0, 1, 2, 3)),
     # The full box has answers: the loop stops at the first witness.
     ((0, 1, 2, 3),) * 4,
@@ -781,7 +871,10 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
     # every class non-empty, in the order first drawn, with its red masks.
     full = [classes for classes in drawn if all(classes)]
     distinct = dict.fromkeys(tuple(classes) for classes in full)
-    assert searched == [()] + [ev.red_masks([classes]) for classes in distinct]
+    if backend == "bruteforce" and len(box[0]) == 1:
+        assert searched == [()]
+    else:
+        assert searched == [()] + [ev.red_masks([classes]) for classes in distinct]
     assert len(searched) <= 1 + 4 * 3 * 2
     assert len(drawn) == stats.colourings_sampled
     assert len(full) < len(drawn) // 2
