@@ -36,15 +36,6 @@ class Structure:
         return frozenset(self.relations)
 
 
-def structure_size(s: Structure) -> int:
-    """|signature| + |universe| + total length of all tuples."""
-    return (
-        len(s.relations)
-        + len(s.universe)
-        + sum(sym.arity * len(facts) for sym, facts in s.relations.items())
-    )
-
-
 def complement_symbol(sym: RelationSymbol) -> RelationSymbol:
     """Marker symbol for the complement relation; '!' cannot occur in user names."""
     return RelationSymbol("!" + sym.name, sym.arity)

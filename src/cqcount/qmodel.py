@@ -326,7 +326,7 @@ def dump_query(q: Query, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Equality normalization and size measures
+# Equality normalization
 # ---------------------------------------------------------------------------
 
 def normalize_equalities(q: Query) -> tuple[Query, dict[str, str]]:
@@ -394,14 +394,6 @@ def normalize_equalities(q: Query) -> tuple[Query, dict[str, str]]:
     return out, merge_map
 
 
-def query_size(q: Query) -> int:
-    """|vars| plus the total arity of all atoms (disequalities/equalities count 2)."""
-    total = len(q.variables)
-    total += sum(sym.arity for sym, _ in q.atoms)
-    total += 2 * (len(q.disequalities) + len(q.equalities))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Databases
 # ---------------------------------------------------------------------------
@@ -453,15 +445,6 @@ class Database:
                 facts.add(tt)
             rels[RelationSymbol(name, arity)] = frozenset(facts)
         return Database(dom, rels)
-
-
-def database_size(d: Database) -> int:
-    """|signature| + |domain| + total length of all stored tuples."""
-    return (
-        len(d.relations)
-        + len(d.domain)
-        + sum(sym.arity * len(facts) for sym, facts in d.relations.items())
-    )
 
 
 def validate_pair(q: Query, d: Database) -> None:

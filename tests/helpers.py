@@ -9,7 +9,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from cqcount import Database, OracleStats, TreeAutomaton, edgefree_restricted, parse_query
+from cqcount import (
+    Database,
+    OracleStats,
+    Query,
+    Structure,
+    TreeAutomaton,
+    edgefree_restricted,
+    parse_query,
+)
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
 from cqcount.widths import (
     Hypergraph,
@@ -22,6 +30,32 @@ from cqcount.widths import (
     induced_hypergraph,
     td_from_elimination_order,
 )
+
+
+def query_size(q: Query) -> int:
+    """|vars| plus the total arity of all atoms (disequalities/equalities count 2)."""
+    total = len(q.variables)
+    total += sum(sym.arity for sym, _ in q.atoms)
+    total += 2 * (len(q.disequalities) + len(q.equalities))
+    return total
+
+
+def database_size(d: Database) -> int:
+    """|signature| + |domain| + total length of all stored tuples."""
+    return (
+        len(d.relations)
+        + len(d.domain)
+        + sum(sym.arity * len(facts) for sym, facts in d.relations.items())
+    )
+
+
+def structure_size(s: Structure) -> int:
+    """|signature| + |universe| + total length of all tuples."""
+    return (
+        len(s.relations)
+        + len(s.universe)
+        + sum(sym.arity * len(facts) for sym, facts in s.relations.items())
+    )
 
 
 def edgefree_general(

@@ -40,8 +40,6 @@ from cqcount import (
     is_valid_td,
     make_nice,
     normalize_equalities,
-    query_size,
-    structure_size,
     treewidth_exact,
     treewidth_heuristic,
 )
@@ -58,7 +56,7 @@ from conftest import (
     random_hypergraph,
     random_structure_pair,
 )
-from helpers import box_values, layer_masks, restricted_parts
+from helpers import box_values, layer_masks, query_size, restricted_parts, structure_size
 
 P4 = [(0, 1), (1, 2), (2, 3)]
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

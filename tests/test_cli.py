@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -9,8 +10,19 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from cqcount import Database, cli, dump_database, gen_hampath, widths
+from cqcount import (
+    Database,
+    approx_count_answers,
+    cli,
+    count_answers_bruteforce,
+    count_answers_fhw_pipeline,
+    dump_database,
+    gen_hampath,
+    treewidth_exact,
+    widths,
+)
 from cqcount.cli import (
+    DEFAULT_LIMITS,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARSE,
@@ -343,6 +355,33 @@ def test_limits_built_in_code_that_pass_the_check(instance, method, limits):
     cfg = RunConfig(method, 0.3, 0.2, 4, limits=limits)
     doc = cmd_count(instance["plain"], instance["db"], cfg)
     assert doc.get("count", doc.get("estimate")) == 6
+
+
+# The library parameter each CLI limit is passed to.
+LIMIT_PARAMETERS = {
+    "enum_budget": (count_answers_bruteforce, "budget"),
+    "probe_budget": (approx_count_answers, "probe_budget"),
+    "oracle_cap": (approx_count_answers, "initial_cap"),
+    "walk_budget": (approx_count_answers, "walk_budget"),
+    "state_limit": (count_answers_fhw_pipeline, "state_limit"),
+    "frontier_limit": (count_answers_fhw_pipeline, "frontier_limit"),
+    "fhw_vertex_limit": (count_answers_fhw_pipeline, "exact_width_vertex_limit"),
+    "fhw_limit": (count_answers_fhw_pipeline, "fhw_limit"),
+    "tw_vertex_limit": (treewidth_exact, "vertex_limit"),
+}
+
+
+def test_every_default_limit_is_passed_to_a_library_parameter():
+    assert sorted(LIMIT_PARAMETERS) == sorted(DEFAULT_LIMITS)
+
+
+@pytest.mark.parametrize("key", sorted(LIMIT_PARAMETERS))
+def test_default_limits_match_the_library_defaults(key):
+    # Each default is written twice, in the CLI table and in the signature of
+    # the function the CLI passes it to: a library caller and the CLI agree.
+    function, parameter = LIMIT_PARAMETERS[key]
+    default = inspect.signature(function).parameters[parameter].default
+    assert DEFAULT_LIMITS[key] == default
 
 
 @pytest.mark.parametrize("content, named", [

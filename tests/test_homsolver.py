@@ -22,9 +22,7 @@ from cqcount import (
     hom_exists_td,
     make_nice,
     parse_query,
-    query_size,
     sol_bag,
-    structure_size,
     treewidth_exact,
 )
 from cqcount.automata import fhw_decomposition
@@ -38,6 +36,7 @@ from conftest import (
     plain_cq_instance,
     random_structure_pair,
 )
+from helpers import query_size, structure_size
 
 
 # ---------------------------------------------------------------------------

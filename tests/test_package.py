@@ -1,4 +1,5 @@
-"""The runtime package as a whole: what it imports."""
+"""The runtime package as a whole: what it imports, and what others import
+from it."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import cqcount
 
 PACKAGE_DIR = Path(cqcount.__file__).parent
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -35,3 +37,41 @@ def test_runtime_package_is_pure_standard_library():
     assert modules
     for path in modules:
         assert foreign_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def cq_attributes(source: str) -> set[str]:
+    """Names read as `cq.<name>`."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cq"
+    }
+
+
+def readme_library_imports() -> set[str]:
+    """Names the README's "Library" example imports from cqcount."""
+    readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "cqcount"
+        for alias in node.names
+    }
+
+
+def test_cq_attributes_sees_reads_on_cq_only():
+    assert cq_attributes("cq.a(x.b, cq.c.d)\ny = cqq.e\n") == {"a", "c"}
+
+
+def test_names_the_benchmark_and_the_readme_use_resolve():
+    used = readme_library_imports()
+    assert used
+    for name in ("workloads.py", "run.py"):
+        found = cq_attributes((REPO_DIR / "perfbench" / name).read_text(encoding="utf-8"))
+        assert found, name
+        used |= found
+    assert sorted(n for n in used if not hasattr(cqcount, n)) == []

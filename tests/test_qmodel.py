@@ -18,7 +18,6 @@ from cqcount import (
     QueryValidationError,
     build_hypergraph,
     count_answers_bruteforce,
-    database_size,
     dump_database,
     format_query,
     gen_hampath,
@@ -28,12 +27,12 @@ from cqcount import (
     load_graph,
     normalize_equalities,
     parse_query,
-    query_size,
     validate_pair,
 )
 from cqcount.qmodel import RelationSymbol, database_to_doc
 
 from conftest import corpus_instance
+from helpers import database_size, query_size
 
 E = RelationSymbol("E", 2)
 U = RelationSymbol("U", 1)

@@ -28,8 +28,6 @@ from cqcount import (
     gen_li_hom,
     hom_exists_bruteforce,
     parse_query,
-    query_size,
-    structure_size,
 )
 from cqcount import homsolver, reduction, widths
 from cqcount.homsolver import build_A, build_B, hom_exists_td, structure_hypergraph
@@ -54,7 +52,9 @@ from helpers import (
     edgefree_general,
     k3_with_pendant,
     layer_masks,
+    query_size,
     restricted_parts,
+    structure_size,
 )
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
