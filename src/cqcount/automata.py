@@ -33,6 +33,7 @@ from .errors import (
 from .homsolver import sol_bag
 from .qmodel import Database, Query, build_hypergraph, validate_pair
 from .widths import (
+    FHW_EXACT_VERTEX_LIMIT,
     Hypergraph,
     TreeDecomposition,
     _bits,
@@ -135,6 +136,17 @@ def build_automaton(
     return TreeAutomaton(frozenset(states), frozenset(alphabet), frozen, initial)
 
 
+# STATE_LIMIT caps the largest bag table of the fhw automaton; the last join
+# step of a bag table stops one row past it. Largest table: CPU time of the
+# bag tables and their transitions (min of 3), max RSS, random 6-regular
+# graphs, Python 3.11, 2-vCPU Xeon:
+#   triangle  384: 0.01 s 21 MB    8,190: 0.09 s 30 MB    32,772: 0.61 s  61 MB
+#   4-cycle 8,100: 0.05 s 26 MB   65,536: 0.41 s 48 MB   262,144: 1.55 s 120 MB
+#   8-path  3,072: 0.07 s 30 MB    8,190: 0.23 s 53 MB    32,772: 1.63 s 279 MB
+# 2**13 rows keeps each of these builds within about 0.25 s.
+STATE_LIMIT = 8_192
+
+
 def _node_tables(
     q: Query, d: Database, td: TreeDecomposition, state_limit: int | None
 ) -> list[_NodeTable]:
@@ -216,6 +228,16 @@ def _node_tables(
 # Slice counting
 # ---------------------------------------------------------------------------
 
+# FRONTIER_LIMIT caps the summed size of the state sets the fhw slice DP builds;
+# 2**22 keeps it within about 1.5 s. Entries: slice DP CPU time (min of 3),
+# max RSS, 8-paths with free endpoints over random 6-regular graphs, Python
+# 3.11, 2-vCPU Xeon:
+#     256 vertices    790,349: 0.15 s   23 MB
+#     512 vertices  2,706,434: 0.53 s   27 MB
+#   1,024 vertices 13,492,829: 2.4 s    38 MB (refused at 2**22 after 1.3 s)
+FRONTIER_LIMIT = 4_194_304
+
+
 def _count_masks(
     tables: list[_NodeTable], shape: TreeDecomposition, frontier_limit: int
 ) -> int:
@@ -291,7 +313,7 @@ def _count_masks(
 def count_slice_exact(
     aut: TreeAutomaton,
     shape: TreeDecomposition,
-    frontier_limit: int = 4_194_304,
+    frontier_limit: int = FRONTIER_LIMIT,
 ) -> int:
     """Number of labelings of shape's ordered tree that the automaton accepts.
     Every label is a (node, symbol) pair, as build_automaton makes them, and a
@@ -365,9 +387,9 @@ def count_answers_fhw_pipeline(
     q: Query,
     d: Database,
     fhw_limit: Fraction | None = None,
-    state_limit: int | None = 8_192,
-    exact_width_vertex_limit: int = 8,
-    frontier_limit: int = 4_194_304,
+    state_limit: int | None = STATE_LIMIT,
+    exact_width_vertex_limit: int = FHW_EXACT_VERTEX_LIMIT,
+    frontier_limit: int = FRONTIER_LIMIT,
 ) -> FhwCount:
     """Exact answer count of a plain conjunctive query via the automaton.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import automata, reduction, widths
+from . import automata, homsolver, reduction, widths
 from .errors import (
     BudgetExceededError,
     CqcountError,
@@ -28,7 +28,6 @@ from .errors import (
     QueryValidationError,
     UncoverableVertexError,
 )
-from .homsolver import count_answers_bruteforce
 from .qmodel import (
     Query,
     build_hypergraph,
@@ -53,41 +52,6 @@ EXIT_BUDGET = 4
 
 LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 
-# Documented defaults for every budget knob; override via --limit key=value
-# (repeatable) or a JSON file named by the CQCOUNT_LIMITS environment variable.
-# state_limit caps the largest bag table of the fhw automaton; the last join
-# step of a bag table stops one row past it. Largest table: CPU time of the
-# bag tables and their transitions (min of 3), max RSS, random 6-regular
-# graphs, Python 3.11, 2-vCPU Xeon:
-#   triangle  384: 0.01 s 21 MB    8,190: 0.09 s 30 MB    32,772: 0.61 s  61 MB
-#   4-cycle 8,100: 0.05 s 26 MB   65,536: 0.41 s 48 MB   262,144: 1.55 s 120 MB
-#   8-path  3,072: 0.07 s 30 MB    8,190: 0.23 s 53 MB    32,772: 1.63 s 279 MB
-# 2**13 rows keeps each of these builds within about 0.25 s.
-# walk_budget caps the walks of one fptras estimator run, 48 pilot walks plus
-# m*g (m = 67 at delta 0.1, g >= 8 from the pilot variance). Walks per run,
-# Python 3.11, 2-vCPU Xeon:
-#   c11 corpus (probe_budget 0)     100 runs: median 584, max 8,289; 0.05 ms/walk
-#   c10 (hampath(K4), exact oracle) 100 runs: median 858, max 912; 0.09 ms/walk
-#   p3-32-walk-* ops, seed 1, passes 0-8: 27 runs: median 2,996, max 4,336;
-#                                         0.12 ms/walk
-#   c02 corpus: no run leaves the exact probe
-# 100,000 is 12x the largest run and about 12 s at 0.12 ms/walk.
-# frontier_limit caps the summed size of the state sets the fhw slice DP builds;
-# 2**22 keeps it within about 1.5 s. Entries: slice DP CPU time (min of 3),
-# max RSS, 8-paths with free endpoints over random 6-regular graphs, Python
-# 3.11, 2-vCPU Xeon:
-#     256 vertices    790,349: 0.15 s   23 MB
-#     512 vertices  2,706,434: 0.53 s   27 MB
-#   1,024 vertices 13,492,829: 2.4 s    38 MB (refused at 2**22 after 1.3 s)
-# fhw_vertex_limit caps the vertices of the exact fhw search, a subset DP with
-# one rho* per bag, summed over the bag's connected parts; an acyclic query,
-# such as a path, needs no rho* at all. CPU ms per search, median of 5 (path:
-# of 21), Python 3.11, 2-vCPU Xeon:
-#   vertices          6     7     8     9    10
-#   path            0.7   0.7   1.5   4.3  11.6
-#   cycle           3.9   4.4   6.8  15.4  33.8
-#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 87.5
-# Raising it would cost little, but it decides the "exact" flag of reports.
 # Both vertex limits are at most VERTEX_LIMIT_CEILING: the exact width searches
 # are subset DPs with tables of 2**n entries, so a 41-variable path under a
 # limit of 64 asks for 2**41 and dies of MemoryError. CPU s of each search on
@@ -96,15 +60,17 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 #   treewidth_exact   0.24   1.13   5.48   24.7
 #   fhw_exact_small   0.18   0.89   4.11   16.4
 VERTEX_LIMIT_CEILING = 20
+# Documented defaults for every budget knob; override via --limit key=value
+# (repeatable) or a JSON file named by the CQCOUNT_LIMITS environment variable.
 DEFAULT_LIMITS: dict[str, int | None] = {
-    "enum_budget": 10_000_000,
-    "probe_budget": 20_000,
-    "oracle_cap": 50_000,
-    "walk_budget": 100_000,
-    "state_limit": 8_192,
-    "frontier_limit": 4_194_304,
+    "enum_budget": homsolver.ENUM_BUDGET,
+    "probe_budget": reduction.PROBE_BUDGET,
+    "oracle_cap": reduction.ORACLE_CAP,
+    "walk_budget": reduction.WALK_BUDGET,
+    "state_limit": automata.STATE_LIMIT,
+    "frontier_limit": automata.FRONTIER_LIMIT,
     "tw_vertex_limit": widths.TW_EXACT_VERTEX_LIMIT,
-    "fhw_vertex_limit": 8,
+    "fhw_vertex_limit": widths.FHW_EXACT_VERTEX_LIMIT,
     "fhw_limit": None,
 }
 # The limits whose code paths read None as "no limit".
@@ -229,7 +195,9 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
     report: dict = {"method": cfg.method, "query": q.name}
 
     if cfg.method == "exact":
-        report["count"] = count_answers_bruteforce(q, d, budget=limits["enum_budget"])
+        report["count"] = homsolver.count_answers_bruteforce(
+            q, d, budget=limits["enum_budget"]
+        )
     elif cfg.method == "fptras":
         if cfg.epsilon is None or cfg.delta is None or cfg.seed is None:
             raise QueryValidationError(

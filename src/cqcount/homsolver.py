@@ -206,7 +206,10 @@ def hom_exists_td(
     return bool(tables[td.root])
 
 
-def iter_solutions(q: Query, d: Database, budget: int = 10_000_000):
+ENUM_BUDGET = 10_000_000
+
+
+def iter_solutions(q: Query, d: Database, budget: int = ENUM_BUDGET):
     """Yield every total assignment (aligned to q.variables) satisfying the query."""
     _require_normalized(q)
     validate_pair(q, d)
@@ -240,14 +243,14 @@ def iter_solutions(q: Query, d: Database, budget: int = 10_000_000):
 
 
 def enumerate_answers_bruteforce(
-    q: Query, d: Database, budget: int = 10_000_000
+    q: Query, d: Database, budget: int = ENUM_BUDGET
 ) -> set[tuple]:
     """All answers (projections of solutions onto the free variables)."""
     k = len(q.free_vars)
     return {sol[:k] for sol in iter_solutions(q, d, budget)}
 
 
-def count_answers_bruteforce(q: Query, d: Database, budget: int = 10_000_000) -> int:
+def count_answers_bruteforce(q: Query, d: Database, budget: int = ENUM_BUDGET) -> int:
     return len(enumerate_answers_bruteforce(q, d, budget))
 
 

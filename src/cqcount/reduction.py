@@ -685,7 +685,7 @@ def _search_blocks(
         state = rng.getstate()
         vals = _draw_values(rng, k, size * per)
         samples = [vals[i : i + per] for i in range(0, size * per, per)]
-        for sample in dict.fromkeys(samples):
+        for s, sample in enumerate(samples):
             if sample in tried:
                 continue
             tried.add(sample)
@@ -693,7 +693,6 @@ def _search_blocks(
             if all(len(set(p)) == k for p in parts) and search(
                 ev.red_masks([_classes(p, ones) for p in parts])
             ) is not None:
-                s = samples.index(sample)
                 rng.setstate(state)
                 _draw_values(rng, k, (s + 1) * per)
                 stats.colourings_sampled += start + s + 1
@@ -773,7 +772,10 @@ def edgefree_restricted(
         else:
             for _ in range(q_reps):
                 for c in sizes:
-                    _colour_classes(rng, c, width)
+                    if c == 2:
+                        rng.getrandbits(width)
+                    else:
+                        _draw_values(rng, c, width)
         stats.colourings_sampled += q_reps
         if answer_free:
             stats.hom_calls += q_reps
@@ -894,6 +896,18 @@ def single_walk_estimate(
 PILOT_WALKS = 48
 # Most runs approx_count_answers makes, each with a four times larger oracle cap.
 MAX_ATTEMPTS = 8
+PROBE_BUDGET = 20_000
+ORACLE_CAP = 50_000
+# WALK_BUDGET caps the walks of one fptras estimator run, 48 pilot walks plus
+# m*g (m = 67 at delta 0.1, g >= 8 from the pilot variance). Walks per run,
+# Python 3.11, 2-vCPU Xeon:
+#   c11 corpus (probe_budget 0)     100 runs: median 584, max 8,289; 0.05 ms/walk
+#   c10 (hampath(K4), exact oracle) 100 runs: median 858, max 912; 0.09 ms/walk
+#   p3-32-walk-* ops, seed 1, passes 0-8: 27 runs: median 2,996, max 4,336;
+#                                         0.12 ms/walk
+#   c02 corpus: no run leaves the exact probe
+# 100,000 is 12x the largest run and about 12 s at 0.12 ms/walk.
+WALK_BUDGET = 100_000
 
 
 def estimate_edges(
@@ -902,9 +916,9 @@ def estimate_edges(
     epsilon: float,
     delta: float,
     rng: random.Random,
-    probe_budget: int = 20_000,
+    probe_budget: int = PROBE_BUDGET,
     stats: OracleStats | None = None,
-    walk_budget: int | None = 100_000,
+    walk_budget: int | None = WALK_BUDGET,
 ) -> int:
     """(epsilon, delta)-style edge count estimate from edge-freeness queries.
 
@@ -983,9 +997,9 @@ def approx_count_answers(
     seed: int,
     backend: str = "bruteforce",
     stats: OracleStats | None = None,
-    probe_budget: int = 20_000,
-    initial_cap: int = 50_000,
-    walk_budget: int | None = 100_000,
+    probe_budget: int = PROBE_BUDGET,
+    initial_cap: int = ORACLE_CAP,
+    walk_budget: int | None = WALK_BUDGET,
 ) -> int:
     """Randomized answer count for a normalized query with disequalities.
 
@@ -997,6 +1011,8 @@ def approx_count_answers(
     run. Identical seeds give identical results. `walk_budget` caps the walks
     of each attempt's estimator (see estimate_edges).
     """
+    if initial_cap < 1:
+        raise ValueError("initial_cap must be at least 1")
     ih = ImplicitAnswerHypergraph(q, d)
     if stats is None:
         stats = OracleStats()

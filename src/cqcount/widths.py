@@ -361,6 +361,16 @@ def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecompositi
 # The most vertices the exact treewidth search takes before callers fall back
 # to min-fill: its subset DP is exponential in them.
 TW_EXACT_VERTEX_LIMIT = 16
+# The most vertices the exact fhw search takes before callers fall back to
+# min-fill: a subset DP with one rho* per bag, summed over the bag's connected
+# parts; an acyclic query, such as a path, needs no rho* at all. CPU ms per
+# search, median of 5 (path: of 21), Python 3.11, 2-vCPU Xeon:
+#   vertices          6     7     8     9    10
+#   path            0.7   0.7   1.5   4.3  11.6
+#   cycle           3.9   4.4   6.8  15.4  33.8
+#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 87.5
+# Raising it would cost little, but it decides the "exact" flag of reports.
+FHW_EXACT_VERTEX_LIMIT = 8
 
 
 def treewidth_exact(
@@ -602,7 +612,7 @@ def _is_acyclic(h: Hypergraph) -> bool:
 
 
 def fhw_exact_small(
-    h: Hypergraph, vertex_limit: int = 8
+    h: Hypergraph, vertex_limit: int = FHW_EXACT_VERTEX_LIMIT
 ) -> tuple[Fraction, TreeDecomposition]:
     """Exact fractional hypertreewidth by exhausting elimination orders.
 

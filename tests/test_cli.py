@@ -6,6 +6,7 @@ import inspect
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,11 +14,14 @@ import pytest
 from cqcount import (
     Database,
     approx_count_answers,
+    automata,
     cli,
     count_answers_bruteforce,
     count_answers_fhw_pipeline,
     dump_database,
     gen_hampath,
+    homsolver,
+    reduction,
     treewidth_exact,
     widths,
 )
@@ -357,31 +361,72 @@ def test_limits_built_in_code_that_pass_the_check(instance, method, limits):
     assert doc.get("count", doc.get("estimate")) == 6
 
 
-# The library parameter each CLI limit is passed to.
-LIMIT_PARAMETERS = {
-    "enum_budget": (count_answers_bruteforce, "budget"),
-    "probe_budget": (approx_count_answers, "probe_budget"),
-    "oracle_cap": (approx_count_answers, "initial_cap"),
-    "walk_budget": (approx_count_answers, "walk_budget"),
-    "state_limit": (count_answers_fhw_pipeline, "state_limit"),
-    "frontier_limit": (count_answers_fhw_pipeline, "frontier_limit"),
-    "fhw_vertex_limit": (count_answers_fhw_pipeline, "exact_width_vertex_limit"),
-    "fhw_limit": (count_answers_fhw_pipeline, "fhw_limit"),
-    "tw_vertex_limit": (treewidth_exact, "vertex_limit"),
+# Per CLI limit, the constant that holds its default (None for fhw_limit)
+# and every library parameter with that default, first the one the CLI
+# passes the limit to.
+LIMIT_DEFAULTS = {
+    "enum_budget": (homsolver.ENUM_BUDGET, [
+        (count_answers_bruteforce, "budget"),
+        (homsolver.enumerate_answers_bruteforce, "budget"),
+        (homsolver.iter_solutions, "budget"),
+    ]),
+    "probe_budget": (reduction.PROBE_BUDGET, [
+        (approx_count_answers, "probe_budget"),
+        (reduction.estimate_edges, "probe_budget"),
+    ]),
+    "oracle_cap": (reduction.ORACLE_CAP, [(approx_count_answers, "initial_cap")]),
+    "walk_budget": (reduction.WALK_BUDGET, [
+        (approx_count_answers, "walk_budget"),
+        (reduction.estimate_edges, "walk_budget"),
+    ]),
+    "state_limit": (automata.STATE_LIMIT, [(count_answers_fhw_pipeline, "state_limit")]),
+    "frontier_limit": (automata.FRONTIER_LIMIT, [
+        (count_answers_fhw_pipeline, "frontier_limit"),
+        (automata.count_slice_exact, "frontier_limit"),
+    ]),
+    "fhw_vertex_limit": (widths.FHW_EXACT_VERTEX_LIMIT, [
+        (count_answers_fhw_pipeline, "exact_width_vertex_limit"),
+        (widths.fhw_exact_small, "vertex_limit"),
+    ]),
+    "fhw_limit": (None, [(count_answers_fhw_pipeline, "fhw_limit")]),
+    "tw_vertex_limit": (widths.TW_EXACT_VERTEX_LIMIT, [(treewidth_exact, "vertex_limit")]),
 }
 
 
 def test_every_default_limit_is_passed_to_a_library_parameter():
-    assert sorted(LIMIT_PARAMETERS) == sorted(DEFAULT_LIMITS)
+    assert sorted(LIMIT_DEFAULTS) == sorted(DEFAULT_LIMITS)
 
 
-@pytest.mark.parametrize("key", sorted(LIMIT_PARAMETERS))
-def test_default_limits_match_the_library_defaults(key):
-    # Each default is written twice, in the CLI table and in the signature of
-    # the function the CLI passes it to: a library caller and the CLI agree.
-    function, parameter = LIMIT_PARAMETERS[key]
-    default = inspect.signature(function).parameters[parameter].default
-    assert DEFAULT_LIMITS[key] == default
+@pytest.mark.parametrize("key, function, parameter", [
+    pytest.param(key, function, parameter,
+                 id=key if i == 0 else f"{key}-{function.__name__}")
+    for key, (_, parameters) in LIMIT_DEFAULTS.items()
+    for i, (function, parameter) in enumerate(parameters)
+])
+def test_default_limits_match_the_library_defaults(key, function, parameter):
+    # Each default is written once, as a constant beside the code it bounds;
+    # the CLI table and every signature read that name, so a library caller
+    # and the CLI agree.
+    constant = LIMIT_DEFAULTS[key][0]
+    assert inspect.signature(function).parameters[parameter].default == constant
+    assert DEFAULT_LIMITS[key] == constant
+
+
+def test_readme_limits_table_matches_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    table = readme.split("\n### Limits\n", 1)[1].split("\n| --- |", 1)[1]
+    rows = {}
+    for line in table.split("\n")[1:]:
+        if not line.startswith("| `"):
+            break
+        key, default = [cell.strip().strip("`") for cell in line.split("|")[1:3]]
+        rows[key] = default
+    assert rows == {
+        key: "none" if value is None else str(value)
+        for key, value in DEFAULT_LIMITS.items()
+    }
 
 
 @pytest.mark.parametrize("content, named", [

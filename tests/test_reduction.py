@@ -1202,6 +1202,17 @@ def test_approx_count_gives_up_after_max_attempts(monkeypatch):
     assert stats.restarts == 2
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_approx_count_refuses_a_cap_below_one(cap):
+    # A cap of 0 used to divide by zero; -1 ran 8 empty attempts and ended
+    # in a BudgetExceededError about an exhausted cap.
+    q, d = gen_li_hom(P3, _circulant(7))
+    stats = OracleStats()
+    with pytest.raises(ValueError, match="initial_cap must be at least 1"):
+        approx_count_answers(q, d, 0.25, 0.1, seed=7, stats=stats, initial_cap=cap)
+    assert stats == OracleStats()
+
+
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
 @pytest.mark.parametrize("probe", [20_000, 0])
 def test_approx_count_mixed_clique_cover(backend, probe):
