@@ -53,12 +53,17 @@ EXIT_BUDGET = 4
 LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 
 # Both vertex limits are at most VERTEX_LIMIT_CEILING: the exact width searches
-# are subset DPs with tables of 2**n entries, so a 41-variable path under a
-# limit of 64 asks for 2**41 and dies of MemoryError. CPU s of each search on
-# an n-vertex path, Python 3.11, 2-vCPU Xeon (both 37 MB max RSS at 20):
-#   vertices            14     16     18     20
-#   treewidth_exact   0.24   1.13   5.48   24.7
-#   fhw_exact_small   0.18   0.89   4.11   16.4
+# keep tables of 2**n entries, whatever share of the sets they solve, so a
+# 41-variable path under a limit of 64 asks for 2**41 and dies of MemoryError.
+# CPU s of each search on vertices x1, ..., xn, Python 3.11, 2-vCPU Xeon (37 MB
+# max RSS at 20 for each):
+#   vertices                  14      16      18      20
+#   treewidth_exact, path   0.14    0.72    2.46    11.4
+#   treewidth_exact, cycle  0.006   0.009   0.022   0.042
+#   fhw_exact_small, path   0.002   0.003   0.006   0.015
+#   fhw_exact_small, cycle  0.027   0.043   0.070   0.120
+# The tables double with each vertex, and treewidth on a 14-vertex path still
+# solves 15,851 of its 16,384 sets, so the ceiling stays.
 VERTEX_LIMIT_CEILING = 20
 # Documented defaults for every budget knob; override via --limit key=value
 # (repeatable) or a JSON file named by the CQCOUNT_LIMITS environment variable.

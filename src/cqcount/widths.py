@@ -2,6 +2,10 @@
 
 Provides exact treewidth (small inputs), a min-fill heuristic, conversion to
 nice decompositions, and fractional hypertreewidth for small hypergraphs.
+Both exact widths come from one search over elimination orders, run
+top-down from the full vertex set: a set stops at the first vertex that
+reaches its floor, the highest one-vertex bag cost in it, so a path's
+search solves n sets of the 2**n.
 
 The fractional independent set number alpha* and the fractional edge cover
 number rho* come from one exact rational LP, the packing LP: alpha* and its
@@ -235,24 +239,27 @@ def _adjacency_masks(h: Hypergraph, vs: list) -> list[int]:
     return masks
 
 
-def _elimination_bag(adj: list[int], eliminated: int, v: int, n: int) -> int:
-    """Bitmask of v plus the vertices reachable from v through eliminated ones."""
-    seen = 1 << v
-    stack = [v]
-    bag = 1 << v
-    while stack:
-        u = stack.pop()
-        m = adj[u] & ~seen
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length() - 1
-            seen |= low
-            if (eliminated >> w) & 1:
-                stack.append(w)
-            else:
-                bag |= low
-    return bag
+def _components(adj: list[int], s: int) -> list[tuple[int, int]]:
+    """(K, N(K) - s) as bitmasks for each connected component K of the graph
+    induced on s, N(K) being the neighbours of K's vertices. Eliminating s
+    with v last, v's bag is v plus N(K) - s for the K that holds v: the
+    vertices outside s that v reaches through the rest of s."""
+    out = []
+    left = s
+    while left:
+        todo = comp = left & -left
+        nbrs = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            nb = adj[low.bit_length() - 1]
+            nbrs |= nb
+            new = nb & left & ~comp
+            comp |= new
+            todo |= new
+        left &= ~comp
+        out.append((comp, nbrs & ~s))
+    return out
 
 
 def _elimination_dp(
@@ -267,6 +274,21 @@ def _elimination_dp(
     an elimination order whose bags are contained in the original bags, and
     every order's bags form a valid decomposition.
     Returns (optimal cost or None for the empty graph, elimination order).
+
+    The recurrence of Bodlaender et al. (ESA 2006): best(S) is the least,
+    over the vertex v of S eliminated last, of max(best(S - v), cost of v's
+    bag), and the order takes the lowest such v. It is solved top-down from
+    the full set, memoised in lists over all 2**n sets, so only the sets
+    some choice reaches are solved. At a set, v goes lowest first; v is
+    passed over when best(S - v), if known, or its bag's cost is already no
+    lower than the best so far, since it then cannot win under strict <. A
+    monotone cost puts every order of S at or above S's floor, the highest
+    cost of a one-vertex bag {u} for u in S, so the first v that reaches
+    the floor is the choice. On a path in vertex order each set's first v
+    does, and the search solves n of the 2**n sets. The one-vertex costs
+    are asked first, in vertex order, so a cost that raises on a vertex
+    raises on the lowest one. A set's bags are read off its components,
+    found once per set.
     """
     vs = h.sorted_vertices()
     n = len(vs)
@@ -287,26 +309,56 @@ def _elimination_dp(
             cost_of_bagmask[bagmask] = got
         return got
 
+    single = [bag_cost(frozenset((v,))) for v in vs]
+    cost_of_bagmask.update((1 << u, c) for u, c in enumerate(single))
+    # (floor, the vertices whose one-vertex cost it is), highest floor first.
+    floors = [
+        (c, sum(1 << u for u in range(n) if single[u] == c))
+        for c in sorted(set(single), reverse=True)
+    ]
+    # None marks a set not solved yet. The empty set takes the least floor,
+    # which every bag's cost reaches, so max() with it changes nothing.
     best: list = [None] * (full + 1)
+    best[0] = floors[-1][0]
     choice: list = [0] * (full + 1)
-    for s in range(1, full + 1):
-        m = s
+
+    def solve(s: int):
+        for floor, mask in floors:
+            if s & mask:
+                break
         cur_best = None
-        cur_choice = -1
+        cur_choice = 0
+        parts = None
+        m = s
         while m:
             low = m & -m
             m ^= low
-            v = low.bit_length() - 1
             rest = s ^ low
-            c = cost(_elimination_bag(adj, rest, v, n))
             prev = best[rest]
-            if prev is not None and prev > c:
+            if cur_best is not None and prev is not None and not prev < cur_best:
+                continue
+            if parts is None:
+                parts = _components(adj, s)
+            for comp, outside in parts:
+                if comp & low:
+                    break
+            c = cost(low | outside)
+            if cur_best is not None and not c < cur_best:
+                continue
+            if prev is None:
+                prev = solve(rest)
+            if prev > c:
                 c = prev
             if cur_best is None or c < cur_best:
                 cur_best = c
-                cur_choice = v
+                cur_choice = low.bit_length() - 1
+                if c == floor:
+                    break
         best[s] = cur_best
         choice[s] = cur_choice
+        return cur_best
+
+    solve(full)
     order_idx = []
     s = full
     while s:
@@ -359,16 +411,17 @@ def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecompositi
 
 
 # The most vertices the exact treewidth search takes before callers fall back
-# to min-fill: its subset DP is exponential in them.
+# to min-fill: its search over vertex sets is exponential in them.
 TW_EXACT_VERTEX_LIMIT = 16
 # The most vertices the exact fhw search takes before callers fall back to
-# min-fill: a subset DP with one rho* per bag, summed over the bag's connected
-# parts; an acyclic query, such as a path, needs no rho* at all. CPU ms per
-# search, median of 5 (path: of 21), Python 3.11, 2-vCPU Xeon:
+# min-fill: a search over vertex sets with one rho* per bag, summed over the
+# bag's connected parts; an acyclic query, such as a path, needs no rho* at
+# all. CPU ms per search on vertices x1, ..., xn, median of 11 (path: of 21),
+# Python 3.11, 2-vCPU Xeon:
 #   vertices          6     7     8     9    10
-#   path            0.7   0.7   1.5   4.3  11.6
-#   cycle           3.9   4.4   6.8  15.4  33.8
-#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 87.5
+#   path            0.2   0.2   0.3   0.3   0.7
+#   cycle           3.6   5.5   6.9   8.0   9.8
+#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 16.0
 # Raising it would cost little, but it decides the "exact" flag of reports.
 FHW_EXACT_VERTEX_LIMIT = 8
 
@@ -376,7 +429,7 @@ FHW_EXACT_VERTEX_LIMIT = 8
 def treewidth_exact(
     h: Hypergraph, vertex_limit: int = TW_EXACT_VERTEX_LIMIT
 ) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth with a witness decomposition (subset DP over orders)."""
+    """Exact treewidth with a witness decomposition (search over orders)."""
     value, order = _elimination_dp(
         h, lambda bag: len(bag) - 1, vertex_limit, "treewidth_exact"
     )

@@ -11,6 +11,7 @@ from typing import Mapping
 
 from cqcount import (
     Database,
+    LimitExceededError,
     OracleStats,
     Query,
     Structure,
@@ -22,7 +23,8 @@ from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
 from cqcount.widths import (
     Hypergraph,
     TreeDecomposition,
-    _elimination_dp,
+    _adjacency_masks,
+    _bits,
     _packing_lp,
     _postorder,
     _vkey,
@@ -178,6 +180,80 @@ def min_fill_order(h: Hypergraph) -> list:
     return order
 
 
+def elimination_bag(adj: list[int], eliminated: int, v: int) -> int:
+    """Bitmask of v plus the vertices reachable from v through eliminated
+    ones, by a walk from v: the reference for widths._components."""
+    seen = 1 << v
+    stack = [v]
+    bag = 1 << v
+    while stack:
+        u = stack.pop()
+        m = adj[u] & ~seen
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            seen |= low
+            if (eliminated >> w) & 1:
+                stack.append(w)
+            else:
+                bag |= low
+    return bag
+
+
+def elimination_dp_every_subset(h: Hypergraph, bag_cost, vertex_limit: int, what: str):
+    """Reference for widths._elimination_dp: the same recurrence filled
+    bottom-up over all 2**n vertex sets, every (set, last vertex) costed, the
+    lowest vertex kept on ties. Returns the same (value, order)."""
+    vs = h.sorted_vertices()
+    n = len(vs)
+    if n > vertex_limit:
+        raise LimitExceededError(
+            f"{what} limited to {vertex_limit} vertices, got {n}"
+        )
+    if n == 0:
+        return None, []
+    adj = _adjacency_masks(h, vs)
+    full = (1 << n) - 1
+    cost_of_bagmask: dict[int, object] = {}
+
+    def cost(bagmask: int):
+        got = cost_of_bagmask.get(bagmask)
+        if got is None:
+            got = bag_cost(frozenset(vs[i] for i in _bits(bagmask)))
+            cost_of_bagmask[bagmask] = got
+        return got
+
+    best: list = [None] * (full + 1)
+    choice: list = [0] * (full + 1)
+    for s in range(1, full + 1):
+        m = s
+        cur_best = None
+        cur_choice = -1
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            rest = s ^ low
+            c = cost(elimination_bag(adj, rest, v))
+            prev = best[rest]
+            if prev is not None and prev > c:
+                c = prev
+            if cur_best is None or c < cur_best:
+                cur_best = c
+                cur_choice = v
+        best[s] = cur_best
+        choice[s] = cur_choice
+    order_idx = []
+    s = full
+    while s:
+        v = choice[s]
+        order_idx.append(v)
+        s ^= 1 << v
+    order_idx.reverse()
+    return best[full], [vs[i] for i in order_idx]
+
+
 def fhw_exact_small_whole_bag(
     h: Hypergraph, vertex_limit: int = 8, lps: dict | None = None
 ) -> tuple[Fraction, TreeDecomposition]:
@@ -196,7 +272,7 @@ def fhw_exact_small_whole_bag(
             lps[key] = fractional_edge_cover_number(induced_hypergraph(h, bag))[0]
         return lps[key]
 
-    value, order = _elimination_dp(h, rho, vertex_limit, "fhw_exact_small")
+    value, order = elimination_dp_every_subset(h, rho, vertex_limit, "fhw_exact_small")
     td = td_from_elimination_order(h, order)
     return (Fraction(0) if value is None else value), td
 
@@ -229,7 +305,7 @@ def validate_fractional_independent_set(h: Hypergraph, mu: Mapping) -> dict:
 def mu_width(h: Hypergraph, mu: Mapping, vertex_limit: int = 8) -> Fraction:
     """Minimum over decompositions of the maximum bag mass under mu."""
     weights = validate_fractional_independent_set(h, mu)
-    value, _ = _elimination_dp(
+    value, _ = elimination_dp_every_subset(
         h,
         lambda bag: sum((weights[v] for v in bag), Fraction(0)),
         vertex_limit,

@@ -28,6 +28,7 @@ from cqcount.widths import induced_hypergraph, td_from_elimination_order
 
 from conftest import random_hypergraph
 from helpers import (
+    elimination_dp_every_subset,
     fhw_exact_small_whole_bag,
     fractional_independent_set_number,
     min_fill_order,
@@ -571,6 +572,97 @@ def test_fhw_exact_small_uncovered_vertex_raises():
             UncoverableVertexError, match=re.escape(f"vertices in no hyperedge: {named}")
         ):
             fhw_exact_small(h)
+
+
+def _dp_corpus():
+    """Seeded hypergraphs for the elimination search: random ones of 1 to 8
+    vertices, paths, cycles and cliques on integer and string names, and two
+    with a vertex in no edge."""
+    rng = random.Random(29)
+    for _ in range(100):
+        yield random_hypergraph(rng, max_vertices=8)
+    for n in range(2, 10):
+        for name in (int, "v{}".format):
+            vs = [name(i) for i in range(n)]
+            yield Hypergraph.from_graph(zip(vs, vs[1:]))
+            if n >= 3:
+                yield Hypergraph.from_graph(zip(vs, vs[1:] + vs[:1]))
+            if n <= 6:
+                yield Hypergraph.from_graph(
+                    [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
+                )
+    yield Hypergraph.make([0, 1, 2, 3], [(1, 2), (2, 3)])
+    yield Hypergraph.make(["a", "b", "c", "d"], [("a", "b", "c")])
+
+
+def _dp_costs(h: Hypergraph, rng: random.Random) -> dict:
+    """The four monotone bag costs the searches run on; the mu mass weighs
+    each vertex 0, 1/8, ... or 1 by rng."""
+    weights = {v: Fraction(rng.randint(0, 8), 8) for v in h.sorted_vertices()}
+    return {
+        "rho*": widths._rho_cache(h),
+        "inside an edge": lambda bag: 1 if any(bag <= e for e in h.edges) else 2,
+        "treewidth": lambda bag: len(bag) - 1,
+        "mu mass": lambda bag: sum((weights[v] for v in bag), Fraction(0)),
+    }
+
+
+def _outcome(search, h, cost):
+    try:
+        value, order = search(h, cost, 9, "test")
+    except UncoverableVertexError as exc:
+        return "raised", str(exc)
+    return type(value), value, order
+
+
+def test_elimination_dp_matches_every_subset_reference():
+    # The top-down search solves only the sets its choices reach, so it is
+    # checked against the bottom-up table of every subset: the same value,
+    # of the same type, and the same order, which the lowest-vertex tie
+    # rule decides, for each cost; an uncoverable vertex raises the same text.
+    raised = 0
+    for i, h in enumerate(_dp_corpus()):
+        for name, cost in _dp_costs(h, random.Random(i)).items():
+            got = _outcome(widths._elimination_dp, h, cost)
+            want = _outcome(elimination_dp_every_subset, h, cost)
+            assert got == want, (sorted(h.vertices, key=repr), name)
+            raised += got[0] == "raised"
+    assert raised == 2
+    # Each set's floor is its own. In the set {3, 4}, 4 last costs 7/8 and
+    # 3 last costs 1, so the order starts with 3; clipped at vertex 0's mass
+    # 1, the two would tie and it would start with 4.
+    h = Hypergraph.make(range(5), [(0, 2), (1, 2, 4), (2,), (3, 4)])
+    weights = [Fraction(1), Fraction(1, 8), Fraction(0), Fraction(1, 8), Fraction(3, 4)]
+
+    def mass(bag):
+        return sum((weights[v] for v in bag), Fraction(0))
+
+    want = (Fraction(1), [3, 4, 1, 2, 0])
+    assert elimination_dp_every_subset(h, mass, 9, "test") == want
+    assert widths._elimination_dp(h, mass, 9, "test") == want
+
+
+@pytest.mark.parametrize("n", [8, 14, 20])
+def test_fhw_exact_small_on_a_path_costs_at_most_2n_bags(monkeypatch, n):
+    # On a path whose vertex order runs along it, each set's lowest vertex
+    # reaches the set's floor, so the search costs the n one-vertex bags and
+    # one more bag per set on the way down: 2n - 1 of the bags of all
+    # n * 2**(n-1) (set, vertex) pairs.
+    asked = set()
+    search = widths._elimination_dp
+
+    def counting(h, bag_cost, vertex_limit, what):
+        def cost(bag):
+            asked.add(bag)
+            return bag_cost(bag)
+
+        return search(h, cost, vertex_limit, what)
+
+    monkeypatch.setattr(widths, "_elimination_dp", counting)
+    vs = [f"x{i:02d}" for i in range(n)]
+    value, td = fhw_exact_small(Hypergraph.from_graph(zip(vs, vs[1:])), vertex_limit=20)
+    assert value == 1 and td.n_nodes == n
+    assert len(asked) <= 2 * n, len(asked)
 
 
 # ---------------------------------------------------------------------------
