@@ -27,6 +27,13 @@ so it ends where one draw per sample would leave it. A sample whose
 colouring leaves some clique's colour class empty can hold no witness, so it
 is counted and drawn like any other but neither masked nor searched.
 
+The bruteforce evaluator keeps the last answer a search of it returned. In a
+later box that holds it, that answer settles the search before colouring,
+and a K2 sample that keeps it (each disequality's first variable red, the
+second not) holds a witness unsearched. The K2 sample loop narrows the
+domains itself rather than through compile's callable, with the same
+empty-domain check before a search.
+
 Halving the full box along the domain order only ever makes products of
 contiguous runs, so a box is named by one half-open index interval (lo, hi)
 per layer, and the `edgefree` callbacks of the counters receive boxes in
@@ -92,9 +99,10 @@ class OracleStats:
     colourings_sampled: colour samples drawn, searched or not;
     hom_calls: one per box for its search with no colour masks, plus one
         per colour sample of a box with a witness there, counted even when
-        the sample empties a colour class, or repeats a colouring the box
-        has searched, or the box is proved answer-free, and so is not
-        searched;
+        that search is skipped for a known answer in the box, or the sample
+        empties a colour class or a domain, keeps the known answer, or
+        repeats a colouring the box has searched, or the box is proved
+        answer-free, and so is not searched;
     estimator_walks: random walks of the edge-count estimator;
     restarts: runs begun again with a larger simulation cap.
     """
@@ -222,8 +230,11 @@ class _Evaluator:
         self.one_size = sizes.pop() if len(sizes) == 1 else 0
 
         self._reps: dict[float, int] = {}  # repetitions() per delta_prime
+        # The value indices of the last answer a bruteforce search returned:
+        # a witness that meets every disequality (see answer_within).
+        self.last: tuple[int, ...] | None = None
 
-        # One plan per run; compile() hands self._search each box's domains.
+        # One plan per run; self._search runs it under a box's domains.
         if backend == "td-dp":
             self._plan = self._plan_td(q, pos)
             self._search = self._td_search
@@ -256,6 +267,14 @@ class _Evaluator:
     def answer_in(self, layer_masks) -> tuple | None:
         """bruteforce only: an answer's values in the box, or None."""
         return self._bruteforce_search(self._box(layer_masks), distinct=True)
+
+    def answer_within(self, layer_masks) -> tuple[int, ...] | None:
+        """self.last when its free values lie in the box, else None: an
+        answer in the box, found by a search of any box."""
+        last = self.last
+        if last is not None and all(m >> a & 1 for m, a in zip(layer_masks, last)):
+            return last
+        return None
 
     def compile(self, layer_masks):
         """The search of one box, as a callable colour_masks -> witness | None.
@@ -433,6 +452,8 @@ class _Evaluator:
             if not ok:
                 continue
             if k + 1 == n:
+                if all(assigned[i] != assigned[j] for i, j in self.diseq_pos):
+                    self.last = tuple(assigned)
                 return tuple(self.values[i] for i in assigned)
             stack.append((k, m, cur))
             k, m, cur = k + 1, nxt[levels[k + 1][0]], nxt
@@ -703,6 +724,42 @@ def _search_blocks(
     return True
 
 
+def _pair_samples_to_witness(
+    ev: _Evaluator, box: list[int], known, rng: random.Random, q_reps: int, width: int
+) -> int:
+    """The sample loop of edgefree_restricted for a cover of K2s only: the
+    number of samples drawn up to and including the first with a witness,
+    or 0 when none of the q_reps has one, drawing as the general loop does.
+
+    Each K2 is one disequality (i, j), whose sample is one getrandbits
+    draw: the red class, which i takes and j avoids. A sample where the
+    known answer (value indices, or None) has i red and j blue holds a
+    witness without a search. One that leaves a variable no value of the
+    box (box: the per-variable domains) holds none, and is not searched.
+    This narrows the box as compile's callable does, inline, as a call per
+    sample would cost most of what the loop saves.
+    """
+    search, draw = ev._search, rng.getrandbits
+    # (i, j, mask, keep): the known answer survives red when red & mask is
+    # keep, its value at i red and at j not; with mask 0 it never does.
+    rows = [
+        (i, j, 1 << known[i] | 1 << known[j], 1 << known[i])
+        if known is not None
+        else (i, j, 0, 1)
+        for i, j in ev.diseq_pos
+    ]
+    for t in range(1, q_reps + 1):
+        dom, survives = list(box), True
+        for i, j, mask, keep in rows:
+            red = draw(width)
+            dom[i] &= red
+            dom[j] &= ~red
+            survives = survives and red & mask == keep
+        if survives or all(dom) and search(dom) is not None:
+            return t
+    return 0
+
+
 def edgefree_restricted(
     ih: ImplicitAnswerHypergraph,
     masks,
@@ -727,10 +784,15 @@ def edgefree_restricted(
     keeps colour coding, as that search has no FPT bound. Nor is a sample
     whose colouring leaves a clique's colour class empty: that class pins
     its variable to no value, so the sample is counted but neither masked
-    nor searched. When the cliques all have one size k >= 3,
-    samples are drawn in blocks and a colouring already searched in the box
-    is not searched again; a witness rewinds rng to its block's start and
-    redraws up to its sample, so rng ends as if drawn one sample at a time.
+    nor searched. On bruteforce, the evaluator's last answer, when it lies
+    in the box, stands in for the search before colouring and answer_in,
+    both still counted. When every clique is a K2, a sample that keeps that
+    answer holds a witness unsearched, and the loop narrows the box inline
+    with compile's empty-domain check. When the cliques all have one size
+    k >= 3, samples are drawn in blocks and a colouring already searched in
+    the box is not searched again; a witness rewinds rng to its block's
+    start and redraws up to its sample, so rng ends as if drawn one sample
+    at a time.
     """
     if len(masks) != ih.ell:
         raise ValueError(f"expected {ih.ell} layer masks, got {len(masks)}")
@@ -742,24 +804,27 @@ def edgefree_restricted(
     if not all(masks):
         return True
     ev = ih.evaluator(backend)
-    search = ev.compile(masks)
+    box = ev._box(masks)
     stats.hom_calls += 1
-    witness = search(())
+    # A known answer in the box stands in for the search before colouring.
+    known = ev.answer_within(masks)
+    hom = known is not None or (all(box) and ev._search(box) is not None)
     if not ev.cliques:
-        return witness is None
+        return not hom
     sizes, k = ev.clique_sizes, ev.one_size
     q_reps = ev.repetitions(delta_prime)
     width = len(ih.domain)
     # A colour search only finds answers, so where bruteforce finds none in
     # the box, each of its samples would be searched and found empty. A
-    # witness that meets every disequality is such an answer already.
-    answer_free = (
-        witness is not None
-        and backend == "bruteforce"
-        and any(witness[i] == witness[j] for i, j in ev.diseq_pos)
-        and ev.answer_in(masks) is None
-    )
-    if witness is None or answer_free:
+    # witness that meets every disequality is such an answer, and ev.last
+    # now; so is one that answer_in finds.
+    answer_free = False
+    if hom and known is None and backend == "bruteforce":
+        known = ev.answer_within(masks)
+        if known is None and ev.answer_in(masks) is not None:
+            known = ev.last
+        answer_free = known is None
+    if not hom or answer_free:
         # The same draws as the loops below, so rng ends in the same state.
         # getrandbits(width) uses up ceil(width / 32) 32-bit words of the
         # generator, so one call of that many words per K2 and sample does.
@@ -780,21 +845,21 @@ def edgefree_restricted(
         if answer_free:
             stats.hom_calls += q_reps
         return True
-    if k > 2:
+    if k == 2:
+        drawn = _pair_samples_to_witness(ev, box, known, rng, q_reps, width)
+        stats.colourings_sampled += drawn or q_reps
+        stats.hom_calls += drawn or q_reps
+        return not drawn
+    search = ev.compile(masks)
+    if k:
         return _search_blocks(ev, search, rng, q_reps, width, stats)
     for _ in range(q_reps):
         stats.colourings_sampled += 1
         stats.hom_calls += 1
-        if k == 2:
-            colours = [rng.getrandbits(width) for _ in sizes]
-        else:
-            classes = [_colour_classes(rng, c, width) for c in sizes]
-            # An empty class leaves its clique variable no value, so the
-            # search would return None at its empty-domain check.
-            if not all(map(all, classes)):
-                continue
-            colours = ev.red_masks(classes)
-        if search(colours) is not None:
+        classes = [_colour_classes(rng, c, width) for c in sizes]
+        # An empty class leaves its clique variable no value, so the search
+        # would return None at its empty-domain check.
+        if all(map(all, classes)) and search(ev.red_masks(classes)) is not None:
             return False
     return True
 

@@ -706,21 +706,45 @@ def test_clique_over_255_variables_is_a_budget_error_before_any_draw():
     assert rng.getstate() == state
 
 
+def _spy_searches(monkeypatch, ev):
+    """Record the domains of each ev._search call, the one seam every search
+    of a box but answer_in's goes through, and the masks of each
+    ev.answer_in call."""
+    searched, answered = [], []
+    search, answer_in = ev._search, ev.answer_in
+
+    def counted_search(dom):
+        searched.append(list(dom))
+        return search(dom)
+
+    def counted_answer_in(masks):
+        answered.append(list(masks))
+        return answer_in(masks)
+
+    monkeypatch.setattr(ev, "_search", counted_search)
+    monkeypatch.setattr(ev, "answer_in", counted_answer_in)
+    return searched, answered
+
+
 @pytest.mark.parametrize("box,searches", [
     # x0 = x2 = 0 and x1 a neighbour of 0: the walk 0-1-0 is a hom but not
     # locally injective, so the box has no answer yet its samples count as
-    # hom calls.
+    # hom calls. answer_in proves it, after the one search before colouring.
     (((0,), (1, 3), (0,)), clique_repetitions([2], 0.05) + 1),
     # No hom at all: the uncoloured search is the only one.
     (((0,), (2,), (0,)), 1),
 ])
-def test_edgefree_box_without_answer_searches(box, searches):
+def test_edgefree_box_without_answer_searches(monkeypatch, box, searches):
     ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    ev = ih.evaluator("bruteforce")
+    searched, answered = _spy_searches(monkeypatch, ev)
     stats = OracleStats()
     masks = layer_masks(ih, box)
     assert edgefree_restricted(ih, masks, 0.05, random.Random(0), stats=stats)
     assert stats.colourings_sampled == clique_repetitions([2], 0.05)
     assert stats.hom_calls == searches
+    assert searched == [ev._box(masks)]
+    assert len(answered) == (searches > 1)
 
 
 def _random_boxes(seeds, boxes_per_query=6):
@@ -786,6 +810,121 @@ def test_certified_box_keeps_answer_stats_and_stream():
     assert done == {"k2": 3, "clique": 3, "mixed": 3}
 
 
+def _full_answers(ih: ImplicitAnswerHypergraph) -> dict:
+    """Each answer's free values, mapped to the value indices of one full
+    assignment that extends it."""
+    ev = ih.evaluator("bruteforce")
+    index = {w: i for i, w in enumerate(ih.domain)}
+    return {
+        a: tuple(index[w] for w in ev.answer_in([1 << index[w] for w in a]))
+        for a in ih.answers()
+    }
+
+
+def _k2_boxes():
+    """(ih, value sets) of seeded boxes over P3 and P4 lihom, and over the
+    random queries of _random_boxes whose cover holds K2s only."""
+    for pattern in (P3, P4):
+        ih = ImplicitAnswerHypergraph(*gen_li_hom(pattern, _circulant(7)))
+        rng = random.Random(len(pattern))
+        for _ in range(40):
+            yield ih, [tuple(w for w in ih.domain if rng.random() < 0.6) for _ in range(ih.ell)]
+    for kind, ih, vs in _random_boxes(range(300)):
+        if kind == "k2":
+            yield ih, vs
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_k2_samples_end_as_every_sample_whatever_answer_is_known(backend):
+    # ev.last is only a hint: an answer in the box, one outside it, or none
+    # must leave the answer, the counters and the stream as the reference
+    # that searches every sample leaves them.
+    seen = collections.Counter()
+    for n, (ih, vs) in enumerate(_k2_boxes()):
+        ev = ih.evaluator(backend)
+        assert ev.one_size == 2
+        masks = layer_masks(ih, vs)
+        hom = all(masks) and ev.compile(masks)(()) is not None
+        full = _full_answers(ih)
+        ranked = sorted(full, key=repr)
+        inside = [a for a in ranked if all(w in layer for w, layer in zip(a, vs))]
+        outside = [a for a in ranked if a not in inside]
+        pick = random.Random(n).choice
+        for where, answers in (("inside", inside), ("outside", outside), ("none", [None])):
+            if not answers:
+                continue
+            a = pick(answers)
+            ev.last = None if a is None else full[a]
+            seen[where] += 1
+            q = ih.query
+            seen["negated binary"] += any(sym.arity == 2 for sym, _ in q.negated_predicates)
+            seen["ternary"] += any(len(idxs) == 3 for idxs, _, _ in ev.higher)
+            rng, ref_rng = random.Random(n), random.Random(n)
+            stats, ref_stats = OracleStats(), OracleStats()
+            got = edgefree_restricted(ih, masks, 0.05, rng, backend, stats)
+            ref = edgefree_every_sample(ih, masks, 0.05, ref_rng, backend, ref_stats)
+            # The reference makes no search before colouring, and a box with
+            # no hom there runs that search alone.
+            ref_stats.hom_calls = ref_stats.hom_calls + 1 if hom else int(all(masks))
+            assert got == ref, (n, where)
+            assert stats == ref_stats, (n, where)
+            assert rng.getstate() == ref_rng.getstate(), (n, where)
+    assert min(seen.values()) >= 30, seen
+
+
+def _first_keeping(index, a: int, b: int, at: int) -> int:
+    """A seed whose getrandbits(4) draws of random.Random(seed) first have
+    bit index[a] set and bit index[b] clear at draw `at` (from 0)."""
+    for seed in range(1000):
+        rng = random.Random(seed)
+        draws = [rng.getrandbits(4) for _ in range(at + 1)]
+        keeps = [bool(red >> index[a] & 1 and not red >> index[b] & 1) for red in draws]
+        if True in keeps and keeps.index(True) == at:
+            return seed
+    raise AssertionError(f"no seed keeps {a} red and {b} blue first at draw {at}")
+
+
+def test_known_answer_in_box_settles_it_without_a_search(monkeypatch):
+    # (0, 1, 2) is an answer of P3 lihom over C4. Held by ev.last, it stands
+    # in for the search before colouring and for answer_in; the first
+    # sample keeps 0 red and 2 blue, so it holds a witness unsearched.
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    ev = ih.evaluator("bruteforce")
+    index = {w: i for i, w in enumerate(ih.domain)}
+    ev.last = (index[0], index[1], index[2])
+    searched, answered = _spy_searches(monkeypatch, ev)
+    seed = _first_keeping(index, 0, 2, 0)
+    masks = layer_masks(ih, [ih.domain] * 3)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    stats, ref_stats = OracleStats(), OracleStats()
+    assert not edgefree_restricted(ih, masks, 0.05, rng, stats=stats)
+    assert searched == answered == []
+    assert stats == OracleStats(edgefree_calls=1, colourings_sampled=1, hom_calls=2)
+    monkeypatch.undo()
+    assert not edgefree_every_sample(ih, masks, 0.05, ref_rng, stats=ref_stats)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_k2_sample_that_empties_a_domain_runs_no_search(monkeypatch):
+    # x0 = 0 and x2 = 2 on P3 lihom over C4: a sample leaves both a value
+    # only with 0 red and 2 blue, here first at the third sample. The two
+    # before it are not searched. The search before colouring finds the
+    # answer (0, 1, 2), which the third sample keeps, so it is not searched
+    # either.
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    ev = ih.evaluator("bruteforce")
+    index = {w: i for i, w in enumerate(ih.domain)}
+    searched, answered = _spy_searches(monkeypatch, ev)
+    seed = _first_keeping(index, 0, 2, 2)
+    masks = layer_masks(ih, ((0,), (1, 3), (2,)))
+    stats = OracleStats()
+    assert not edgefree_restricted(ih, masks, 0.05, random.Random(seed), stats=stats)
+    assert stats == OracleStats(edgefree_calls=1, colourings_sampled=3, hom_calls=4)
+    assert ev.last == (index[0], index[1], index[2])
+    assert searched == [ev._box(masks)]
+    assert answered == []
+
+
 @pytest.mark.parametrize("text,sizes", [
     ("q(x, y, z) :- E(x, y), E(y, z), x != y, y != z, x != z", [3]),
     ("q(a, b, c, e) :- E(a, b), E(c, e), "
@@ -836,11 +975,21 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
     ih = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
     ev = ih.evaluator(backend)
     assert ev.clique_sizes == [4]
+    # The search before colouring calls ev._search, recorded as (); each
+    # colour search calls what ev.compile returns, recorded by its red masks.
     searched = []
-    compile_ = ev.compile
+    search, compile_ = ev._search, ev.compile
+
+    def uncoloured(dom):
+        searched.append(())
+        return search(dom)
 
     def counting_compile(layer_masks):
+        # Its callable keeps the unwrapped search, so a colour search is
+        # recorded once.
+        ev._search = search
         run = compile_(layer_masks)
+        ev._search = uncoloured
 
         def counted(colour_masks):
             searched.append(colour_masks)
@@ -848,6 +997,7 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
 
         return counted
 
+    monkeypatch.setattr(ev, "_search", uncoloured)
     monkeypatch.setattr(ev, "compile", counting_compile)
     masks = layer_masks(ih, box)
     rng, stats = derive_rng(5, len(box[0])), OracleStats()
