@@ -30,11 +30,8 @@ from .errors import (
 )
 from .homsolver import (
     Structure,
-    build_A,
-    build_B,
     count_answers_bruteforce,
     enumerate_answers_bruteforce,
-    hom_exists_bruteforce,
     hom_exists_td,
     sol_bag,
 )
@@ -60,11 +57,8 @@ from .reduction import (
     ImplicitAnswerHypergraph,
     OracleStats,
     approx_count_answers,
-    build_hat_A,
-    build_hat_B,
     count_edges_exact_oracle,
     derive_rng,
-    edgefree_bruteforce,
     edgefree_restricted,
     estimate_edges,
 )

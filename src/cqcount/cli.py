@@ -29,7 +29,6 @@ from .errors import (
     UncoverableVertexError,
 )
 from .qmodel import (
-    Query,
     build_hypergraph,
     dump_database,
     dump_query,

@@ -1,10 +1,13 @@
-"""Relational structures and homomorphism / answer primitives.
+"""Relational structures, the paper's homomorphism DP, brute-force answers
+and bag tables.
 
-A query-database pair turns into two finite structures: the canonical
-structure of the query (variables as universe, one tuple per atom, separate
-complement symbols for negated atoms) and the induced structure of the
-database (complement relations materialized). Homomorphisms between them are
-exactly the solutions of the query that ignore disequalities.
+hom_exists_td decides whether one finite structure maps homomorphically into
+another by a dynamic program over a nice tree decomposition of the source.
+The pipelines decide that question on the evaluator's value-level form
+(reduction._Evaluator) and never build a structure; the paper's explicit
+structures of a query and a database are test oracles in tests/helpers.py.
+iter_solutions enumerates the solutions of a query over a database, which the
+`exact` method counts, and sol_bag builds the fhw pipeline's bag tables.
 """
 
 from __future__ import annotations
@@ -36,42 +39,9 @@ class Structure:
         return frozenset(self.relations)
 
 
-def complement_symbol(sym: RelationSymbol) -> RelationSymbol:
-    """Marker symbol for the complement relation; '!' cannot occur in user names."""
-    return RelationSymbol("!" + sym.name, sym.arity)
-
-
 def _require_normalized(q: Query) -> None:
     if q.equalities:
         raise QueryValidationError("query still contains equalities; normalize first")
-
-
-def build_A(q: Query) -> Structure:
-    """Canonical structure of the query over its variables."""
-    _require_normalized(q)
-    rels: dict[RelationSymbol, set[tuple]] = {}
-    for sym, args in q.predicates:
-        rels.setdefault(sym, set()).add(args)
-    for sym, args in q.negated_predicates:
-        rels.setdefault(complement_symbol(sym), set()).add(args)
-    return Structure(q.variables, {s: frozenset(t) for s, t in rels.items()})
-
-
-def build_B(q: Query, d: Database) -> Structure:
-    """Induced structure of the database: matching relations for positive
-    atoms, materialized complements for negated ones."""
-    _require_normalized(q)
-    validate_pair(q, d)
-    rels: dict[RelationSymbol, frozenset[tuple]] = {}
-    for sym, _ in q.predicates:
-        rels[sym] = d.relations[sym]
-    for sym, _ in q.negated_predicates:
-        facts = d.relations[sym]
-        comp = frozenset(
-            t for t in itertools.product(d.domain, repeat=sym.arity) if t not in facts
-        )
-        rels[complement_symbol(sym)] = comp
-    return Structure(tuple(d.domain), rels)
 
 
 def structure_hypergraph(s: Structure) -> Hypergraph:
@@ -87,55 +57,6 @@ def _check_signatures(a: Structure, b: Structure) -> None:
     if missing:
         names = ", ".join(f"{s.name}/{s.arity}" for s in sorted(missing))
         raise PairValidationError(f"target structure lacks relations: {names}")
-
-
-def hom_exists_bruteforce(a: Structure, b: Structure, domains=None) -> bool:
-    """Backtracking homomorphism test, smallest-domain-first after unary filtering."""
-    _check_signatures(a, b)
-    if not a.universe:
-        return True
-    cands: dict = {}
-    for x in a.universe:
-        allowed = set(domains[x]) if domains is not None else set(b.universe)
-        cands[x] = allowed
-    constraints = []
-    for sym, facts in a.relations.items():
-        bfacts = b.relations[sym]
-        for t in facts:
-            if sym.arity == 1:
-                vals = {bt[0] for bt in bfacts}
-                cands[t[0]] &= vals
-            else:
-                constraints.append((t, bfacts))
-    if any(not c for c in cands.values()):
-        return False
-
-    order = sorted(a.universe, key=lambda x: (len(cands[x]), _vkey(x)))
-    position = {x: i for i, x in enumerate(order)}
-    # Check each constraint as soon as its last variable gets a value.
-    due: list[list[tuple]] = [[] for _ in order]
-    for t, bfacts in constraints:
-        due[max(position[x] for x in t)].append((t, bfacts))
-
-    assignment: dict = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for v in cands[x]:
-            assignment[x] = v
-            ok = True
-            for t, bfacts in due[i]:
-                if tuple(assignment[y] for y in t) not in bfacts:
-                    ok = False
-                    break
-            if ok and extend(i + 1):
-                return True
-        assignment.pop(x, None)
-        return False
-
-    return extend(0)
 
 
 def hom_exists_td(

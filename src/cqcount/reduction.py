@@ -55,9 +55,10 @@ search once per run over that form, when the evaluator is built.
 holding its forward checks into later neighbours and the atoms over three or
 more variables it completes; `td-dp` runs one dynamic program along a nice
 tree decomposition of the query, built once and flattened into postorder
-steps over the same bitmask tables. Tests pin both against the explicit
-construction (build_hat_A / build_hat_B plus the plain solvers) and against
-homsolver.hom_exists_td, the paper's DP over the explicit structures.
+steps over the same bitmask tables. Tests pin both against the paper's
+explicit structures, plain and decorated, which tests/helpers.py builds and
+checks by a backtracking search and by homsolver.hom_exists_td, the paper's
+DP over explicit structures.
 """
 
 from __future__ import annotations
@@ -71,12 +72,10 @@ import statistics
 from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceededError, QueryValidationError
-from .homsolver import Structure, build_A, build_B, enumerate_answers_bruteforce
 from .homsolver import hom_exists_td  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .qmodel import (
     Database,
     Query,
-    RelationSymbol,
     build_hypergraph,
     oriented_disequalities,
     validate_pair,
@@ -129,8 +128,7 @@ class ImplicitAnswerHypergraph:
 
     Vertices are (value, layer) pairs for layers 1..ell (ell = number of free
     variables); the hyperedge set is in bijection with the answer set and is
-    only ever touched through edge-freeness queries or, for small instances,
-    through the brute-force answer enumeration.
+    only ever touched through edge-freeness queries.
     """
 
     def __init__(self, q: Query, d: Database):
@@ -141,19 +139,10 @@ class ImplicitAnswerHypergraph:
         self.database = d
         self.ell = len(q.free_vars)
         self.domain = tuple(d.domain)
-        self._answers: set[tuple] | None = None
         self._evaluators: dict[str, _Evaluator] = {}
-
-    def vertices(self) -> list[tuple]:
-        return [(w, i) for i in range(1, self.ell + 1) for w in self.domain]
 
     def full_box(self) -> tuple[tuple[int, int], ...]:
         return ((0, len(self.domain)),) * self.ell
-
-    def answers(self) -> set[tuple]:
-        if self._answers is None:
-            self._answers = enumerate_answers_bruteforce(self.query, self.database)
-        return self._answers
 
     def evaluator(self, backend: str) -> "_Evaluator":
         if backend not in HOM_BACKENDS:
@@ -459,128 +448,10 @@ class _Evaluator:
             k, m, cur = k + 1, nxt[levels[k + 1][0]], nxt
 
 
-# ---------------------------------------------------------------------------
-# Explicit decorated structures (reference construction, used by tests)
-# ---------------------------------------------------------------------------
-
-def build_hat_A(q: Query) -> Structure:
-    """Query structure plus position markers and disequality colour markers."""
-    a = build_A(q)
-    rels = dict(a.relations)
-    for i, v in enumerate(q.variables, 1):
-        rels[RelationSymbol(f"@p{i}", 1)] = frozenset({(v,)})
-    for idx, (xi, xj) in enumerate(oriented_disequalities(q), 1):
-        rels[RelationSymbol(f"@r{idx}", 1)] = frozenset({(xi,)})
-        rels[RelationSymbol(f"@b{idx}", 1)] = frozenset({(xj,)})
-    return Structure(a.universe, rels)
-
-
-def build_hat_B(
-    q: Query,
-    d: Database,
-    vs,
-    colouring: dict[tuple[str, str], frozenset],
-) -> Structure:
-    """Layered database structure for a box and a colouring family.
-
-    vs gives the box: one value set per free variable; existential layers use
-    the whole domain. colouring maps each oriented disequality to its red
-    value set (blue is the complement).
-    """
-    ell = len(q.free_vars)
-    n = len(q.variables)
-    if len(vs) != ell:
-        raise ValueError(f"expected {ell} layer sets, got {len(vs)}")
-    dom = set(d.domain)
-    layers: list[frozenset] = []
-    for i in range(n):
-        s = frozenset(vs[i]) if i < ell else frozenset(dom)
-        if not s <= dom:
-            raise ValueError("layer values must come from the database domain")
-        layers.append(s)
-    universe = tuple(
-        (w, i) for i in range(1, n + 1) for w in sorted(layers[i - 1], key=repr)
-    )
-    tags: dict = {}
-    for w, i in universe:
-        tags.setdefault(w, []).append(i)
-
-    base = build_B(q, d)
-    rels: dict[RelationSymbol, frozenset] = {}
-    for sym, facts in base.relations.items():
-        lifted = set()
-        for t in facts:
-            if any(w not in tags for w in t):
-                continue
-            for combo in itertools.product(*(tags[w] for w in t)):
-                lifted.add(tuple((w, i) for w, i in zip(t, combo)))
-        rels[sym] = frozenset(lifted)
-    for i in range(1, n + 1):
-        rels[RelationSymbol(f"@p{i}", 1)] = frozenset(
-            ((w, i),) for w in layers[i - 1]
-        )
-    for idx, (xi, xj) in enumerate(oriented_disequalities(q), 1):
-        red = frozenset(colouring[(xi, xj)])
-        if not red <= dom:
-            raise ValueError("colouring must assign domain values")
-        rels[RelationSymbol(f"@r{idx}", 1)] = frozenset(
-            (u,) for u in universe if u[0] in red
-        )
-        rels[RelationSymbol(f"@b{idx}", 1)] = frozenset(
-            (u,) for u in universe if u[0] not in red
-        )
-    return Structure(universe, rels)
-
 
 # ---------------------------------------------------------------------------
 # Edge-freeness
 # ---------------------------------------------------------------------------
-
-def edgefree_bruteforce(ih: ImplicitAnswerHypergraph, ws) -> bool:
-    """Reference edge-freeness on explicit vertex sets (any layers), by
-    enumerating the answer set. ws: one vertex set per part, vertices are
-    (value, layer) pairs; parts must be pairwise disjoint."""
-    ws = [frozenset(w) for w in ws]
-    if len(ws) != ih.ell:
-        raise ValueError(f"expected {ih.ell} vertex sets, got {len(ws)}")
-    seen: set = set()
-    valid = set(ih.vertices())
-    for part in ws:
-        for u in part:
-            if u not in valid:
-                raise ValueError(f"{u!r} is not a vertex of the answer hypergraph")
-            if u in seen:
-                raise ValueError(f"vertex {u!r} appears in two parts")
-            seen.add(u)
-    ell = ih.ell
-    if ell == 0:
-        return not ih.answers()
-    for answer in ih.answers():
-        # part j can take the edge's layer-i vertex iff that vertex is in ws[j]
-        choices = []
-        for i in range(ell):
-            u = (answer[i], i + 1)
-            choices.append([j for j in range(ell) if u in ws[j]])
-        if _has_system_of_distinct(choices):
-            return False
-    return True
-
-
-def _has_system_of_distinct(choices: list[list[int]]) -> bool:
-    ell = len(choices)
-    reach = {0}
-    for opts in choices:
-        nxt = set()
-        for used in reach:
-            for j in opts:
-                bit = 1 << j
-                if not used & bit:
-                    nxt.add(used | bit)
-        if not nxt:
-            return False
-        reach = nxt
-    return bool(reach)
-
 
 def clique_cover(pairs) -> list[tuple[int, ...]]:
     """Greedy edge-disjoint clique cover of a graph given by oriented pairs.

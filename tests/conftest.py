@@ -148,14 +148,12 @@ def random_structure_pair(rng: random.Random, max_universe: int = 5):
     return build(rng.randint(1, max_universe)), build(rng.randint(1, max_universe))
 
 
-def hom_exists_exhaustive(a: Structure, b: Structure) -> bool:
-    """Independent oracle: try every map of universes, check every tuple."""
-    if not a.universe:
-        return True
-    if not b.universe:
-        return False
+def hom_exists_exhaustive(a: Structure, b: Structure, domains=None) -> bool:
+    """Independent oracle: try every map of universes, each element into its
+    domain when domains are given, and check every tuple."""
     order = list(a.universe)
-    for image in itertools.product(b.universe, repeat=len(order)):
+    pools = [b.universe if domains is None else domains[x] for x in order]
+    for image in itertools.product(*pools):
         f = dict(zip(order, image))
         if all(
             tuple(f[x] for x in t) in b.relations.get(sym, frozenset())

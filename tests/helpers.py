@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -14,11 +15,16 @@ from cqcount import (
     LimitExceededError,
     OracleStats,
     Query,
+    RelationSymbol,
     Structure,
     TreeAutomaton,
     edgefree_restricted,
+    enumerate_answers_bruteforce,
     parse_query,
+    validate_pair,
 )
+from cqcount.homsolver import _check_signatures, _require_normalized
+from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
 from cqcount.widths import (
     Hypergraph,
@@ -58,6 +64,224 @@ def structure_size(s: Structure) -> int:
         + len(s.universe)
         + sum(sym.arity * len(facts) for sym, facts in s.relations.items())
     )
+
+
+# ---------------------------------------------------------------------------
+# The paper's explicit constructions, test oracles for the implicit evaluator
+# ---------------------------------------------------------------------------
+
+def complement_symbol(sym: RelationSymbol) -> RelationSymbol:
+    """Marker symbol for the complement relation; '!' cannot occur in user names."""
+    return RelationSymbol("!" + sym.name, sym.arity)
+
+
+def build_A(q: Query) -> Structure:
+    """Canonical structure of the query over its variables."""
+    _require_normalized(q)
+    rels: dict[RelationSymbol, set[tuple]] = {}
+    for sym, args in q.predicates:
+        rels.setdefault(sym, set()).add(args)
+    for sym, args in q.negated_predicates:
+        rels.setdefault(complement_symbol(sym), set()).add(args)
+    return Structure(q.variables, {s: frozenset(t) for s, t in rels.items()})
+
+
+def build_B(q: Query, d: Database) -> Structure:
+    """Induced structure of the database: matching relations for positive
+    atoms, materialized complements for negated ones."""
+    _require_normalized(q)
+    validate_pair(q, d)
+    rels: dict[RelationSymbol, frozenset[tuple]] = {}
+    for sym, _ in q.predicates:
+        rels[sym] = d.relations[sym]
+    for sym, _ in q.negated_predicates:
+        facts = d.relations[sym]
+        comp = frozenset(
+            t for t in itertools.product(d.domain, repeat=sym.arity) if t not in facts
+        )
+        rels[complement_symbol(sym)] = comp
+    return Structure(tuple(d.domain), rels)
+
+
+def hom_exists_bruteforce(a: Structure, b: Structure, domains=None) -> bool:
+    """Backtracking homomorphism test, smallest-domain-first after unary filtering."""
+    _check_signatures(a, b)
+    if not a.universe:
+        return True
+    cands: dict = {}
+    for x in a.universe:
+        allowed = set(domains[x]) if domains is not None else set(b.universe)
+        cands[x] = allowed
+    constraints = []
+    for sym, facts in a.relations.items():
+        bfacts = b.relations[sym]
+        for t in facts:
+            if sym.arity == 1:
+                vals = {bt[0] for bt in bfacts}
+                cands[t[0]] &= vals
+            else:
+                constraints.append((t, bfacts))
+    if any(not c for c in cands.values()):
+        return False
+
+    order = sorted(a.universe, key=lambda x: (len(cands[x]), _vkey(x)))
+    position = {x: i for i, x in enumerate(order)}
+    # Check each constraint as soon as its last variable gets a value.
+    due: list[list[tuple]] = [[] for _ in order]
+    for t, bfacts in constraints:
+        due[max(position[x] for x in t)].append((t, bfacts))
+
+    assignment: dict = {}
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        x = order[i]
+        for v in cands[x]:
+            assignment[x] = v
+            ok = True
+            for t, bfacts in due[i]:
+                if tuple(assignment[y] for y in t) not in bfacts:
+                    ok = False
+                    break
+            if ok and extend(i + 1):
+                return True
+        assignment.pop(x, None)
+        return False
+
+    return extend(0)
+
+
+def build_hat_A(q: Query) -> Structure:
+    """Query structure plus position markers and disequality colour markers."""
+    a = build_A(q)
+    rels = dict(a.relations)
+    for i, v in enumerate(q.variables, 1):
+        rels[RelationSymbol(f"@p{i}", 1)] = frozenset({(v,)})
+    for idx, (xi, xj) in enumerate(oriented_disequalities(q), 1):
+        rels[RelationSymbol(f"@r{idx}", 1)] = frozenset({(xi,)})
+        rels[RelationSymbol(f"@b{idx}", 1)] = frozenset({(xj,)})
+    return Structure(a.universe, rels)
+
+
+def build_hat_B(
+    q: Query,
+    d: Database,
+    vs,
+    colouring: dict[tuple[str, str], frozenset],
+) -> Structure:
+    """Layered database structure for a box and a colouring family.
+
+    vs gives the box: one value set per free variable; existential layers use
+    the whole domain. colouring maps each oriented disequality to its red
+    value set (blue is the complement).
+    """
+    ell = len(q.free_vars)
+    n = len(q.variables)
+    if len(vs) != ell:
+        raise ValueError(f"expected {ell} layer sets, got {len(vs)}")
+    dom = set(d.domain)
+    layers: list[frozenset] = []
+    for i in range(n):
+        s = frozenset(vs[i]) if i < ell else frozenset(dom)
+        if not s <= dom:
+            raise ValueError("layer values must come from the database domain")
+        layers.append(s)
+    universe = tuple(
+        (w, i) for i in range(1, n + 1) for w in sorted(layers[i - 1], key=repr)
+    )
+    tags: dict = {}
+    for w, i in universe:
+        tags.setdefault(w, []).append(i)
+
+    base = build_B(q, d)
+    rels: dict[RelationSymbol, frozenset] = {}
+    for sym, facts in base.relations.items():
+        lifted = set()
+        for t in facts:
+            if any(w not in tags for w in t):
+                continue
+            for combo in itertools.product(*(tags[w] for w in t)):
+                lifted.add(tuple((w, i) for w, i in zip(t, combo)))
+        rels[sym] = frozenset(lifted)
+    for i in range(1, n + 1):
+        rels[RelationSymbol(f"@p{i}", 1)] = frozenset(
+            ((w, i),) for w in layers[i - 1]
+        )
+    for idx, (xi, xj) in enumerate(oriented_disequalities(q), 1):
+        red = frozenset(colouring[(xi, xj)])
+        if not red <= dom:
+            raise ValueError("colouring must assign domain values")
+        rels[RelationSymbol(f"@r{idx}", 1)] = frozenset(
+            (u,) for u in universe if u[0] in red
+        )
+        rels[RelationSymbol(f"@b{idx}", 1)] = frozenset(
+            (u,) for u in universe if u[0] not in red
+        )
+    return Structure(universe, rels)
+
+
+def vertices(ih: ImplicitAnswerHypergraph) -> list[tuple]:
+    return [(w, i) for i in range(1, ih.ell + 1) for w in ih.domain]
+
+
+@functools.cache
+def answers(ih: ImplicitAnswerHypergraph) -> set[tuple]:
+    """The answer set, enumerated once per hypergraph."""
+    return enumerate_answers_bruteforce(ih.query, ih.database)
+
+
+def edgefree_bruteforce(ih: ImplicitAnswerHypergraph, ws) -> bool:
+    """Reference edge-freeness on explicit vertex sets (any layers), by
+    enumerating the answer set. ws: one vertex set per part, vertices are
+    (value, layer) pairs; parts must be pairwise disjoint."""
+    ws = [frozenset(w) for w in ws]
+    if len(ws) != ih.ell:
+        raise ValueError(f"expected {ih.ell} vertex sets, got {len(ws)}")
+    seen: set = set()
+    valid = set(vertices(ih))
+    for part in ws:
+        for u in part:
+            if u not in valid:
+                raise ValueError(f"{u!r} is not a vertex of the answer hypergraph")
+            if u in seen:
+                raise ValueError(f"vertex {u!r} appears in two parts")
+            seen.add(u)
+    ell = ih.ell
+    if ell == 0:
+        return not answers(ih)
+    for answer in answers(ih):
+        # part j can take the edge's layer-i vertex iff that vertex is in ws[j]
+        choices = []
+        for i in range(ell):
+            u = (answer[i], i + 1)
+            choices.append([j for j in range(ell) if u in ws[j]])
+        if _has_system_of_distinct(choices):
+            return False
+    return True
+
+
+def _has_system_of_distinct(choices: list[list[int]]) -> bool:
+    ell = len(choices)
+    reach = {0}
+    for opts in choices:
+        nxt = set()
+        for used in reach:
+            for j in opts:
+                bit = 1 << j
+                if not used & bit:
+                    nxt.add(used | bit)
+        if not nxt:
+            return False
+        reach = nxt
+    return bool(reach)
+
+
+def exact_oracle(ih: ImplicitAnswerHypergraph):
+    """Deterministic edge-freeness from the brute-force answer set."""
+    def oracle(box):
+        return edgefree_bruteforce(ih, restricted_parts(ih, box_values(ih, box)))
+    return oracle
 
 
 def edgefree_general(

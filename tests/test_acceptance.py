@@ -8,6 +8,7 @@ seeds; failures name the seed that broke.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,23 +20,19 @@ from cqcount import (
     Hypergraph,
     OracleStats,
     approx_count_answers,
-    build_A,
     build_automaton,
-    build_hat_A,
     build_hypergraph,
     count_answers_bruteforce,
     count_answers_fhw_pipeline,
     count_edges_exact_oracle,
     count_slice_exact,
     derive_rng,
-    edgefree_bruteforce,
     estimate_edges,
     fhw_exact_small,
     fhw_of_td,
     fractional_edge_cover_number,
     gen_hampath,
     gen_li_hom,
-    hom_exists_bruteforce,
     hom_exists_td,
     is_valid_td,
     make_nice,
@@ -56,7 +53,18 @@ from conftest import (
     random_hypergraph,
     random_structure_pair,
 )
-from helpers import box_values, layer_masks, query_size, restricted_parts, structure_size
+from helpers import (
+    answers,
+    build_A,
+    build_hat_A,
+    edgefree_bruteforce,
+    exact_oracle,
+    hom_exists_bruteforce,
+    layer_masks,
+    query_size,
+    restricted_parts,
+    structure_size,
+)
 
 P4 = [(0, 1), (1, 2), (2, 3)]
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -78,25 +86,6 @@ def _sample_box(rng: random.Random, domain, ell: int, cap: int = 3):
         frozenset(rng.sample(domain, rng.randint(0, min(cap, len(domain)))))
         for _ in range(ell)
     ]
-
-
-def _exact_oracle(ih: ImplicitAnswerHypergraph):
-    def oracle(box):
-        return edgefree_bruteforce(ih, restricted_parts(ih, box_values(ih, box)))
-
-    return oracle
-
-
-def _memoized_exact_oracle(ih: ImplicitAnswerHypergraph):
-    memo: dict[tuple, bool] = {}
-    inner = _exact_oracle(ih)
-
-    def oracle(box):
-        if box not in memo:
-            memo[box] = inner(box)
-        return memo[box]
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +260,7 @@ def test_c07_oracle_call_budget():
         q, d = corpus_instance(seed)
         ih = ImplicitAnswerHypergraph(q, d)
         calls = 0
-        inner = _exact_oracle(ih)
+        inner = exact_oracle(ih)
 
         def counting(box):
             nonlocal calls
@@ -337,9 +326,9 @@ def test_c10_estimator_calibration():
     q, d = gen_hampath(K4, 4)
     q, _ = normalize_equalities(q)
     ih = ImplicitAnswerHypergraph(q, d)
-    oracle = _memoized_exact_oracle(ih)
-    if len(ih.answers()) != 24:
-        failures.append(("edge count", len(ih.answers())))
+    oracle = functools.cache(exact_oracle(ih))
+    if len(answers(ih)) != 24:
+        failures.append(("edge count", len(answers(ih))))
 
     walks = [
         single_walk_estimate(ih, oracle, derive_rng(1010, k))

@@ -14,11 +14,8 @@ from cqcount import (
     LimitExceededError,
     Structure,
     UnsupportedQueryError,
-    build_A,
-    build_B,
     count_answers_bruteforce,
     enumerate_answers_bruteforce,
-    hom_exists_bruteforce,
     hom_exists_td,
     make_nice,
     parse_query,
@@ -26,7 +23,7 @@ from cqcount import (
     treewidth_exact,
 )
 from cqcount.automata import fhw_decomposition
-from cqcount.homsolver import complement_symbol, iter_solutions, structure_hypergraph
+from cqcount.homsolver import iter_solutions, structure_hypergraph
 from cqcount.qmodel import RelationSymbol, build_hypergraph
 from cqcount.widths import _vkey
 
@@ -36,7 +33,14 @@ from conftest import (
     plain_cq_instance,
     random_structure_pair,
 )
-from helpers import query_size, structure_size
+from helpers import (
+    build_A,
+    build_B,
+    complement_symbol,
+    hom_exists_bruteforce,
+    query_size,
+    structure_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,23 +111,9 @@ def test_backends_respect_domain_restrictions():
             x: set(rng.sample(b.universe, rng.randint(0, len(b.universe))))
             for x in a.universe
         }
-        expected = _hom_exhaustive_domains(a, b, domains)
+        expected = hom_exists_exhaustive(a, b, domains)
         assert hom_exists_bruteforce(a, b, domains) == expected
         assert hom_exists_td(a, b, _nice_td_of(a), domains) == expected
-
-
-def _hom_exhaustive_domains(a, b, domains):
-    order = list(a.universe)
-    pools = [sorted(domains[x], key=repr) for x in order]
-    for image in itertools.product(*pools):
-        f = dict(zip(order, image))
-        if all(
-            tuple(f[x] for x in t) in b.relations.get(sym, frozenset())
-            for sym, facts in a.relations.items()
-            for t in facts
-        ):
-            return True
-    return False
 
 
 def test_hom_signature_mismatch_rejected():

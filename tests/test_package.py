@@ -4,6 +4,7 @@ from it."""
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -50,14 +51,18 @@ def cq_attributes(source: str) -> set[str]:
     }
 
 
-def readme_library_imports() -> set[str]:
-    """Names the README's "Library" example imports from cqcount."""
+def readme_library_example() -> str:
+    """The README's "Library" example."""
     readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
-    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def readme_library_imports() -> set[str]:
+    """Names the README's "Library" example imports from cqcount."""
     return {
         alias.name
-        for node in ast.walk(ast.parse(block))
+        for node in ast.walk(ast.parse(readme_library_example()))
         if isinstance(node, ast.ImportFrom) and node.module == "cqcount"
         for alias in node.names
     }
@@ -75,3 +80,72 @@ def test_names_the_benchmark_and_the_readme_use_resolve():
         assert found, name
         used |= found
     assert sorted(n for n in used if not hasattr(cqcount, n)) == []
+
+
+def test_readme_library_example_gives_the_values_its_comments_state():
+    # Each expression line ends in a comment that starts with its value's repr.
+    source = readme_library_example()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+        comment = lines[node.end_lineno - 1].split("#", 1)[1].strip()
+        assert comment == repr(value) or comment.startswith(repr(value) + " "), comment
+        checked.append(repr(value))
+    assert checked == ["4", "4", "FhwCount(count=3, fhw=Fraction(1, 1), exact=True)"]
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names a piece of code loads, reads as an attribute, or imports."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def test_names_read_sees_loads_attributes_and_imports():
+    tree = ast.parse("from .m import a\nb = c.d(e)\nf.g = 1\n")
+    assert names_read(tree) == {"a", "c", "d", "e", "f"}
+
+
+def test_every_top_level_name_of_the_package_has_a_reader():
+    # A reader of a function, class or assigned name at the top level of a
+    # module (__init__.py aside) is another statement of the package that
+    # reads it, a perfbench script, or a README code span that names it.
+    trees = [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    reads = [(node, names_read(node)) for _, tree in trees for node in tree.body]
+    readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    outside = re.findall(r"`([^`\n]+)`", readme) + [
+        path.read_text(encoding="utf-8") for path in (REPO_DIR / "perfbench").glob("*.py")
+    ]
+    named = set(re.findall(r"\w+", " ".join(outside)))
+    unread = []
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}.{name}"
+                for name in names
+                if name not in named
+                and not any(name in found for other, found in reads if other is not node)
+            ]
+    assert unread == []

@@ -16,21 +16,17 @@ from cqcount import (
     OracleStats,
     QueryValidationError,
     approx_count_answers,
-    build_hat_A,
-    build_hat_B,
     count_answers_bruteforce,
     count_edges_exact_oracle,
     derive_rng,
-    edgefree_bruteforce,
     edgefree_restricted,
     estimate_edges,
     gen_hampath,
     gen_li_hom,
-    hom_exists_bruteforce,
     parse_query,
 )
 from cqcount import homsolver, reduction, widths
-from cqcount.homsolver import build_A, build_B, hom_exists_td, structure_hypergraph
+from cqcount.homsolver import hom_exists_td, structure_hypergraph
 from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     HOM_BACKENDS,
@@ -46,28 +42,30 @@ from cqcount.widths import make_nice, treewidth_heuristic
 
 from conftest import corpus_instance
 from helpers import (
+    answers,
     box_values,
+    build_A,
+    build_B,
+    build_hat_A,
+    build_hat_B,
     colour_classes,
+    edgefree_bruteforce,
     edgefree_every_sample,
     edgefree_general,
+    exact_oracle,
+    hom_exists_bruteforce,
     k3_with_pendant,
     layer_masks,
     query_size,
     restricted_parts,
     structure_size,
+    vertices,
 )
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
 P3 = [(0, 1), (1, 2)]
 P4 = [(0, 1), (1, 2), (2, 3)]
-
-
-def exact_oracle(ih: ImplicitAnswerHypergraph):
-    """Deterministic edge-freeness from the brute-force answer set."""
-    def oracle(box):
-        return edgefree_bruteforce(ih, restricted_parts(ih, box_values(ih, box)))
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +83,10 @@ def test_hypergraph_shape():
     d = Database.make([0, 1], {"E": (2, [(0, 1)])})
     ih = ImplicitAnswerHypergraph(q, d)
     assert ih.ell == 2
-    assert len(ih.vertices()) == 4
-    assert set(ih.vertices()) == {(0, 1), (1, 1), (0, 2), (1, 2)}
+    assert len(vertices(ih)) == 4
+    assert set(vertices(ih)) == {(0, 1), (1, 1), (0, 2), (1, 2)}
     assert ih.full_box() == ((0, 2), (0, 2))
-    assert ih.answers() == {(0, 1)}
+    assert answers(ih) == {(0, 1)}
 
 
 def test_hypergraph_rejects_unnormalized():
@@ -496,7 +494,7 @@ def test_edgefree_general_mixed_parts():
         ih = ImplicitAnswerHypergraph(q, d)
         rng = derive_rng(901, seed)
         part_rng = random.Random(seed + 1)
-        verts = ih.vertices()
+        verts = vertices(ih)
         for _ in range(6):
             pool = list(verts)
             part_rng.shuffle(pool)
@@ -525,10 +523,24 @@ def test_edgefree_backends_agree():
 
 
 def test_edgefree_restricted_rejects_malformed_masks():
+    # Each check raises its own error before a counter moves or a colour is
+    # drawn. A negative mask has bits beyond any domain.
     ih = _simple_instance()  # two layers over two values
-    for masks in ([], [0b11], [0b11, 0b11, 0b11], [0b11, 0b100], [-1, 0b11]):
-        with pytest.raises(ValueError):
-            edgefree_restricted(ih, masks, 0.01, random.Random(0))
+    beyond = "a layer mask has bits beyond the database domain"
+    cases = [
+        ([], "expected 2 layer masks, got 0"),
+        ([0b11], "expected 2 layer masks, got 1"),
+        ([0b11, 0b11, 0b11], "expected 2 layer masks, got 3"),
+        ([0b11, 0b100], beyond),
+        ([-1, 0b11], beyond),
+    ]
+    for masks, message in cases:
+        rng, stats = random.Random(0), OracleStats()
+        state = rng.getstate()
+        with pytest.raises(ValueError) as raised:
+            edgefree_restricted(ih, masks, 0.01, rng, stats=stats)
+        assert str(raised.value) == message, masks
+        assert stats == OracleStats() and rng.getstate() == state, masks
 
 
 def _halving_boxes(ih: ImplicitAnswerHypergraph) -> list:
@@ -774,7 +786,7 @@ def test_answer_search_finds_none_exactly_on_edge_free_boxes():
         answer = ev.answer_in(masks)
         assert (answer is None) == edgefree_bruteforce(ih, restricted_parts(ih, vs))
         if answer is not None:
-            assert answer[: ih.ell] in ih.answers()
+            assert answer[: ih.ell] in answers(ih)
             assert all(w in layer for w, layer in zip(answer, vs))
         elif all(masks) and ev.compile(masks)(()) is not None:
             certified[kind] += 1
@@ -817,7 +829,7 @@ def _full_answers(ih: ImplicitAnswerHypergraph) -> dict:
     index = {w: i for i, w in enumerate(ih.domain)}
     return {
         a: tuple(index[w] for w in ev.answer_in([1 << index[w] for w in a]))
-        for a in ih.answers()
+        for a in answers(ih)
     }
 
 
@@ -850,10 +862,10 @@ def test_k2_samples_end_as_every_sample_whatever_answer_is_known(backend):
         inside = [a for a in ranked if all(w in layer for w, layer in zip(a, vs))]
         outside = [a for a in ranked if a not in inside]
         pick = random.Random(n).choice
-        for where, answers in (("inside", inside), ("outside", outside), ("none", [None])):
-            if not answers:
+        for where, pool in (("inside", inside), ("outside", outside), ("none", [None])):
+            if not pool:
                 continue
-            a = pick(answers)
+            a = pick(pool)
             ev.last = None if a is None else full[a]
             seen[where] += 1
             q = ih.query
@@ -1044,7 +1056,7 @@ def test_count_edges_exact_oracle_matches_bruteforce():
     for seed in range(60):
         q, d = corpus_instance(seed)
         ih = ImplicitAnswerHypergraph(q, d)
-        assert count_edges_exact_oracle(ih, exact_oracle(ih)) == len(ih.answers())
+        assert count_edges_exact_oracle(ih, exact_oracle(ih)) == len(answers(ih))
 
 
 def test_halving_splits_the_lowest_long_interval():
@@ -1084,7 +1096,7 @@ def test_halving_splits_the_lowest_long_interval():
             if not free:
                 assert left in visited and right in visited, (seed, box)
         assert count == len(units), seed
-        assert units == ih.answers(), seed
+        assert units == answers(ih), seed
 
 
 def test_count_edges_call_budget_bound():
@@ -1157,7 +1169,7 @@ def test_single_walk_mean_near_edge_count():
         single_walk_estimate(ih, oracle, derive_rng(42, k)) for k in range(3000)
     ]
     mean = statistics.fmean(walks)
-    assert len(ih.answers()) == 5
+    assert len(answers(ih)) == 5
     assert abs(mean - 5) <= 0.4
 
 
@@ -1248,7 +1260,7 @@ def test_estimate_edges_probe_path_is_exact():
         got = estimate_edges(
             ih, exact_oracle(ih), 0.25, 0.1, random.Random(1), probe_budget=50_000
         )
-        assert got == len(ih.answers())
+        assert got == len(answers(ih))
 
 
 def test_estimate_edges_walk_path_frozen_seeds():
@@ -1256,7 +1268,7 @@ def test_estimate_edges_walk_path_frozen_seeds():
     for seed in range(12):
         q, d = corpus_instance(seed, max_domain=3)
         ih = ImplicitAnswerHypergraph(q, d)
-        true = len(ih.answers())
+        true = len(answers(ih))
         got = estimate_edges(
             ih,
             exact_oracle(ih),
