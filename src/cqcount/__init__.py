@@ -13,6 +13,7 @@ from .automata import (
     build_automaton,
     count_answers_fhw_pipeline,
     count_slice_exact,
+    sol_bag,
 )
 from .errors import (
     BudgetExceededError,
@@ -28,20 +29,16 @@ from .errors import (
     UncoverableVertexError,
     UnsupportedQueryError,
 )
-from .homsolver import (
-    Structure,
-    count_answers_bruteforce,
-    enumerate_answers_bruteforce,
-    hom_exists_td,
-    sol_bag,
-)
+from .homsolver import Structure, hom_exists_td
 from .qmodel import (
     Database,
     Query,
     RelationSymbol,
     build_hypergraph,
+    count_answers_bruteforce,
     dump_database,
     dump_query,
+    enumerate_answers_bruteforce,
     format_query,
     gen_hampath,
     gen_li_hom,

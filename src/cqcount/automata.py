@@ -3,14 +3,14 @@
 A nice tree decomposition of the query turns the database into an automaton
 over binary labeled trees. Each label is a (node, symbol) pair, so the
 accepted trees have the decomposition's shape, and their labelings are in
-bijection with the answers. Node t's states are the rows of its bag table,
-and a row's label is its free values. The fhw pipeline counts the automaton
-along the decomposition with one table per node (_node_tables,
-_count_masks). Each state set it meets holds rows of one label, which sit
-next to each other in the table, so it is an integer bitmask over that run
-of rows, one bit per row. A forget node keeps, per row of t, the mask of
-child rows that agree with it, so it builds a set with one AND per row of
-t's label. build_automaton collects the same transitions into
+bijection with the answers. Node t's states are the rows of its bag table
+(sol_bag, a join over the atoms), and a row's label is its free values. The
+fhw pipeline counts the automaton along the decomposition with one table per
+node (_node_tables, _count_masks). Each state set it meets holds rows of one
+label, which sit next to each other in the table, so it is an integer
+bitmask over that run of rows, one bit per row. A forget node keeps, per row
+of t, the mask of child rows that agree with it, so it builds a set with one
+AND per row of t's label. build_automaton collects the same transitions into
 a TreeAutomaton, the construction as stated, and count_slice_exact counts
 any TreeAutomaton by the plain DP over frozensets of states; both DPs count
 the same state-set entries against frontier_limit.
@@ -28,9 +28,9 @@ from typing import NamedTuple
 from .errors import (
     DecompositionError,
     LimitExceededError,
+    QueryValidationError,
     UnsupportedQueryError,
 )
-from .homsolver import sol_bag
 from .qmodel import Database, Query, build_hypergraph, validate_pair
 from .widths import (
     FHW_EXACT_VERTEX_LIMIT,
@@ -134,6 +134,92 @@ def build_automaton(
             transitions.setdefault((s, lbl), set()).add(kid_states)
     frozen = {k: frozenset(v) for k, v in transitions.items()}
     return TreeAutomaton(frozenset(states), frozenset(alphabet), frozen, initial)
+
+
+def sol_bag(
+    q: Query,
+    d: Database,
+    bag: tuple[str, ...],
+    indexes: dict | None = None,
+    limit: int | None = None,
+) -> set[tuple]:
+    """Partial solutions on the given variables of a plain conjunctive query:
+    assignments extendable, per atom individually, to a full satisfying
+    assignment of that atom. Output tuples align with the given bag order.
+
+    A generic join: rows grow one bag variable at a time, in bag order, and
+    each atom that holds the new variable narrows its values given the row's
+    values on the atom's earlier bag variables. Every intermediate table is
+    a set of partial solutions on a prefix of the bag, so none holds more
+    than N^rho*(bag) rows, N being the largest relation (the AGM bound).
+
+    The fact indexes are built on first use and kept in `indexes` when one
+    is given, so the bag tables of one run over d can share them. With a
+    limit, a table of more than limit rows raises LimitExceededError, and
+    the last step, which makes the table itself, stops as soon as it does."""
+    if not q.is_plain_cq():
+        raise UnsupportedQueryError("sol_bag is defined for plain conjunctive queries")
+    validate_pair(q, d)
+    bag = tuple(bag)
+    vars_set = set(q.variables)
+    for v in bag:
+        if v not in vars_set:
+            raise QueryValidationError(f"bag variable {v!r} not in the query")
+    if len(set(bag)) != len(bag):
+        raise QueryValidationError("bag contains a duplicate variable")
+    if indexes is None:
+        indexes = {}
+
+    def fact_index(sym, pairs, keys, col) -> dict[tuple, set]:
+        """Map from the values at columns keys to those at column col, over
+        the facts of sym equal at each position pair."""
+        key = (sym, pairs, keys, col)
+        got = indexes.get(key)
+        if got is None:
+            got = indexes[key] = {}
+            facts = d.relations[sym]
+            if pairs:
+                facts = [t for t in facts if all(t[i] == t[j] for i, j in pairs)]
+            for t in facts:
+                got.setdefault(tuple(t[j] for j in keys), set()).add(t[col])
+        return got
+
+    # steps[k]: per atom holding bag[k], the bag positions of the atom's
+    # earlier bag variables and a map from their values to those of bag[k]
+    steps: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in bag]
+    for sym, args in q.predicates:
+        first = {v: args.index(v) for v in args}
+        pairs = tuple((i, first[v]) for i, v in enumerate(args) if first[v] != i)
+        at = [k for k, v in enumerate(bag) if v in first]
+        cols = [first[bag[k]] for k in at]
+        # An index keyed on no column is empty exactly when no fact matches
+        # the atom, which then has no solution, whether it meets the bag or not.
+        if not fact_index(sym, pairs, (), cols[0] if cols else 0):
+            return set()
+        for n, k in enumerate(at):
+            steps[k].append(
+                (tuple(at[:n]), fact_index(sym, pairs, tuple(cols[:n]), cols[n]))
+            )
+
+    # A row agrees with some fact of each atom on the atom's earlier bag
+    # variables, so no lookup below misses. Rows never repeat, so the last
+    # step makes the table itself, and with a limit it stops one row past it.
+    rows: list[tuple] = [()]
+    for n, atoms in enumerate(steps, 1):
+        grown = (
+            row + (v,)
+            for row in rows
+            for v in set.intersection(
+                *(index[tuple(row[i] for i in prev)] for prev, index in atoms)
+            )
+        )
+        last = n == len(steps) and limit is not None
+        rows = list(itertools.islice(grown, limit + 1) if last else grown)
+    if limit is not None and len(rows) > limit:
+        raise LimitExceededError(
+            f"bag {list(bag)} has more than {limit} partial solutions, limit is {limit}"
+        )
+    return set(rows)
 
 
 # STATE_LIMIT caps the largest bag table of the fhw automaton; the last join

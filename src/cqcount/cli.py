@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import automata, homsolver, reduction, widths
+from . import automata, qmodel, reduction, widths
 from .errors import (
     BudgetExceededError,
     CqcountError,
@@ -67,7 +67,7 @@ VERTEX_LIMIT_CEILING = 20
 # Documented defaults for every budget knob; override via --limit key=value
 # (repeatable) or a JSON file named by the CQCOUNT_LIMITS environment variable.
 DEFAULT_LIMITS: dict[str, int | None] = {
-    "enum_budget": homsolver.ENUM_BUDGET,
+    "enum_budget": qmodel.ENUM_BUDGET,
     "probe_budget": reduction.PROBE_BUDGET,
     "oracle_cap": reduction.ORACLE_CAP,
     "walk_budget": reduction.WALK_BUDGET,
@@ -199,7 +199,7 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
     report: dict = {"method": cfg.method, "query": q.name}
 
     if cfg.method == "exact":
-        report["count"] = homsolver.count_answers_bruteforce(
+        report["count"] = qmodel.count_answers_bruteforce(
             q, d, budget=limits["enum_budget"]
         )
     elif cfg.method == "fptras":

@@ -6,7 +6,10 @@ and (pre-normalization) equalities:
     name(x, y) :- E(x, z), !F(z), x != z, y = z
 
 The textual grammar, the JSON database format and the structural invariants
-enforced here are the contract every other module builds on.
+enforced here are the contract every other module builds on. The module also
+holds the `exact` method: iter_solutions enumerates every assignment of a
+normalized query over a database, and count_answers_bruteforce counts the
+distinct answers among them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    BudgetExceededError,
     ContradictionError,
     DatabaseParseError,
     DatabaseValidationError,
@@ -395,6 +399,63 @@ def normalize_equalities(q: Query) -> tuple[Query, dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# Answers by enumeration
+# ---------------------------------------------------------------------------
+
+ENUM_BUDGET = 10_000_000
+
+
+def _require_normalized(q: Query) -> None:
+    if q.equalities:
+        raise QueryValidationError("query still contains equalities; normalize first")
+
+
+def iter_solutions(q: Query, d: Database, budget: int = ENUM_BUDGET):
+    """Yield every total assignment (aligned to q.variables) satisfying the query."""
+    _require_normalized(q)
+    validate_pair(q, d)
+    nvars = len(q.variables)
+    total = len(d.domain) ** nvars if d.domain else 0
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} candidate assignments exceed the budget of {budget}"
+        )
+    pos = {v: i for i, v in enumerate(q.variables)}
+    checks = []
+    for sym, args in q.predicates:
+        checks.append((tuple(pos[v] for v in args), d.relations[sym], False))
+    for sym, args in q.negated_predicates:
+        checks.append((tuple(pos[v] for v in args), d.relations[sym], True))
+    dpairs = [(pos[x], pos[y]) for x, y in q.disequalities]
+    for assign in itertools.product(d.domain, repeat=nvars):
+        ok = True
+        for idxs, facts, negated in checks:
+            hit = tuple(assign[i] for i in idxs) in facts
+            if hit == negated:
+                ok = False
+                break
+        if ok:
+            for i, j in dpairs:
+                if assign[i] == assign[j]:
+                    ok = False
+                    break
+        if ok:
+            yield assign
+
+
+def enumerate_answers_bruteforce(
+    q: Query, d: Database, budget: int = ENUM_BUDGET
+) -> set[tuple]:
+    """All answers (projections of solutions onto the free variables)."""
+    k = len(q.free_vars)
+    return {sol[:k] for sol in iter_solutions(q, d, budget)}
+
+
+def count_answers_bruteforce(q: Query, d: Database, budget: int = ENUM_BUDGET) -> int:
+    return len(enumerate_answers_bruteforce(q, d, budget))
+
+
+# ---------------------------------------------------------------------------
 # Databases
 # ---------------------------------------------------------------------------
 
@@ -404,10 +465,6 @@ class Database:
 
     domain: tuple[Value, ...]
     relations: dict[RelationSymbol, frozenset[tuple[Value, ...]]]
-
-    @property
-    def signature(self) -> frozenset[RelationSymbol]:
-        return frozenset(self.relations)
 
     @staticmethod
     def make(

@@ -18,7 +18,7 @@ GYO reduction recognises, has fractional hypertreewidth 1, and its search
 runs on the integer cost "1 if the bag lies inside an edge, else 2", with
 no LP at all. (The bag tables that the fhw pipeline
 builds along the chosen decomposition share one fact index per run; see
-homsolver.sol_bag.)
+automata.sol_bag.)
 """
 
 from __future__ import annotations

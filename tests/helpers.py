@@ -23,8 +23,8 @@ from cqcount import (
     parse_query,
     validate_pair,
 )
-from cqcount.homsolver import _check_signatures, _require_normalized
-from cqcount.qmodel import oriented_disequalities
+from cqcount.homsolver import _check_signatures
+from cqcount.qmodel import _require_normalized, oriented_disequalities
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
 from cqcount.widths import (
     Hypergraph,

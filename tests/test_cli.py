@@ -20,7 +20,7 @@ from cqcount import (
     count_answers_fhw_pipeline,
     dump_database,
     gen_hampath,
-    homsolver,
+    qmodel,
     reduction,
     treewidth_exact,
     widths,
@@ -365,10 +365,10 @@ def test_limits_built_in_code_that_pass_the_check(instance, method, limits):
 # and every library parameter with that default, first the one the CLI
 # passes the limit to.
 LIMIT_DEFAULTS = {
-    "enum_budget": (homsolver.ENUM_BUDGET, [
+    "enum_budget": (qmodel.ENUM_BUDGET, [
         (count_answers_bruteforce, "budget"),
-        (homsolver.enumerate_answers_bruteforce, "budget"),
-        (homsolver.iter_solutions, "budget"),
+        (qmodel.enumerate_answers_bruteforce, "budget"),
+        (qmodel.iter_solutions, "budget"),
     ]),
     "probe_budget": (reduction.PROBE_BUDGET, [
         (approx_count_answers, "probe_budget"),

@@ -23,8 +23,8 @@ from cqcount import (
     treewidth_exact,
 )
 from cqcount.automata import fhw_decomposition
-from cqcount.homsolver import iter_solutions, structure_hypergraph
-from cqcount.qmodel import RelationSymbol, build_hypergraph
+from cqcount.homsolver import structure_hypergraph
+from cqcount.qmodel import RelationSymbol, build_hypergraph, iter_solutions
 from cqcount.widths import _vkey
 
 from conftest import (

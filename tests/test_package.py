@@ -4,11 +4,31 @@ from it."""
 from __future__ import annotations
 
 import ast
+import random
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import cqcount
+from cqcount import (
+    DecompositionError,
+    Hypergraph,
+    ImplicitAnswerHypergraph,
+    QueryValidationError,
+    Structure,
+    TreeDecomposition,
+    UnsupportedQueryError,
+    build_automaton,
+    estimate_edges,
+    hom_exists_td,
+    parse_query,
+    sol_bag,
+)
+from cqcount.lp import solve_min
+from cqcount.qmodel import Database, RelationSymbol, iter_solutions
+from cqcount.widths import induced_hypergraph
 
 PACKAGE_DIR = Path(cqcount.__file__).parent
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -149,3 +169,96 @@ def test_every_top_level_name_of_the_package_has_a_reader():
                 and not any(name in found for other, found in reads if other is not node)
             ]
     assert unread == []
+
+
+def package_imports(source: str) -> set[str]:
+    """Submodules of cqcount that a module of the package imports."""
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cqcount" if node.level else "", node.module]))
+            dotted += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("cqcount.")}
+
+
+def test_package_imports_sees_relative_and_absolute_imports():
+    src = "from . import a, b\nfrom .c import d\nimport cqcount.e, os\nfrom cqcount.f import g\n"
+    assert package_imports(src) == {"a", "b", "c", "e", "f"}
+
+
+def test_only_reduction_and_the_package_import_homsolver():
+    # homsolver holds only code that no pipeline runs, kept because the
+    # benchmark wraps reduction.hom_exists_td by name; no other module may
+    # come to depend on it.
+    importers = sorted(
+        path.name
+        for path in PACKAGE_DIR.glob("*.py")
+        if "homsolver" in package_imports(path.read_text(encoding="utf-8"))
+    )
+    assert importers == ["__init__.py", "reduction.py"]
+
+
+E = RelationSymbol("E", 2)
+EDGE = Structure((0, 1), {E: frozenset({(0, 1)})})
+EMPTY_TD = TreeDecomposition.make(0, [()], [()])
+PLAIN = parse_query("phi(x, y) :- E(x, y)")
+DISTINCT = parse_query("phi(x, y) :- E(x, y), x != y")
+DB = Database.make([0, 1], {"E": (2, [(0, 1)])})
+IH = ImplicitAnswerHypergraph(DISTINCT, DB)
+
+
+def estimate(epsilon, delta):
+    return estimate_edges(IH, None, epsilon, delta, random.Random(0))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(
+        lambda: IH.evaluator("nope"), ValueError,
+        "unknown hom backend 'nope'; use one of ('bruteforce', 'td-dp')", id="hom-backend",
+    ),
+    pytest.param(lambda: estimate(0, 0.5), ValueError, "epsilon must be positive", id="epsilon"),
+    pytest.param(lambda: estimate(0.5, 0), ValueError, "delta must lie in (0, 1)", id="delta-0"),
+    pytest.param(lambda: estimate(0.5, 1), ValueError, "delta must lie in (0, 1)", id="delta-1"),
+    pytest.param(
+        lambda: next(iter_solutions(parse_query("phi(x) :- E(x, y), x = y"), DB)),
+        QueryValidationError, "query still contains equalities; normalize first",
+        id="iter-solutions-equality",
+    ),
+    pytest.param(
+        lambda: hom_exists_td(EDGE, EDGE, EMPTY_TD),
+        DecompositionError, "decomposition is not valid for the source structure",
+        id="hom-td-invalid-td",
+    ),
+    pytest.param(
+        lambda: sol_bag(PLAIN, DB, ("z",)),
+        QueryValidationError, "bag variable 'z' not in the query", id="sol-bag-unknown",
+    ),
+    pytest.param(
+        lambda: sol_bag(PLAIN, DB, ("x", "x")),
+        QueryValidationError, "bag contains a duplicate variable", id="sol-bag-duplicate",
+    ),
+    pytest.param(
+        lambda: build_automaton(DISTINCT, DB, EMPTY_TD),
+        UnsupportedQueryError, "the automaton construction needs a plain CQ",
+        id="automaton-not-plain",
+    ),
+    pytest.param(
+        lambda: build_automaton(PLAIN, DB, EMPTY_TD),
+        DecompositionError, "decomposition is not valid for the query hypergraph",
+        id="automaton-invalid-td",
+    ),
+    pytest.param(
+        lambda: induced_hypergraph(Hypergraph(frozenset({0}), frozenset()), {1}),
+        ValueError, "X must be a subset of the vertices", id="induced-not-subset",
+    ),
+    pytest.param(
+        lambda: solve_min([1, 1], [[1]], [1]),
+        ValueError, "constraint row length does not match objective", id="lp-row-length",
+    ),
+])
+def test_library_preconditions_raise_their_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -171,7 +171,7 @@ def test_normalize_preserves_counts():
 
 
 def _answers_with_equality(q, d, a, b):
-    from cqcount.homsolver import iter_solutions
+    from cqcount.qmodel import iter_solutions
 
     pos = {v: i for i, v in enumerate(q.variables)}
     seen = set()

@@ -1436,6 +1436,8 @@ def _circulant(n: int) -> list[tuple[int, int]]:
 # backends answer every search alike, so the td-dp rows repeat the
 # bruteforce numbers. The p3-c40 rows, recorded before skipped boxes drew
 # all their samples in one call, pin a domain wider than one 32-bit word.
+# The p3-c12 rows run out of their 50-query probe, so the walks run after
+# an exhausted probe (the exact count is 144).
 GOLDEN_RUNS = [
     ("p3-c7", P3, 7, "bruteforce", 20000, 84, (375, 6688, 2807, 0)),
     ("p3-c7", P3, 7, "bruteforce", 0, 82, (375, 6674, 2793, 2527)),
@@ -1445,6 +1447,8 @@ GOLDEN_RUNS = [
     ("p4-c8", P4, 8, "bruteforce", 0, 284, (1487, 114858, 42873, 2661)),
     ("p3-c40", P3, 40, "bruteforce", 0, 471, (3543, 79470, 19621, 4470)),
     ("p3-c40", P3, 40, "td-dp", 0, 471, (3543, 79470, 19621, 4470)),
+    ("p3-c12", P3, 12, "bruteforce", 50, 143, (807, 16397, 5332, 4470)),
+    ("p3-c12", P3, 12, "td-dp", 50, 143, (807, 16397, 5332, 4470)),
     ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 25229, 0)),
     ("ham-p4", P4, 4, "td-dp", 20000, 2, (31, 53870, 25229, 0)),
 ]
