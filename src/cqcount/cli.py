@@ -316,8 +316,6 @@ def cmd_gen(kind: str, args: argparse.Namespace, out_dir: str) -> dict:
         q, d = gen_random(
             args.vars, args.atoms, args.domain, args.p_neg, args.p_diseq, args.seed
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise QueryValidationError(f"unknown generator {kind!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     query_path = out / f"{kind}_query.txt"

@@ -34,12 +34,11 @@ second not) holds a witness unsearched. The K2 sample loop narrows the
 domains itself rather than through compile's callable, with the same
 empty-domain check before a search.
 
-Halving the full box along the domain order only ever makes products of
-contiguous runs, so a box is named by one half-open index interval (lo, hi)
-per layer, and the `edgefree` callbacks of the counters receive boxes in
-that form. `edgefree_restricted` takes the box as per-layer bitmasks, the
-evaluator's own form, so any value sets fit; a layer's interval is the mask
-(1 << hi) - (1 << lo).
+A box is one value mask per layer (bit i is the domain's i-th value), the
+form the counters' `edgefree` callbacks, edgefree_restricted and the
+evaluator all take; halving the full box splits one layer's run of values at
+a time. An answer is the tuple of value indices of a full assignment, in
+variable order, as the bruteforce search returns it.
 
 Both homomorphism backends answer a layer-decorated check without building
 the layered structure: tagged relations ignore layer indices, so the check
@@ -141,8 +140,8 @@ class ImplicitAnswerHypergraph:
         self.domain = tuple(d.domain)
         self._evaluators: dict[str, _Evaluator] = {}
 
-    def full_box(self) -> tuple[tuple[int, int], ...]:
-        return ((0, len(self.domain)),) * self.ell
+    def full_box(self) -> tuple[int, ...]:
+        return ((1 << len(self.domain)) - 1,) * self.ell
 
     def evaluator(self, backend: str) -> "_Evaluator":
         if backend not in HOM_BACKENDS:
@@ -162,7 +161,6 @@ class _Evaluator:
         q, d = ih.query, ih.database
         self.nvars = len(q.variables)
         pos = {v: i for i, v in enumerate(q.variables)}
-        self.values = ih.domain
         index = {w: i for i, w in enumerate(ih.domain)}
         nd = len(ih.domain)
         full = self.full_mask = (1 << nd) - 1
@@ -254,7 +252,7 @@ class _Evaluator:
         return box
 
     def answer_in(self, layer_masks) -> tuple | None:
-        """bruteforce only: an answer's values in the box, or None."""
+        """bruteforce only: an answer in the box, or None."""
         return self._bruteforce_search(self._box(layer_masks), distinct=True)
 
     def answer_within(self, layer_masks) -> tuple[int, ...] | None:
@@ -272,7 +270,8 @@ class _Evaluator:
         colour_masks: per oriented disequality, the red-value bitmask. The box
         is intersected with the base masks here once, so each colouring only
         applies its masks and runs the search planned once per run. A witness
-        is the satisfying values in variable order (bruteforce) or () (td-dp).
+        is the satisfying value indices in variable order (bruteforce) or ()
+        (td-dp).
         """
         box = self._box(layer_masks)
         search, diseq_pos = self._search, self.diseq_pos
@@ -441,9 +440,10 @@ class _Evaluator:
             if not ok:
                 continue
             if k + 1 == n:
-                if all(assigned[i] != assigned[j] for i, j in self.diseq_pos):
-                    self.last = tuple(assigned)
-                return tuple(self.values[i] for i in assigned)
+                found = tuple(assigned)
+                if all(found[i] != found[j] for i, j in self.diseq_pos):
+                    self.last = found
+                return found
             stack.append((k, m, cur))
             k, m, cur = k + 1, nxt[levels[k + 1][0]], nxt
 
@@ -692,8 +692,8 @@ def edgefree_restricted(
     answer_free = False
     if hom and known is None and backend == "bruteforce":
         known = ev.answer_within(masks)
-        if known is None and ev.answer_in(masks) is not None:
-            known = ev.last
+        if known is None:
+            known = ev.answer_in(masks)
         answer_free = known is None
     if not hom or answer_free:
         # The same draws as the loops below, so rng ends in the same state.
@@ -739,15 +739,16 @@ def edgefree_restricted(
 # Counting on top of the oracle
 # ---------------------------------------------------------------------------
 
-def _halves(box: tuple[tuple[int, int], ...]) -> tuple:
-    """The two halves of the box's lowest-index interval of two or more
-    values, the left one taking the odd value; () when every interval holds
-    a single value."""
-    for i, (lo, hi) in enumerate(box):
-        if hi - lo >= 2:
-            mid = (lo + hi + 1) // 2
+def _halves(box: tuple[int, ...]) -> tuple:
+    """The two halves of the box's lowest layer of two or more values, split
+    at the middle of its run, the left one taking the odd value; () when
+    every layer holds a single value."""
+    for i, m in enumerate(box):
+        if m & (m - 1):
+            mid = (m & -m) << (m.bit_count() + 1) // 2
+            left = m & (mid - 1)
             head, tail = box[:i], box[i + 1 :]
-            return head + ((lo, mid),) + tail, head + ((mid, hi),) + tail
+            return head + (left,) + tail, head + (m ^ left,) + tail
     return ()
 
 
@@ -762,26 +763,21 @@ def count_edges_exact_oracle(
 ) -> int:
     """Exact edge count using only edge-freeness queries (recursive halving).
 
-    edgefree receives interval boxes (see the module docstring), the full box
-    first. An edge-free instance costs exactly one query; in general the number of
-    queries is at most 2(|E|+1) * sum_i ceil(log2 |U|) + 1.
+    edgefree receives boxes as per-layer value masks (see the module
+    docstring), the full box first. An edge-free instance costs exactly one
+    query; in general the number of queries is at most
+    2(|E|+1) * sum_i ceil(log2 |U|) + 1.
     """
-    calls = 0
-
-    def ask(box) -> bool:
-        nonlocal calls
+    count = calls = 0
+    stack = [ih.full_box()]
+    while stack:
+        box = stack.pop()
         calls += 1
         if budget is not None and calls > budget:
             raise _CallBudgetExceeded(
                 f"edge-freeness call budget of {budget} exhausted"
             )
-        return edgefree(box)
-
-    count = 0
-    stack = [ih.full_box()]
-    while stack:
-        box = stack.pop()
-        if ask(box):
+        if edgefree(box):
             continue
         halves = _halves(box)
         if halves:
@@ -854,7 +850,7 @@ def estimate_edges(
     rng: random.Random,
     probe_budget: int = PROBE_BUDGET,
     stats: OracleStats | None = None,
-    walk_budget: int | None = WALK_BUDGET,
+    walk_budget: int = WALK_BUDGET,
 ) -> int:
     """(epsilon, delta)-style edge count estimate from edge-freeness queries.
 
@@ -893,7 +889,7 @@ def estimate_edges(
         return single_walk_estimate(ih, edgefree, wrng, live)
 
     def need(walks: int) -> None:
-        if walk_budget is not None and walks > walk_budget:
+        if walks > walk_budget:
             raise BudgetExceededError(
                 f"walk estimator needs {walks} walks, walk budget is {walk_budget}"
             )
@@ -935,7 +931,7 @@ def approx_count_answers(
     stats: OracleStats | None = None,
     probe_budget: int = PROBE_BUDGET,
     initial_cap: int = ORACLE_CAP,
-    walk_budget: int | None = WALK_BUDGET,
+    walk_budget: int = WALK_BUDGET,
 ) -> int:
     """Randomized answer count for a normalized query with disequalities.
 
@@ -971,8 +967,7 @@ def approx_count_answers(
             if sims >= cap:
                 raise _OracleCapExhausted()
             sims += 1
-            masks = [(1 << hi) - (1 << lo) for lo, hi in box]
-            out = edgefree_restricted(ih, masks, _dp, _rng, backend, stats)
+            out = edgefree_restricted(ih, box, _dp, _rng, backend, stats)
             _memo[box] = out
             return out
 

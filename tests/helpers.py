@@ -553,8 +553,8 @@ def layer_masks(ih: ImplicitAnswerHypergraph, vs) -> list[int]:
 
 
 def box_values(ih: ImplicitAnswerHypergraph, box) -> list[tuple]:
-    """The per-layer values of an interval box of the halving counters."""
-    return [ih.domain[lo:hi] for lo, hi in box]
+    """The per-layer values of a box of per-layer value masks."""
+    return [tuple(w for i, w in enumerate(ih.domain) if m >> i & 1) for m in box]
 
 
 @dataclass(frozen=True)

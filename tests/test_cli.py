@@ -206,6 +206,67 @@ def test_exit_parse_error_query(capsys, tmp_path, instance):
     assert "error" in err
 
 
+# The files the table below names, written under tmp_path: graphs for gen
+# and queries for count, which reads them against the instance's database.
+FILES = {
+    "loop": "0 1\n1 1\n", "far": "0 5\n", "letter": "a 1\n", "edge": "0 1\n", "none": "",
+    "not-an-atom": "q(x) :- E(x, y), (x)",
+    "no-operator": "q(x) :- E(x, y), x y",
+    "free-var-merged": "q(x) :- x = y",
+}
+
+
+def _count(query):
+    return ["count", "--query", query, "--db", "db", "--method", "exact"]
+
+
+def _gen_random(n_vars, n_atoms, p_neg):
+    return ["gen", "random", "--vars", str(n_vars), "--atoms", str(n_atoms), "--domain", "2",
+            "--p-neg", str(p_neg), "--p-diseq", "0", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, want, message", [
+    (_count("not-an-atom"), EXIT_PARSE,
+     "unexpected token '(' at position 17 (expected an atom)"),
+    (_count("no-operator"), EXIT_PARSE,
+     "unexpected token 'y' at position 19 (expected '(' or '!=' or '=')"),
+    # x and y merge into x, which then occurs in no atom.
+    (_count("free-var-merged"), EXIT_VALIDATION,
+     "query invalid after equality removal: variable(s) occur in no atom: x"),
+    (["gen", "hampath", "--n", "3", "--graph", "loop"], EXIT_VALIDATION,
+     "self-loop 1-1 not allowed"),
+    (["gen", "hampath", "--n", "3", "--graph", "far"], EXIT_VALIDATION,
+     "edge 0-5 outside vertex range [0, 3)"),
+    (["gen", "hampath", "--n", "1", "--graph", "edge"], EXIT_VALIDATION,
+     "gen_hampath needs n >= 2"),
+    (["gen", "hampath", "--n", "3", "--graph", "letter"], EXIT_PARSE,
+     "graph line 1: vertices must be integers"),
+    (["gen", "lihom", "--pattern", "none", "--target", "edge"], EXIT_VALIDATION,
+     "gen_li_hom needs a nonempty pattern edge list"),
+    (_gen_random(0, 1, 0), EXIT_VALIDATION,
+     "gen_random needs n_vars, n_atoms, domain_size >= 1"),
+    (_gen_random(2, 1, 2), EXIT_VALIDATION, "probabilities must lie in [0, 1]"),
+    # One atom has at most three variable slots.
+    (_gen_random(5, 1, 0), EXIT_VALIDATION,
+     "infeasible parameters: 1 atoms provide only 3 variable slots for 5 variables"),
+], ids=["query-not-an-atom", "query-no-operator", "query-free-var-merged", "gen-self-loop",
+        "gen-vertex-out-of-range", "gen-hampath-n-1", "gen-vertex-not-integer",
+        "gen-empty-pattern", "gen-no-variables", "gen-probability-above-1",
+        "gen-too-few-slots"])
+def test_bad_input_ends_in_one_error_line(capsys, tmp_path, instance, argv, want, message):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {name: str(tmp_path / name) for name in FILES}
+    out = tmp_path / "out"
+    if argv[0] == "gen":
+        argv = argv + ["--out-dir", str(out)]
+    argv = [instance["db"] if arg == "db" else paths.get(arg, arg) for arg in argv]
+    code, doc, err = run(capsys, argv)
+    assert (code, doc) == (want, None)
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_exit_parse_error_db(capsys, tmp_path, instance):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
@@ -592,8 +653,10 @@ def test_count_fhw_default_limits_over_fourteen_values(capsys, tmp_path):
     ([0, 1], {"arity": 2, "tuples": [[[1], 0]]}, "relation F"),
     ([0, 1], {"arity": 2, "tuples": [[1, True]]}, "relation F: value True"),  # used to be accepted
     (5, {"arity": 2, "tuples": [[0, 1]]}, "domain"),
+    ([0, 1, 1.5], {"arity": 2, "tuples": [[0, 1]]},
+     "domain value 1.5 is not a string or integer"),
 ], ids=["str-arity", "float-arity", "int-tuples", "int-tuple", "list-value", "bool-value",
-        "int-domain"])
+        "int-domain", "float-domain-value"])
 def test_exit_validation_malformed_database(
     capsys, tmp_path, instance, domain, relation, named
 ):

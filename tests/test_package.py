@@ -7,12 +7,14 @@ import ast
 import random
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import cqcount
 from cqcount import (
+    ContradictionError,
     DecompositionError,
     Hypergraph,
     ImplicitAnswerHypergraph,
@@ -21,13 +23,16 @@ from cqcount import (
     TreeDecomposition,
     UnsupportedQueryError,
     build_automaton,
+    dump_database,
     estimate_edges,
     hom_exists_td,
+    normalize_equalities,
     parse_query,
     sol_bag,
 )
+from cqcount.cli import RunConfig, cmd_count
 from cqcount.lp import solve_min
-from cqcount.qmodel import Database, RelationSymbol, iter_solutions
+from cqcount.qmodel import Database, Query, RelationSymbol, iter_solutions
 from cqcount.widths import induced_hypergraph
 
 PACKAGE_DIR = Path(cqcount.__file__).parent
@@ -209,8 +214,20 @@ DB = Database.make([0, 1], {"E": (2, [(0, 1)])})
 IH = ImplicitAnswerHypergraph(DISTINCT, DB)
 
 
+E1 = RelationSymbol("E", 1)
+
+
 def estimate(epsilon, delta):
     return estimate_edges(IH, None, epsilon, delta, random.Random(0))
+
+
+def count_by(method):
+    """cmd_count of PLAIN over DB under a RunConfig built in code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        query, db = Path(tmp, "q.txt"), Path(tmp, "d.json")
+        query.write_text("phi(x, y) :- E(x, y)", encoding="utf-8")
+        dump_database(DB, db)
+        return cmd_count(str(query), str(db), RunConfig(method))
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -256,6 +273,46 @@ def estimate(epsilon, delta):
     pytest.param(
         lambda: solve_min([1, 1], [[1]], [1]),
         ValueError, "constraint row length does not match objective", id="lp-row-length",
+    ),
+    pytest.param(
+        lambda: Query.make("1q", ["x"], [(E1, ("x",))]),
+        QueryValidationError, "invalid query name '1q'", id="query-name",
+    ),
+    pytest.param(
+        lambda: Query.make("q", ["1x"], [(E1, ("1x",))]),
+        QueryValidationError, "invalid variable name '1x'", id="free-variable-name",
+    ),
+    pytest.param(
+        lambda: Query.make("q", ["x"], [(RelationSymbol("1E", 1), ("x",))]),
+        QueryValidationError, "invalid relation name '1E'", id="relation-name",
+    ),
+    pytest.param(
+        lambda: Query.make("q", [], [(RelationSymbol("E", 0), ())]),
+        QueryValidationError, "relation E must have arity >= 1", id="relation-arity-0",
+    ),
+    pytest.param(
+        lambda: Query.make("q", ["x"], [(E1, ("x",)), (E, ("x", "x"))]),
+        QueryValidationError, "relation E used with arities 1 and 2", id="relation-two-arities",
+    ),
+    pytest.param(
+        lambda: Query.make("q", [], [(E1, ("1y",))]),
+        QueryValidationError, "invalid variable name '1y'", id="existential-variable-name",
+    ),
+    pytest.param(
+        lambda: Query.make("q", []), QueryValidationError, "query body is empty",
+        id="empty-body",
+    ),
+    pytest.param(
+        # Whichever equality comes last joins variables the other two merged.
+        lambda: normalize_equalities(
+            parse_query("q(x) :- E(x, z), x = y, y = z, x = z, x != z")
+        ),
+        ContradictionError, "equalities merge x and z, contradicting x != z",
+        id="equality-already-merged",
+    ),
+    pytest.param(
+        lambda: count_by("nope"), QueryValidationError, "unknown method 'nope'",
+        id="run-config-method",
     ),
 ])
 def test_library_preconditions_raise_their_error(call, error, message):

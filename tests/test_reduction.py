@@ -85,7 +85,7 @@ def test_hypergraph_shape():
     assert ih.ell == 2
     assert len(vertices(ih)) == 4
     assert set(vertices(ih)) == {(0, 1), (1, 1), (0, 2), (1, 2)}
-    assert ih.full_box() == ((0, 2), (0, 2))
+    assert ih.full_box() == (0b11, 0b11)
     assert answers(ih) == {(0, 1)}
 
 
@@ -267,8 +267,7 @@ def _assert_td_plan_matches_hom_exists_td(q, d):
     nice = make_nice(h, treewidth_heuristic(h)[1])
     diseqs = oriented_disequalities(q)
     for box in _halving_tree(ih):
-        masks = [(1 << hi) - (1 << lo) for lo, hi in box]
-        searches = [ev.compile(masks) for ev in evs]
+        searches = [ev.compile(box) for ev in evs]
         layers = dict(zip(q.free_vars, box_values(ih, box)))
         for reds in itertools.product(range(2 ** len(d.domain)), repeat=len(diseqs)):
             domains = {v: set(layers.get(v, d.domain)) for v in q.variables}
@@ -282,7 +281,7 @@ def _assert_td_plan_matches_hom_exists_td(q, d):
                 assert (witness is not None) == expected, (backend, box, reds)
             witness = witnesses[HOM_BACKENDS.index("bruteforce")]
             if witness is not None:
-                env = dict(zip(q.variables, witness))
+                env = {v: ih.domain[i] for v, i in zip(q.variables, witness)}
                 assert all(env[v] in domains[v] for v in q.variables)
                 for sym, args in q.predicates:
                     assert tuple(env[v] for v in args) in d.relations[sym]
@@ -380,13 +379,12 @@ def test_evaluator_full_box_decides_satisfiability():
         q, d = corpus_instance(seed, max_diseq=0)
         ih = ImplicitAnswerHypergraph(q, d)
         ev = ih.evaluator("bruteforce")
-        full = layer_masks(ih, box_values(ih, ih.full_box()))
-        witness = ev.compile(full)(())
+        witness = ev.compile(ih.full_box())(())
         has = count_answers_bruteforce(q, d) > 0
         assert (witness is not None) == has
         if witness is not None:
             # The returned assignment must itself satisfy the query.
-            env = dict(zip(q.variables, witness))
+            env = {v: ih.domain[i] for v, i in zip(q.variables, witness)}
             by_name = {sym.name: sym for sym in d.relations}
             for sym, args in q.predicates:
                 assert tuple(env[v] for v in args) in d.relations[by_name[sym.name]]
@@ -561,10 +559,9 @@ def _assert_same_draws(ih, backend, seed, delta_prime=0.05):
     # leave the answer, the random stream and the sample count as they are.
     rng, ref_rng = derive_rng(77, seed), derive_rng(77, seed)
     for box in _halving_boxes(ih):
-        masks = layer_masks(ih, box_values(ih, box))
         stats, ref_stats = OracleStats(), OracleStats()
-        got = edgefree_restricted(ih, masks, delta_prime, rng, backend, stats)
-        ref = edgefree_every_sample(ih, masks, delta_prime, ref_rng, backend, ref_stats)
+        got = edgefree_restricted(ih, box, delta_prime, rng, backend, stats)
+        ref = edgefree_every_sample(ih, box, delta_prime, ref_rng, backend, ref_stats)
         assert got == ref, (seed, backend, box)
         assert rng.getstate() == ref_rng.getstate(), (seed, backend, box)
         assert stats.colourings_sampled == ref_stats.colourings_sampled
@@ -786,8 +783,9 @@ def test_answer_search_finds_none_exactly_on_edge_free_boxes():
         answer = ev.answer_in(masks)
         assert (answer is None) == edgefree_bruteforce(ih, restricted_parts(ih, vs))
         if answer is not None:
-            assert answer[: ih.ell] in answers(ih)
-            assert all(w in layer for w, layer in zip(answer, vs))
+            values = tuple(ih.domain[i] for i in answer)
+            assert values[: ih.ell] in answers(ih)
+            assert all(w in layer for w, layer in zip(values, vs))
         elif all(masks) and ev.compile(masks)(()) is not None:
             certified[kind] += 1
         seen["negated binary"] += any(sym.arity == 2 for sym, _ in ih.query.negated_predicates)
@@ -826,11 +824,7 @@ def _full_answers(ih: ImplicitAnswerHypergraph) -> dict:
     """Each answer's free values, mapped to the value indices of one full
     assignment that extends it."""
     ev = ih.evaluator("bruteforce")
-    index = {w: i for i, w in enumerate(ih.domain)}
-    return {
-        a: tuple(index[w] for w in ev.answer_in([1 << index[w] for w in a]))
-        for a in answers(ih)
-    }
+    return {a: ev.answer_in(layer_masks(ih, [(w,) for w in a])) for a in answers(ih)}
 
 
 def _k2_boxes():
@@ -1059,11 +1053,17 @@ def test_count_edges_exact_oracle_matches_bruteforce():
         assert count_edges_exact_oracle(ih, exact_oracle(ih)) == len(answers(ih))
 
 
+def _run(lo: int, hi: int) -> int:
+    """The mask of the value indices lo..hi-1."""
+    return sum(1 << i for i in range(lo, hi))
+
+
 def test_halving_splits_the_lowest_long_interval():
-    # Every visited box is one non-empty index interval per layer. A split
-    # box's halves cut its lowest-index interval of two or more values in
-    # two, the left one taking the odd value, and keep every other interval;
-    # the counter counts exactly the all-unit boxes that hold an edge.
+    # Every visited box is one non-empty contiguous run of values per layer,
+    # the mask of an index interval. A split box's halves cut its lowest
+    # layer of two or more values in two, the left one taking the odd value,
+    # and keep every other layer; the counter counts exactly the all-unit
+    # boxes that hold an edge.
     for seed in range(60):
         q, d = corpus_instance(seed)
         ih = ImplicitAnswerHypergraph(q, d)
@@ -1080,19 +1080,21 @@ def test_halving_splits_the_lowest_long_interval():
         units = set()
         for box, free in visited.items():
             assert len(box) == ih.ell
-            assert all(0 <= lo < hi <= n for lo, hi in box), (seed, box)
-            long = [i for i, (lo, hi) in enumerate(box) if hi - lo >= 2]
+            bounds = [((m & -m).bit_length() - 1, m.bit_length()) for m in box]
+            assert all(0 <= lo < hi <= n for lo, hi in bounds), (seed, box)
+            assert box == tuple(_run(lo, hi) for lo, hi in bounds), (seed, box)
+            long = [i for i, (lo, hi) in enumerate(bounds) if hi - lo >= 2]
             if not long:
                 assert _halves(box) == ()
                 if not free:
-                    units.add(tuple(ih.domain[lo] for lo, _ in box))
+                    units.add(tuple(ih.domain[lo] for lo, _ in bounds))
                 continue
             i = long[0]
-            (lo, hi), (left, right) = box[i], _halves(box)
+            (lo, hi), (left, right) = bounds[i], _halves(box)
             rest = box[:i] + box[i + 1 :]
             assert left[:i] + left[i + 1 :] == rest == right[:i] + right[i + 1 :]
             mid = lo + (hi - lo + 1) // 2
-            assert (left[i], right[i]) == ((lo, mid), (mid, hi)), (seed, box)
+            assert (left[i], right[i]) == (_run(lo, mid), _run(mid, hi)), (seed, box)
             if not free:
                 assert left in visited and right in visited, (seed, box)
         assert count == len(units), seed
@@ -1181,8 +1183,7 @@ def _first_asked(ih, rng, backend="bruteforce"):
     def oracle(box):
         if box not in memo:
             asked.append(box)
-            masks = [(1 << hi) - (1 << lo) for lo, hi in box]
-            memo[box] = edgefree_restricted(ih, masks, 0.01, rng, backend)
+            memo[box] = edgefree_restricted(ih, box, 0.01, rng, backend)
         return memo[box]
 
     return oracle, asked
