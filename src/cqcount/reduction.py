@@ -115,11 +115,16 @@ class OracleStats:
         return asdict(self)
 
 
-def derive_rng(seed: int, *path: int) -> random.Random:
-    """Independent deterministic stream for (seed, path); hash-based splitting."""
+def _derived_seed(seed: int, *path: int) -> int:
+    """The seed of derive_rng(seed, *path): 128 bits of a sha256 digest."""
     text = ":".join(str(p) for p in (seed,) + path)
     digest = hashlib.sha256(text.encode("ascii")).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
+    return int.from_bytes(digest[:16], "big")
+
+
+def derive_rng(seed: int, *path: int) -> random.Random:
+    """Independent deterministic stream for (seed, path); hash-based splitting."""
+    return random.Random(_derived_seed(seed, *path))
 
 
 class ImplicitAnswerHypergraph:
@@ -246,10 +251,8 @@ class _Evaluator:
         return reps
 
     def _box(self, layer_masks) -> list[int]:
-        box = list(self.base)
-        for i, m in enumerate(layer_masks):
-            box[i] &= m
-        return box
+        base = self.base
+        return [b & m for b, m in zip(base, layer_masks)] + base[len(layer_masks) :]
 
     def answer_in(self, layer_masks) -> tuple | None:
         """bruteforce only: an answer in the box, or None."""
@@ -259,9 +262,12 @@ class _Evaluator:
         """self.last when its free values lie in the box, else None: an
         answer in the box, found by a search of any box."""
         last = self.last
-        if last is not None and all(m >> a & 1 for m, a in zip(layer_masks, last)):
-            return last
-        return None
+        if last is None:
+            return None
+        for m, a in zip(layer_masks, last):
+            if not m >> a & 1:
+                return None
+        return last
 
     def compile(self, layer_masks):
         """The search of one box, as a callable colour_masks -> witness | None.
@@ -665,35 +671,35 @@ def edgefree_restricted(
     start and redraws up to its sample, so rng ends as if drawn one sample
     at a time.
     """
+    width = len(ih.domain)
     if len(masks) != ih.ell:
         raise ValueError(f"expected {ih.ell} layer masks, got {len(masks)}")
-    if any(m >> len(ih.domain) for m in masks):
+    if masks and (max(masks) >> width or min(masks) < 0):
         raise ValueError("a layer mask has bits beyond the database domain")
     if stats is None:
         stats = OracleStats()
     stats.edgefree_calls += 1
     if not all(masks):
         return True
-    ev = ih.evaluator(backend)
+    ev = ih._evaluators.get(backend) or ih.evaluator(backend)
     box = ev._box(masks)
     stats.hom_calls += 1
     # A known answer in the box stands in for the search before colouring.
     known = ev.answer_within(masks)
-    hom = known is not None or (all(box) and ev._search(box) is not None)
+    found = ev._search(box) if known is None and all(box) else None
+    hom = known is not None or found is not None
     if not ev.cliques:
         return not hom
     sizes, k = ev.clique_sizes, ev.one_size
-    q_reps = ev.repetitions(delta_prime)
-    width = len(ih.domain)
+    q_reps = ev._reps.get(delta_prime) or ev.repetitions(delta_prime)
     # A colour search only finds answers, so where bruteforce finds none in
     # the box, each of its samples would be searched and found empty. A
-    # witness that meets every disequality is such an answer, and ev.last
-    # now; so is one that answer_in finds.
+    # witness that meets every disequality is such an answer: the search
+    # above found one exactly when it made it ev.last, as an earlier ev.last
+    # already missed the box. Otherwise answer_in looks for one.
     answer_free = False
     if hom and known is None and backend == "bruteforce":
-        known = ev.answer_within(masks)
-        if known is None:
-            known = ev.answer_in(masks)
+        known = found if ev.last is found else ev.answer_in(masks)
         answer_free = known is None
     if not hom or answer_free:
         # The same draws as the loops below, so rng ends in the same state.
@@ -795,7 +801,9 @@ def single_walk_estimate(
 ) -> int:
     """One unbiased sample of the edge count: walk the halving tree choosing
     uniformly among children that still contain edges, multiplying out the
-    number of such children at every level.
+    number of such children at every level. A step with two such children
+    draws rng.getrandbits(2) until it is below 2 and takes that child, the
+    draw rng.choice makes over two.
 
     live caches the halving tree for walks that share one edgefree: it maps
     each box a walk has split to the tuple of its children that are not
@@ -806,6 +814,7 @@ def single_walk_estimate(
     """
     if live is None:
         live = {}
+    draw = rng.getrandbits
     box = ih.full_box()
     if edgefree(box):
         return 0
@@ -821,8 +830,14 @@ def single_walk_estimate(
         if not alive:
             # Only the oracle's one-sided error gets here; the product is 0.
             return 0
-        est *= len(alive)
-        box = alive[0] if len(alive) == 1 else rng.choice(alive)
+        if len(alive) == 1:
+            box = alive[0]
+            continue
+        est *= 2
+        pick = draw(2)
+        while pick > 1:
+            pick = draw(2)
+        box = alive[pick]
 
 
 PILOT_WALKS = 48
@@ -832,13 +847,14 @@ PROBE_BUDGET = 20_000
 ORACLE_CAP = 50_000
 # WALK_BUDGET caps the walks of one fptras estimator run, 48 pilot walks plus
 # m*g (m = 67 at delta 0.1, g >= 8 from the pilot variance). Walks per run,
+# and CPU time per walk (a run's time less its probe's, over its walks),
 # Python 3.11, 2-vCPU Xeon:
-#   c11 corpus (probe_budget 0)     100 runs: median 584, max 8,289; 0.05 ms/walk
-#   c10 (hampath(K4), exact oracle) 100 runs: median 858, max 912; 0.09 ms/walk
+#   c11 corpus (probe_budget 0)     100 runs: median 584, max 8,289; 0.013 ms/walk
+#   c10 (hampath(K4), exact oracle) 100 runs: median 858, max 912; 0.013 ms/walk
 #   p3-32-walk-* ops, seed 1, passes 0-8: 27 runs: median 2,996, max 4,336;
-#                                         0.12 ms/walk
+#                                         0.025 ms/walk
 #   c02 corpus: no run leaves the exact probe
-# 100,000 is 12x the largest run and about 12 s at 0.12 ms/walk.
+# 100,000 is 12x the largest run and about 2.5 s at 0.025 ms/walk.
 WALK_BUDGET = 100_000
 
 
@@ -865,7 +881,9 @@ def estimate_edges(
     pilot plus the m*g walks, would take more than `walk_budget` walks, and
     after the pilot when m*g is not a finite float (epsilon**2 underflows,
     or 1 / delta overflows), whatever the budget. The walks of one call
-    share one halving-tree cache (see single_walk_estimate).
+    share one halving-tree cache (see single_walk_estimate) and one
+    generator, re-seeded before walk i to the stream of derive_rng(base, i),
+    base being the first 64 bits drawn from rng after the probe.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -879,10 +897,11 @@ def estimate_edges(
     base = rng.getrandbits(64)
     counter = 0
     live: dict = {}
+    wrng = random.Random()
 
     def walk() -> int:
         nonlocal counter
-        wrng = derive_rng(base, counter)
+        wrng.seed(_derived_seed(base, counter))
         counter += 1
         if stats is not None:
             stats.estimator_walks += 1

@@ -13,8 +13,9 @@ mass mu are the primal optimum, and its row duals are an optimal fractional
 edge cover, so rho* = alpha*. The width searches take a bag's rho* as the
 sum over the connected components of its induced edges, since the LP splits
 along them; a component inside one edge has rho* 1, so only the others
-solve an LP, each once per search. An alpha-acyclic hypergraph, which a
-GYO reduction recognises, has fractional hypertreewidth 1, and its search
+solve an LP, each shape once per search (its edges over its vertices'
+ranks). An alpha-acyclic hypergraph, which a GYO reduction recognises,
+has fractional hypertreewidth 1, and its search
 runs on the integer cost "1 if the bag lies inside an edge, else 2", with
 no LP at all. (The bag tables that the fhw pipeline
 builds along the chosen decomposition share one fact index per run; see
@@ -608,9 +609,21 @@ def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
     component. No edge meets two components, so the packing LP splits and
     rho* adds over them; a component inside one edge has rho* 1, and only
     the others solve the LP. The sum is the same exact Fraction as the bag's
-    own LP. Bags are not memoised: _elimination_dp already asks each bag
-    once, and fhw_of_td's min-fill bags are distinct."""
+    own LP. A component's rho* is kept under its vertex set, and under its
+    shape: its edges with each vertex renamed to its rank in _vkey order,
+    so components that differ only in their names solve one LP. Bags are
+    not memoised: _elimination_dp already asks each bag once, and
+    fhw_of_td's min-fill bags are distinct."""
     cache: dict[frozenset, Fraction] = {}
+    shapes: dict[frozenset, Fraction] = {}
+
+    def solve(p: frozenset, edges: set[frozenset]) -> Fraction:
+        rank = {v: i for i, v in enumerate(sorted(p, key=_vkey))}
+        shape = frozenset(frozenset(rank[v] for v in e) for e in edges if e <= p)
+        r = shapes.get(shape)
+        if r is None:
+            r = shapes[shape] = fractional_edge_cover_number(induced_hypergraph(h, p))[0]
+        return r
 
     def rho(bag: frozenset) -> Fraction:
         edges = {e & bag for e in h.edges} - {frozenset()}
@@ -627,9 +640,7 @@ def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
         for p in parts:
             r = cache.get(p)
             if r is None:
-                r = cache[p] = Fraction(1) if p in edges else (
-                    fractional_edge_cover_number(induced_hypergraph(h, p))[0]
-                )
+                r = cache[p] = Fraction(1) if p in edges else solve(p, edges)
             got += r
         return got
 

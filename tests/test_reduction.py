@@ -32,6 +32,7 @@ from cqcount.reduction import (
     HOM_BACKENDS,
     ImplicitAnswerHypergraph,
     _colour_classes,
+    _derived_seed,
     _draw_values,
     _halves,
     clique_cover,
@@ -931,6 +932,43 @@ def test_k2_sample_that_empties_a_domain_runs_no_search(monkeypatch):
     assert answered == []
 
 
+def test_box_settled_by_its_own_search_runs_no_second_search(monkeypatch):
+    # x0 = 0, x1 = 1 and x2 = 2 on P3 lihom over C4: the search before
+    # colouring finds the answer (0, 1, 2) and keeps it as ev.last, which
+    # settles the box; neither answer_in nor a second answer_within runs.
+    ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
+    ev = ih.evaluator("bruteforce")
+    index = {w: i for i, w in enumerate(ih.domain)}
+    calls, within = [], []
+    search, answer_within = ev._bruteforce_search, ev.answer_within
+
+    def counted_search(dom, distinct=False):
+        calls.append(distinct)
+        return search(dom, distinct)
+
+    def counted_within(masks):
+        within.append(list(masks))
+        return answer_within(masks)
+
+    monkeypatch.setattr(ev, "_bruteforce_search", counted_search)
+    monkeypatch.setattr(ev, "_search", counted_search)
+    monkeypatch.setattr(ev, "answer_within", counted_within)
+    masks = layer_masks(ih, ((0,), (1,), (2,)))
+    for at in range(3):
+        ev.last = None
+        del calls[:], within[:]
+        stats = OracleStats()
+        seed = _first_keeping(index, 0, 2, at)
+        assert not edgefree_restricted(ih, masks, 0.05, random.Random(seed), stats=stats)
+        assert ev.last == (index[0], index[1], index[2])
+        # The search before colouring only, with no distinct=True search
+        # (answer_in), and one answer_within per call.
+        assert calls == [False] and len(within) == 1, at
+        assert stats == OracleStats(
+            edgefree_calls=1, colourings_sampled=at + 1, hom_calls=at + 2
+        )
+
+
 @pytest.mark.parametrize("text,sizes", [
     ("q(x, y, z) :- E(x, y), E(y, z), x != y, y != z, x != z", [3]),
     ("q(a, b, c, e) :- E(a, b), E(c, e), "
@@ -1175,6 +1213,20 @@ def test_single_walk_mean_near_edge_count():
     assert abs(mean - 5) <= 0.4
 
 
+def test_two_child_step_draws_as_choice_does():
+    # single_walk_estimate takes a step between two live children with
+    # getrandbits(2) redrawn until below 2, which is what rng.choice over
+    # two draws; the walks' seeded estimates rest on this on every Python.
+    for seed in range(2000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            pick = rng.getrandbits(2)
+            while pick > 1:
+                pick = rng.getrandbits(2)
+            assert ("a", "b")[pick] == ref.choice(("a", "b")), seed
+        assert rng.getstate() == ref.getstate(), seed
+
+
 def _first_asked(ih, rng, backend="bruteforce"):
     """A memoized randomized oracle, as approx_count_answers builds one, that
     records each box the first time it is asked."""
@@ -1252,6 +1304,33 @@ def test_estimate_edges_starts_each_call_with_a_fresh_cache(monkeypatch):
     # One dict per call, each empty at the call's first walk.
     assert len(seen) == 2 and seen[0][0] is not seen[1][0]
     assert [size for _, size in seen] == [0, 0]
+
+
+def test_estimate_edges_reseeds_each_walk_to_its_derived_stream(monkeypatch):
+    # Walk i of an estimate draws from the stream of derive_rng(base, i),
+    # base the first 64 bits the estimate's rng gives after the probe.
+    states = []
+    walk = reduction.single_walk_estimate
+
+    def spy(ih, edgefree, rng, live=None):
+        states.append(rng.getstate())
+        return walk(ih, edgefree, rng, live)
+
+    monkeypatch.setattr(reduction, "single_walk_estimate", spy)
+    q, d = corpus_instance(4)
+    ih = ImplicitAnswerHypergraph(q, d)
+    for seed in range(3):
+        del states[:]
+        estimate_edges(ih, exact_oracle(ih), 0.25, 0.1, random.Random(seed), probe_budget=0)
+        base = random.Random(seed).getrandbits(64)
+        assert len(states) > 48
+        for i in (0, 1, 47, len(states) - 1):
+            got, ref = random.Random(), derive_rng(base, i)
+            got.setstate(states[i])
+            assert [got.getrandbits(32) for _ in range(8)] == [
+                ref.getrandbits(32) for _ in range(8)
+            ], (seed, i)
+            assert random.Random(_derived_seed(base, i)).getstate() == states[i]
 
 
 def test_estimate_edges_probe_path_is_exact():

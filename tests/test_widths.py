@@ -514,6 +514,26 @@ def test_rho_cache_names_uncovered_vertices_as_the_lp_does():
     assert raised
 
 
+def test_rho_cache_solves_one_lp_per_component_shape(monkeypatch):
+    # A component's rho* is kept under its edges over its vertices' ranks.
+    # The five two-edge paths the exact search meets on a 5-cycle have three
+    # such shapes (the middle vertex ranked first, second or last), so the
+    # search solves three LPs, on integer and on string names alike.
+    solved = []
+    lp = widths.fractional_edge_cover_number
+
+    def counted(h):
+        solved.append(h.vertices)
+        return lp(h)
+
+    monkeypatch.setattr(widths, "fractional_edge_cover_number", counted)
+    for name in (int, "v{}".format):
+        vs = [name(i) for i in range(5)]
+        del solved[:]
+        assert fhw_exact_small(Hypergraph.from_graph(zip(vs, vs[1:] + vs[:1])))[0] == 2
+        assert len(solved) == 3 and {len(p) for p in solved} == {3}, name
+
+
 def test_fhw_exact_small_matches_the_whole_bag_lp():
     # Equal rho* values make the elimination DP take the same choices, so
     # the value and the decomposition are identical, not merely as good.
