@@ -12,27 +12,20 @@ with median-of-means amplification sit on top. The walks of one estimate run
 share a cache of the halving tree (each split box maps to its children with
 an edge), bounded in size by the oracle's cap on distinct boxes.
 
-A box with no witness before any colouring, or one that bruteforce proves
-answer-free (see edgefree_restricted), still draws its samples, so the
-random stream does not depend on which boxes are searched; when every clique
-is a K2, all its samples come from one getrandbits call that takes the same
-32-bit words of the generator as one draw per sample. A clique of k >= 3
-variables colours each value with one rng.randrange(k); those draws are
-decoded a block at a time from the high bytes of the same 32-bit words
-(_draw_values), which is why a clique has at most 255 variables. When every
-clique has one size k >= 3, a box draws a block of samples at once, searches
-each distinct colouring that fills every class once, and on a witness
-rewinds the generator to the block's start and redraws up to that sample,
-so it ends where one draw per sample would leave it. A sample whose
-colouring leaves some clique's colour class empty can hold no witness, so it
-is counted and drawn like any other but neither masked nor searched.
-
-The bruteforce evaluator keeps the last answer a search of it returned. In a
-later box that holds it, that answer settles the search before colouring,
-and a K2 sample that keeps it (each disequality's first variable red, the
-second not) holds a witness unsearched. The K2 sample loop narrows the
-domains itself rather than through compile's callable, with the same
-empty-domain check before a search.
+Each cover shape has one sampler, which the evaluator picks when it is
+built: _pair_samples when every clique is a K2, _block_samples when they all
+have one size k >= 3, and _mixed_samples otherwise. A sampler draws a box's
+samples and searches them up to the first witness. When the box cannot hold
+an answer it still draws them all, unsearched, so the random stream does not
+depend on which boxes are searched: a box with no witness before any
+colouring, or one that bruteforce proves answer-free (see
+edgefree_restricted). A clique of k >= 3 variables colours each value with
+one rng.randrange(k), decoded from the high byte of a 32-bit word
+(_draw_values), which is why a clique has at most 255 variables. A sample
+whose colouring leaves some clique's colour class empty can hold no witness,
+so it is counted and drawn like any other but neither masked nor searched.
+The bruteforce evaluator keeps the last answer a search of it returned; in a
+later box that holds it, that answer settles the search before colouring.
 
 A box is one value mask per layer (bit i is the domain's i-th value), the
 form the counters' `edgefree` callbacks, edgefree_restricted and the
@@ -95,12 +88,11 @@ class OracleStats:
 
     edgefree_calls: edge-freeness checks of a box (memo hits not counted);
     colourings_sampled: colour samples drawn, searched or not;
-    hom_calls: one per box for its search with no colour masks, plus one
-        per colour sample of a box with a witness there, counted even when
-        that search is skipped for a known answer in the box, or the sample
-        empties a colour class or a domain, keeps the known answer, or
-        repeats a colouring the box has searched, or the box is proved
-        answer-free, and so is not searched;
+    hom_calls: one per box for its search with no colour masks, plus, for
+        a box with a witness there, one per colour sample its sampler drew:
+        up to the first with a witness, or all of them. A sample counts
+        whether or not it is searched (see edgefree_restricted and the
+        samplers);
     estimator_walks: random walks of the edge-count estimator;
     restarts: runs begun again with a larger simulation cap.
     """
@@ -168,7 +160,7 @@ class _Evaluator:
         pos = {v: i for i, v in enumerate(q.variables)}
         index = {w: i for i, w in enumerate(ih.domain)}
         nd = len(ih.domain)
-        full = self.full_mask = (1 << nd) - 1
+        full = (1 << nd) - 1
 
         # rows: the facts that agree wherever the atom repeats a variable, as
         # value indices of its distinct variables in first-occurrence order.
@@ -215,11 +207,13 @@ class _Evaluator:
         self.red_slots = [slot[p] for p in self.diseq_pos]
 
         self.clique_sizes = [len(clique) for clique in self.cliques]
-        # The size of every clique, or 0 when they differ. A cover of K2s
-        # only is diseq_pos itself, each red mask its K2's draw, so a sample
-        # needs no class lists; one of larger cliques draws blocks of samples.
+        # The size of every clique, or 0 when they differ, and the sampler
+        # of that cover shape.
         sizes = set(self.clique_sizes)
         self.one_size = sizes.pop() if len(sizes) == 1 else 0
+        self._sampler = {0: _mixed_samples, 2: _pair_samples}.get(
+            self.one_size, _block_samples
+        )
 
         self._reps: dict[float, int] = {}  # repetitions() per delta_prime
         # The value indices of the last answer a bruteforce search returned:
@@ -561,62 +555,33 @@ def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
     return _classes(_draw_values(rng, k, width), _tables(k)[2])
 
 
-def _search_blocks(
-    ev: _Evaluator, search, rng: random.Random, q_reps: int, width: int, stats: OracleStats
-) -> bool:
-    """The sample loop of edgefree_restricted for a cover whose cliques all
-    have one size k >= 3, with the same answer, stats and rng state.
-
-    The samples are drawn a block at a time from the same words as one at
-    a time, and only those whose colouring fills every class are searched,
-    each distinct colouring once, since the search of one box depends on
-    nothing else. A witness at a block's sample s rewinds rng to the
-    block's start and redraws its samples 0..s, so no later sample's words
-    are drawn.
-    """
-    k, per = ev.one_size, len(ev.cliques) * width
-    ones = _tables(k)[2]
-    block = max(1, _BLOCK_VALUES // per)
-    tried = set()
-    for start in range(0, q_reps, block):
-        size = min(block, q_reps - start)
-        state = rng.getstate()
-        vals = _draw_values(rng, k, size * per)
-        samples = [vals[i : i + per] for i in range(0, size * per, per)]
-        for s, sample in enumerate(samples):
-            if sample in tried:
-                continue
-            tried.add(sample)
-            parts = [sample[i : i + width] for i in range(0, per, width)]
-            if all(len(set(p)) == k for p in parts) and search(
-                ev.red_masks([_classes(p, ones) for p in parts])
-            ) is not None:
-                rng.setstate(state)
-                _draw_values(rng, k, (s + 1) * per)
-                stats.colourings_sampled += start + s + 1
-                stats.hom_calls += start + s + 1
-                return False
-    stats.colourings_sampled += q_reps
-    stats.hom_calls += q_reps
-    return True
+# One sampler per cover shape, which _Evaluator picks by its one_size:
+# sampler(ev, masks, box, known, rng, q_reps, width, search) returns the
+# number of the box's q_reps colour samples it drew up to and including the
+# first with a witness, or 0 when none has one. With search false it draws
+# all q_reps samples, searches none and returns 0, so rng ends as a search
+# with no witness leaves it. masks are the box's layer masks, box its
+# per-variable domains (ev._box(masks)), and known an answer in the box
+# (value indices) or None.
 
 
-def _pair_samples_to_witness(
-    ev: _Evaluator, box: list[int], known, rng: random.Random, q_reps: int, width: int
-) -> int:
-    """The sample loop of edgefree_restricted for a cover of K2s only: the
-    number of samples drawn up to and including the first with a witness,
-    or 0 when none of the q_reps has one, drawing as the general loop does.
+def _pair_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
+    """The sampler of a cover of K2s only, which is ev.diseq_pos itself.
 
     Each K2 is one disequality (i, j), whose sample is one getrandbits
-    draw: the red class, which i takes and j avoids. A sample where the
-    known answer (value indices, or None) has i red and j blue holds a
-    witness without a search. One that leaves a variable no value of the
-    box (box: the per-variable domains) holds none, and is not searched.
-    This narrows the box as compile's callable does, inline, as a call per
-    sample would cost most of what the loop saves.
+    draw: the red class, which i takes and j avoids. Unsearched, all the
+    samples come from one getrandbits call of the same 32-bit words,
+    ceil(width / 32) per draw. A sample where the known answer has i red
+    and j blue holds a witness without a search. One that leaves a variable
+    no value of the box holds none, and is not searched. This narrows the
+    box as compile's callable does, inline, as a call per sample would cost
+    most of what the loop saves.
     """
-    search, draw = ev._search, rng.getrandbits
+    draw = rng.getrandbits
+    if not search:
+        draw(32 * ((width + 31) // 32) * q_reps * len(ev.diseq_pos))
+        return 0
+    run = ev._search
     # (i, j, mask, keep): the known answer survives red when red & mask is
     # keep, its value at i red and at j not; with mask 0 it never does.
     rows = [
@@ -632,7 +597,71 @@ def _pair_samples_to_witness(
             dom[i] &= red
             dom[j] &= ~red
             survives = survives and red & mask == keep
-        if survives or all(dom) and search(dom) is not None:
+        if survives or all(dom) and run(dom) is not None:
+            return t
+    return 0
+
+
+def _block_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
+    """The sampler of a cover whose cliques all have one size k >= 3.
+
+    The samples are drawn many at a time from the same words as one at a
+    time: unsearched, in chunks of _BLOCK_VALUES values; searched, in
+    blocks of as many whole samples as fit in _BLOCK_VALUES values (at
+    least one). Of those, only the samples whose colouring fills every
+    class are searched, each distinct colouring once, since the search of
+    one box depends on nothing else. A witness at a block's sample s
+    rewinds rng to the block's start and redraws its samples 0..s, so no
+    later sample's words are drawn.
+    """
+    k, per = ev.one_size, len(ev.cliques) * width
+    if not search:
+        total = q_reps * per
+        for start in range(0, total, _BLOCK_VALUES):
+            _draw_values(rng, k, min(_BLOCK_VALUES, total - start))
+        return 0
+    run, ones = ev.compile(masks), _tables(k)[2]
+    block = max(1, _BLOCK_VALUES // per)
+    tried = set()
+    for start in range(0, q_reps, block):
+        size = min(block, q_reps - start)
+        state = rng.getstate()
+        vals = _draw_values(rng, k, size * per)
+        samples = [vals[i : i + per] for i in range(0, size * per, per)]
+        for s, sample in enumerate(samples):
+            if sample in tried:
+                continue
+            tried.add(sample)
+            parts = [sample[i : i + width] for i in range(0, per, width)]
+            if all(len(set(p)) == k for p in parts) and run(
+                ev.red_masks([_classes(p, ones) for p in parts])
+            ) is not None:
+                rng.setstate(state)
+                _draw_values(rng, k, (s + 1) * per)
+                return start + s + 1
+    return 0
+
+
+def _mixed_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
+    """The sampler of a cover whose cliques differ in size: one sample at
+    a time, each drawing its cliques' colourings in cover order with
+    _colour_classes' draws, which an unsearched sample makes without
+    building the classes."""
+    sizes = ev.clique_sizes
+    if not search:
+        for _ in range(q_reps):
+            for c in sizes:
+                if c == 2:
+                    rng.getrandbits(width)
+                else:
+                    _draw_values(rng, c, width)
+        return 0
+    run = ev.compile(masks)
+    for t in range(1, q_reps + 1):
+        classes = [_colour_classes(rng, c, width) for c in sizes]
+        # An empty class leaves its clique variable no value, so the search
+        # would return None at its empty-domain check.
+        if all(map(all, classes)) and run(ev.red_masks(classes)) is not None:
             return t
     return 0
 
@@ -655,21 +684,14 @@ def edgefree_restricted(
     a BudgetExceededError before any draw. The box is first searched with no
     colour masks: with no disequalities that is the exact answer, and since
     a colouring only narrows the domains, a box with no witness there has
-    none under any colouring, so its samples are drawn but not searched.
-    Nor, on bruteforce, are those of a box that a search enforcing every
-    disequality proves answer-free, though they count as hom calls; td-dp
-    keeps colour coding, as that search has no FPT bound. Nor is a sample
-    whose colouring leaves a clique's colour class empty: that class pins
-    its variable to no value, so the sample is counted but neither masked
-    nor searched. On bruteforce, the evaluator's last answer, when it lies
-    in the box, stands in for the search before colouring and answer_in,
-    both still counted. When every clique is a K2, a sample that keeps that
-    answer holds a witness unsearched, and the loop narrows the box inline
-    with compile's empty-domain check. When the cliques all have one size
-    k >= 3, samples are drawn in blocks and a colouring already searched in
-    the box is not searched again; a witness rewinds rng to its block's
-    start and redraws up to its sample, so rng ends as if drawn one sample
-    at a time.
+    none under any colouring. On bruteforce, a box with a witness there is
+    searched once more with every disequality enforced (answer_in); one with
+    no answer has no witness under any colouring either. td-dp keeps colour
+    coding, as that search has no FPT bound. The evaluator's last answer,
+    when it lies in the box, stands in for both searches, still counted.
+    The evaluator's sampler then draws the box's samples, searched only when
+    the box may hold an answer; a box with a witness before colouring counts
+    each sample drawn as a hom call, searched or not.
     """
     width = len(ih.domain)
     if len(masks) != ih.ell:
@@ -690,55 +712,21 @@ def edgefree_restricted(
     hom = known is not None or found is not None
     if not ev.cliques:
         return not hom
-    sizes, k = ev.clique_sizes, ev.one_size
     q_reps = ev._reps.get(delta_prime) or ev.repetitions(delta_prime)
     # A colour search only finds answers, so where bruteforce finds none in
     # the box, each of its samples would be searched and found empty. A
     # witness that meets every disequality is such an answer: the search
     # above found one exactly when it made it ev.last, as an earlier ev.last
     # already missed the box. Otherwise answer_in looks for one.
-    answer_free = False
+    search = hom
     if hom and known is None and backend == "bruteforce":
         known = found if ev.last is found else ev.answer_in(masks)
-        answer_free = known is None
-    if not hom or answer_free:
-        # The same draws as the loops below, so rng ends in the same state.
-        # getrandbits(width) uses up ceil(width / 32) 32-bit words of the
-        # generator, so one call of that many words per K2 and sample does.
-        if k == 2:
-            rng.getrandbits(32 * ((width + 31) // 32) * q_reps * len(sizes))
-        elif k:
-            total = q_reps * len(sizes) * width
-            for start in range(0, total, _BLOCK_VALUES):
-                _draw_values(rng, k, min(_BLOCK_VALUES, total - start))
-        else:
-            for _ in range(q_reps):
-                for c in sizes:
-                    if c == 2:
-                        rng.getrandbits(width)
-                    else:
-                        _draw_values(rng, c, width)
-        stats.colourings_sampled += q_reps
-        if answer_free:
-            stats.hom_calls += q_reps
-        return True
-    if k == 2:
-        drawn = _pair_samples_to_witness(ev, box, known, rng, q_reps, width)
-        stats.colourings_sampled += drawn or q_reps
+        search = known is not None
+    drawn = ev._sampler(ev, masks, box, known, rng, q_reps, width, search)
+    stats.colourings_sampled += drawn or q_reps
+    if hom:
         stats.hom_calls += drawn or q_reps
-        return not drawn
-    search = ev.compile(masks)
-    if k:
-        return _search_blocks(ev, search, rng, q_reps, width, stats)
-    for _ in range(q_reps):
-        stats.colourings_sampled += 1
-        stats.hom_calls += 1
-        classes = [_colour_classes(rng, c, width) for c in sizes]
-        # An empty class leaves its clique variable no value, so the search
-        # would return None at its empty-domain check.
-        if all(map(all, classes)) and search(ev.red_masks(classes)) is not None:
-            return False
-    return True
+    return not drawn
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +873,7 @@ def estimate_edges(
     generator, re-seeded before walk i to the stream of derive_rng(base, i),
     base being the first 64 bits drawn from rng after the probe.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")

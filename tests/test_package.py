@@ -4,6 +4,7 @@ from it."""
 from __future__ import annotations
 
 import ast
+import math
 import random
 import re
 import sys
@@ -22,6 +23,7 @@ from cqcount import (
     Structure,
     TreeDecomposition,
     UnsupportedQueryError,
+    approx_count_answers,
     build_automaton,
     dump_database,
     estimate_edges,
@@ -238,6 +240,22 @@ def count_by(method):
     pytest.param(lambda: estimate(0, 0.5), ValueError, "epsilon must be positive", id="epsilon"),
     pytest.param(lambda: estimate(0.5, 0), ValueError, "delta must lie in (0, 1)", id="delta-0"),
     pytest.param(lambda: estimate(0.5, 1), ValueError, "delta must lie in (0, 1)", id="delta-1"),
+    pytest.param(
+        lambda: estimate(math.nan, 0.5), ValueError, "epsilon must be positive",
+        id="epsilon-nan",
+    ),
+    pytest.param(
+        lambda: estimate(0.5, math.nan), ValueError, "delta must lie in (0, 1)",
+        id="delta-nan",
+    ),
+    pytest.param(
+        lambda: approx_count_answers(DISTINCT, DB, math.nan, 0.1, seed=7),
+        ValueError, "epsilon must be positive", id="approx-epsilon-nan",
+    ),
+    pytest.param(
+        lambda: approx_count_answers(DISTINCT, DB, 0.5, math.nan, seed=7),
+        ValueError, "delta must lie in (0, 1)", id="approx-delta-nan",
+    ),
     pytest.param(
         lambda: next(iter_solutions(parse_query("phi(x) :- E(x, y), x = y"), DB)),
         QueryValidationError, "query still contains equalities; normalize first",

@@ -160,13 +160,14 @@ def test_clique_cover_covers_each_disequality_once():
 
 
 def test_red_masks_pin_each_clique_variable_to_its_class():
-    q, d = gen_hampath(K4, 4)
-    ev = ImplicitAnswerHypergraph(q, d).evaluator("bruteforce")
+    ih = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
+    ev = ih.evaluator("bruteforce")
     classes = [0b0001, 0b0110, 0b1000, 0b0000]
-    dom = [ev.full_mask] * 4
+    full = (1 << len(ih.domain)) - 1
+    dom = [full] * 4
     for (i, j), red in zip(ev.diseq_pos, ev.red_masks([classes])):
         dom[i] &= red
-        dom[j] &= ev.full_mask & ~red
+        dom[j] &= full & ~red
     assert dom == classes
 
 
@@ -701,6 +702,50 @@ def test_skipped_clique_box_draws_its_samples_in_chunks(backend):
     assert rng.getstate() == ref_rng.getstate()
     assert stats.colourings_sampled == ref_stats.colourings_sampled == q_reps
     assert stats.hom_calls == 1
+
+
+def _boxes_without_witness():
+    """(sampler, ih, value sets, delta_prime) of boxes that hold a hom but no
+    answer, so that no colour sample holds a witness, for each cover shape:
+    P3 lihom (one K2) over domains on both sides of 32-bit word bounds, K4
+    hampath and two K3s (one size, several blocks and chunks of samples),
+    and a K3 with a pendant K2 (mixed)."""
+    for n in (31, 32, 33, 65):
+        ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, _circulant(n)))
+        yield reduction._pair_samples, ih, ((0,), ih.domain, (0,)), 0.05
+    ih = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
+    yield reduction._block_samples, ih, ((0,), ih.domain, (0,), ih.domain), 1e-3
+    # Over a single edge, a - b - a is a hom but a, b, c are never distinct.
+    two_k3 = parse_query(
+        "q(a, x) :- E(a, b), E(b, c), E(x, y), E(y, z), "
+        "a != b, b != c, a != c, x != y, y != z, x != z"
+    )
+    ih = ImplicitAnswerHypergraph(two_k3, Database.make(range(5), {"E": (2, [(0, 1), (1, 0)])}))
+    yield reduction._block_samples, ih, (ih.domain, ih.domain), 0.3
+    ih = ImplicitAnswerHypergraph(*k3_with_pendant())
+    yield reduction._mixed_samples, ih, ((0,), ih.domain, (0,), ih.domain), 0.05
+
+
+@pytest.mark.parametrize("backend", HOM_BACKENDS)
+def test_sampler_draws_alike_whether_it_searches_or_not(backend):
+    # A box's sampler, picked by its cover shape, returns 0 on samples with
+    # no witness, and leaves rng in one state whether it searches them or
+    # only draws them, as edgefree_restricted does for a box that cannot
+    # hold an answer.
+    for sampler, ih, vs, delta_prime in _boxes_without_witness():
+        ev = ih.evaluator(backend)
+        assert ev._sampler is sampler
+        masks = layer_masks(ih, vs)
+        assert ev.compile(masks)(()) is not None
+        assert ih.evaluator("bruteforce").answer_in(masks) is None
+        q_reps = ev.repetitions(delta_prime)
+        states = []
+        for search in (True, False):
+            rng = random.Random(len(ih.domain))
+            drawn = sampler(ev, masks, ev._box(masks), None, rng, q_reps, len(ih.domain), search)
+            assert drawn == 0, (ih.query, search)
+            states.append(rng.getstate())
+        assert states[0] == states[1], ih.query
 
 
 def test_clique_over_255_variables_is_a_budget_error_before_any_draw():
