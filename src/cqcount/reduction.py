@@ -503,8 +503,10 @@ def clique_repetitions(sizes, delta_prime: float) -> int:
     return math.ceil(rounds) * math.prod(k**k for k in sizes)
 
 
-# A box whose cliques have one size k >= 3 draws its samples in blocks of
-# about this many values.
+# Bounds the 32-bit words of one getrandbits call, however many samples a
+# box takes: a skipped box of K2s draws its words in calls of at most this
+# many, and a box whose cliques have one size k >= 3 its samples in blocks
+# of about this many values, one word each.
 _BLOCK_VALUES = 4096
 
 
@@ -569,17 +571,19 @@ def _pair_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
     """The sampler of a cover of K2s only, which is ev.diseq_pos itself.
 
     Each K2 is one disequality (i, j), whose sample is one getrandbits
-    draw: the red class, which i takes and j avoids. Unsearched, all the
-    samples come from one getrandbits call of the same 32-bit words,
-    ceil(width / 32) per draw. A sample where the known answer has i red
-    and j blue holds a witness without a search. One that leaves a variable
-    no value of the box holds none, and is not searched. This narrows the
-    box as compile's callable does, inline, as a call per sample would cost
-    most of what the loop saves.
+    draw: the red class, which i takes and j avoids. Unsearched, the
+    samples come from the same 32-bit words, ceil(width / 32) per draw, in
+    calls of at most _BLOCK_VALUES words. A sample where the known answer
+    has i red and j blue holds a witness without a search. One that leaves
+    a variable no value of the box holds none, and is not searched. This
+    narrows the box as compile's callable does, inline, as a call per
+    sample would cost most of what the loop saves.
     """
     draw = rng.getrandbits
     if not search:
-        draw(32 * ((width + 31) // 32) * q_reps * len(ev.diseq_pos))
+        words = (width + 31) // 32 * q_reps * len(ev.diseq_pos)
+        for start in range(0, words, _BLOCK_VALUES):
+            draw(32 * min(_BLOCK_VALUES, words - start))
         return 0
     run = ev._search
     # (i, j, mask, keep): the known answer survives red when red & mask is

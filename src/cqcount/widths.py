@@ -5,21 +5,22 @@ nice decompositions, and fractional hypertreewidth for small hypergraphs.
 Both exact widths come from one search over elimination orders, run
 top-down from the full vertex set: a set stops at the first vertex that
 reaches its floor, the highest one-vertex bag cost in it, so a path's
-search solves n sets of the 2**n.
+search solves n sets of the 2**n. Every decomposition starts as the
+fill-in decomposition of an elimination order, whose bags one elimination
+step (_eliminate) makes, for an order given and for min-fill's own alike.
 
-The fractional independent set number alpha* and the fractional edge cover
-number rho* come from one exact rational LP, the packing LP: alpha* and its
-mass mu are the primal optimum, and its row duals are an optimal fractional
-edge cover, so rho* = alpha*. The width searches take a bag's rho* as the
-sum over the connected components of its induced edges, since the LP splits
-along them; a component inside one edge has rho* 1, so only the others
-solve an LP, each shape once per search (its edges over its vertices'
-ranks). An alpha-acyclic hypergraph, which a GYO reduction recognises,
-has fractional hypertreewidth 1, and its search
-runs on the integer cost "1 if the bag lies inside an edge, else 2", with
-no LP at all. (The bag tables that the fhw pipeline
-builds along the chosen decomposition share one fact index per run; see
-automata.sol_bag.)
+The fractional edge cover number rho* and an optimal cover come from one
+exact rational LP, the packing LP, whose row duals are that cover; its
+primal optimum is the fractional independent set number alpha* = rho*,
+which tests/helpers.fractional_independent_set_number reads. The width
+searches take a bag's rho* as the sum over the connected components of its
+induced edges, since the LP splits along them; a component inside one edge
+has rho* 1, so only the others solve an LP, each shape once per search (its
+edges over its vertices' ranks). An alpha-acyclic hypergraph, which a GYO
+reduction recognises, has fractional hypertreewidth 1, and its search runs
+on the integer cost "1 if the bag lies inside an edge, else 2", with no LP
+at all. (The bag tables that the fhw pipeline builds along the chosen
+decomposition share one fact index per run; see automata.sol_bag.)
 """
 
 from __future__ import annotations
@@ -135,13 +136,7 @@ class TreeDecomposition:
         if root in seen_child:
             raise DecompositionError("root cannot have a parent")
         # Reachability from the root must cover every node (tree, not forest).
-        stack, reach = [root], {root}
-        while stack:
-            t = stack.pop()
-            for c in children[t]:
-                reach.add(c)
-                stack.append(c)
-        if len(reach) != n:
+        if len(_postorder(root, children)) != n:
             raise DecompositionError("decomposition tree is not connected")
         return TreeDecomposition(root, children, bags)
 
@@ -191,37 +186,20 @@ class TreeDecomposition:
 
 def is_valid_td(h: Hypergraph, td: TreeDecomposition) -> bool:
     """Every vertex in some bag, every edge inside some bag, and the bags
-    holding each vertex connected."""
-    for b in td.bags:
-        if not b <= h.vertices:
-            return False
-    for e in h.edges:
-        if not any(e <= b for b in td.bags):
-            return False
+    holding each vertex connected. In a tree, those bags form as many
+    components as they have topmost bags, the ones with no parent or whose
+    parent's bag lacks the vertex, so each vertex must have exactly one."""
+    if not all(b <= h.vertices for b in td.bags):
+        return False
+    if not all(any(e <= b for b in td.bags) for e in h.edges):
+        return False
     parents = td.parents()
-    occurrence: dict = {v: [] for v in h.vertices}
-    for t, b in enumerate(td.bags):
-        for v in b:
-            occurrence[v].append(t)
-    for v in h.vertices:
-        occ = occurrence[v]
-        if not occ:
-            return False
-        occ_set = set(occ)
-        seen = {occ[0]}
-        stack = [occ[0]]
-        while stack:
-            t = stack.pop()
-            nbrs = list(td.children[t])
-            if parents[t] is not None:
-                nbrs.append(parents[t])
-            for u in nbrs:
-                if u in occ_set and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(occ_set):
-            return False
-    return True
+    tops = Counter(
+        v
+        for b, p in zip(td.bags, parents)
+        for v in (b if p is None else b - td.bags[p])
+    )
+    return all(tops[v] == 1 for v in h.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +207,10 @@ def is_valid_td(h: Hypergraph, td: TreeDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 
 def _adjacency_masks(h: Hypergraph, vs: list) -> list[int]:
+    """The primal graph as one neighbour bitmask per vertex, vs[i] bit i."""
     index = {v: i for i, v in enumerate(vs)}
-    masks = [0] * len(vs)
-    for e in h.edges:
-        idxs = [index[v] for v in e]
-        for i in idxs:
-            for j in idxs:
-                if i != j:
-                    masks[i] |= 1 << j
-    return masks
+    adj = h.primal_adjacency()
+    return [sum(1 << index[u] for u in adj[v]) for v in vs]
 
 
 def _components(adj: list[int], s: int) -> list[tuple[int, int]]:
@@ -379,36 +352,41 @@ def _bits(mask: int):
         i = digits.find("1", i + 1)
 
 
-def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecomposition:
-    """Fill-in decomposition: one bag per vertex, linked along the order."""
+def _eliminate(nbr: dict, v) -> set:
+    """Drop v from the graph nbr, join its neighbours pairwise, and return
+    them: the later vertices of v's fill-in bag, since each vertex
+    eliminated before v has already left v's neighbour set."""
+    ns = nbr.pop(v)
+    for a in ns:
+        nbr[a].discard(v)
+        nbr[a].update(ns - {a})
+    return ns
+
+
+def _linked(order: list, bags: list[frozenset]) -> TreeDecomposition:
+    """The fill-in decomposition of an elimination order, bags[i] being
+    order[i] plus its neighbours when eliminated: each bag hangs below the
+    bag of its earliest later vertex, and several roots below an empty
+    root (the only bag of an empty order)."""
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
-    if set(pos) != set(h.vertices) or n != len(h.vertices):
-        raise DecompositionError("order must enumerate each vertex exactly once")
-    if n == 0:
-        return TreeDecomposition.make(0, [()], [frozenset()])
-    nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
-    bags: list[frozenset] = []
-    succ: list[int | None] = []
-    for v in order:
-        later = {w for w in nbr[v] if pos[w] > pos[v]}
-        bags.append(frozenset({v} | later))
-        for a in later:
-            nbr[a].discard(v)
-            nbr[a].update(later - {a})
-        succ.append(min((pos[w] for w in later), default=None))
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []
-    for i, s in enumerate(succ):
-        if s is None:
-            roots.append(i)
-        else:
-            children[s].append(i)
+    for i, (v, bag) in enumerate(zip(order, bags)):
+        later = [pos[w] for w in bag if w != v]
+        (children[min(later)] if later else roots).append(i)
     if len(roots) == 1:
         return TreeDecomposition.make(roots[0], children, bags)
-    children.append(roots)
-    bags.append(frozenset())
-    return TreeDecomposition.make(n, children, bags)
+    return TreeDecomposition.make(n, children + [roots], bags + [frozenset()])
+
+
+def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecomposition:
+    """Fill-in decomposition: one bag per vertex, linked along the order."""
+    order = list(order)
+    if set(order) != h.vertices or len(order) != len(h.vertices):
+        raise DecompositionError("order must enumerate each vertex exactly once")
+    nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
+    return _linked(order, [frozenset({v} | _eliminate(nbr, v)) for v in order])
 
 
 # The most vertices the exact treewidth search takes before callers fall back
@@ -443,22 +421,22 @@ def treewidth_exact(
 
 def treewidth_heuristic(h: Hypergraph) -> tuple[int, TreeDecomposition]:
     """Min-fill elimination order; width is an upper bound on treewidth."""
-    td = td_from_elimination_order(h, _min_fill_order(h))
+    td = _linked(*_min_fill(h))
     return td.width(), td
 
 
-def _min_fill_order(h: Hypergraph) -> list:
-    """Eliminate a vertex of least (fill, degree) at each step, the first in
-    _vkey order on ties. An elimination changes the fill of its neighbours
-    and of their neighbours only, so only their keys are recomputed; the heap
-    keeps every key pushed, and a popped key that is no longer current is
-    dropped."""
+def _min_fill(h: Hypergraph) -> tuple[list, list[frozenset]]:
+    """The min-fill elimination order and its fill-in bags. Eliminate a
+    vertex of least (fill, degree) at each step, the first in _vkey order on
+    ties. An elimination changes the fill of its neighbours and of their
+    neighbours only, so only their keys are recomputed; the heap keeps every
+    key pushed, and a popped key that is no longer current is dropped."""
     nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
     ranked = sorted(h.vertices, key=_vkey)
     rank = {v: r for r, v in enumerate(ranked)}
     current: dict = {}
     heap: list[tuple[int, int, int]] = []
-    order = []
+    order, bags = [], []
     touched = ranked
     while nbr:
         for u in touched:
@@ -473,13 +451,11 @@ def _min_fill_order(h: Hypergraph) -> list:
             if current.get(v) == key:
                 break
         del current[v]
-        ns = nbr.pop(v)
-        for a in ns:
-            nbr[a].discard(v)
-            nbr[a].update(ns - {a})
+        ns = _eliminate(nbr, v)
         order.append(v)
-        touched = set(ns).union(*(nbr[a] for a in ns))
-    return order
+        bags.append(frozenset({v} | ns))
+        touched = ns.union(*(nbr[a] for a in ns))
+    return order, bags
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +529,15 @@ def make_nice(h: Hypergraph, td: TreeDecomposition) -> TreeDecomposition:
 # Fractional covers and widths
 # ---------------------------------------------------------------------------
 
+def _refuse_uncovered(uncovered: frozenset) -> None:
+    """Raise UncoverableVertexError when some vertex lies in no edge, as
+    its rho* is then unbounded."""
+    if uncovered:
+        raise UncoverableVertexError(
+            f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
+        )
+
+
 def _packing_lp(
     h: Hypergraph,
 ) -> tuple[Fraction, dict[Vertex, Fraction], dict[Edge, Fraction]]:
@@ -563,11 +548,7 @@ def _packing_lp(
     Raises UncoverableVertexError when some vertex lies in no edge, since
     its mass would then be unbounded.
     """
-    uncovered = h.vertices - h.covered()
-    if uncovered:
-        raise UncoverableVertexError(
-            f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
-        )
+    _refuse_uncovered(h.vertices - h.covered())
     vs, edges = h.sorted_vertices(), h.sorted_edges()
     index = {v: i for i, v in enumerate(vs)}
     a_ub = []
@@ -627,11 +608,7 @@ def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
 
     def rho(bag: frozenset) -> Fraction:
         edges = {e & bag for e in h.edges} - {frozenset()}
-        uncovered = bag.difference(*edges)
-        if uncovered:
-            raise UncoverableVertexError(
-                f"vertices in no hyperedge: {sorted(uncovered, key=_vkey)}"
-            )
+        _refuse_uncovered(bag.difference(*edges))
         parts: list[frozenset] = []
         for e in edges:
             met = [p for p in parts if not p.isdisjoint(e)]

@@ -374,7 +374,7 @@ def k3_with_pendant():
 
 
 def min_fill_order(h: Hypergraph) -> list:
-    """Reference for widths._min_fill_order: every step scans the remaining
+    """Reference for widths._min_fill's order: every step scans the remaining
     vertices in _vkey order and eliminates the first of least (fill, degree)."""
     nbr = {v: set(ns) for v, ns in h.primal_adjacency().items()}
     order = []
@@ -402,6 +402,42 @@ def min_fill_order(h: Hypergraph) -> list:
         remaining.discard(best_v)
         order.append(best_v)
     return order
+
+
+def is_valid_td_by_search(h: Hypergraph, td: TreeDecomposition) -> bool:
+    """Reference for widths.is_valid_td: the same bag and edge checks, and
+    for each vertex a search from one bag holding it, over tree links
+    between bags holding it, that must reach every bag holding it."""
+    for b in td.bags:
+        if not b <= h.vertices:
+            return False
+    for e in h.edges:
+        if not any(e <= b for b in td.bags):
+            return False
+    parents = td.parents()
+    occurrence: dict = {v: [] for v in h.vertices}
+    for t, b in enumerate(td.bags):
+        for v in b:
+            occurrence[v].append(t)
+    for v in h.vertices:
+        occ = occurrence[v]
+        if not occ:
+            return False
+        occ_set = set(occ)
+        seen = {occ[0]}
+        stack = [occ[0]]
+        while stack:
+            t = stack.pop()
+            nbrs = list(td.children[t])
+            if parents[t] is not None:
+                nbrs.append(parents[t])
+            for u in nbrs:
+                if u in occ_set and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != len(occ_set):
+            return False
+    return True
 
 
 def elimination_bag(adj: list[int], eliminated: int, v: int) -> int:

@@ -879,6 +879,28 @@ def test_gen_lihom_single_edge(capsys, tmp_path):
     assert report["count"] == 2
 
 
+def test_fptras_on_a_box_of_many_skipped_k2_samples(capsys, tmp_path):
+    # A 12-vertex path has no locally injective hom into the path 0-1-2, and
+    # its 10 K2s need 14,680,064 samples, whose words no one getrandbits call
+    # can take: they are drawn in bounded calls, so the run ends with 0.
+    pattern, target = tmp_path / "p12.txt", tmp_path / "p3.txt"
+    _write_graph(pattern, [(i, i + 1) for i in range(11)])
+    _write_graph(target, [(0, 1), (1, 2)])
+    code, doc, _ = run(capsys, [
+        "gen", "lihom", "--pattern", str(pattern), "--target", str(target),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_OK
+    code, report, err = run(capsys, [
+        "count", "--query", doc["query"], "--db", doc["db"], "--method", "fptras",
+        "--epsilon", "0.25", "--delta", "0.1", "--seed", "1",
+    ])
+    assert code == EXIT_OK
+    assert report["estimate"] == 0
+    assert report["oracle_stats"]["colourings_sampled"] == 14_680_064
+    assert "error:" not in err
+
+
 def test_gen_random_deterministic_bytes(capsys, tmp_path):
     argv = ["gen", "random", "--vars", "4", "--atoms", "3", "--domain", "4",
             "--p-neg", "0.3", "--p-diseq", "0.3", "--seed", "9"]

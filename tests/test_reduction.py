@@ -595,8 +595,8 @@ def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
 
 @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 65, 100])
 def test_one_call_draws_the_words_of_every_skipped_k2_sample(width):
-    # A skipped box of K2s draws all its samples in one getrandbits call of
-    # ceil(width / 32) words per K2 and sample; the generator must end where
+    # A skipped box of K2s draws ceil(width / 32) words per K2 and sample;
+    # one getrandbits call of all of them must leave the generator where
     # one getrandbits(width) per K2 and sample leaves it.
     for q_reps, k2s in itertools.product((1, 3, 56), (1, 2, 5)):
         one, loop = random.Random(width), random.Random(width)
@@ -606,11 +606,41 @@ def test_one_call_draws_the_words_of_every_skipped_k2_sample(width):
         assert one.getstate() == loop.getstate(), (width, q_reps, k2s)
 
 
+_B = reduction._BLOCK_VALUES
+
+
+@pytest.mark.parametrize("n, q_reps", [
+    (32, _B - 1), (32, _B), (32, _B + 1), (32, 3 * _B + 5),
+    (65, _B // 3 - 1), (65, _B // 3 + 1), (100, _B),
+])
+def test_skipped_k2_box_draws_in_calls_of_at_most_block_values_words(n, q_reps):
+    # Unsearched, _pair_samples draws a box's ceil(n / 32) * q_reps words of
+    # its one K2 in calls of at most _BLOCK_VALUES words: the words of one
+    # call of them all, in the same order, so the generator ends alike.
+    ev = ImplicitAnswerHypergraph(*gen_li_hom(P3, _circulant(n))).evaluator("bruteforce")
+    assert ev._sampler is reduction._pair_samples and len(ev.diseq_pos) == 1
+    calls = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    rng, one = Counted(n), random.Random(n)
+    masks = [1, (1 << n) - 1, 1 << 10]
+    assert reduction._pair_samples(ev, masks, ev._box(masks), None, rng, q_reps, n, False) == 0
+    words = (n + 31) // 32 * q_reps
+    one.getrandbits(32 * words)
+    assert rng.getstate() == one.getstate()
+    assert sum(calls) == 32 * words and max(calls) <= 32 * _B
+    assert len(calls) == -(-words // _B)
+
+
 @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 100])
 def test_skipped_wide_box_keeps_the_stream(n):
     # P3 lihom over a circulant is one K2; x0 = 0 and x2 = 10 are more than
     # two steps apart, so the box has no witness before colouring and its
-    # samples are drawn in one call.
+    # samples are drawn unsearched.
     ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, _circulant(n)))
     assert [len(c) for c in ih.evaluator("bruteforce").cliques] == [2]
     masks = [1, (1 << n) - 1, 1 << 10]

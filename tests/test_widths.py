@@ -31,6 +31,7 @@ from helpers import (
     elimination_dp_every_subset,
     fhw_exact_small_whole_bag,
     fractional_independent_set_number,
+    is_valid_td_by_search,
     min_fill_order,
     mu_width,
     validate_fractional_independent_set,
@@ -145,10 +146,29 @@ def test_min_fill_order_matches_the_full_rescan():
     path = Hypergraph.from_graph(list(zip(xs, xs[1:])))
     for h in named + randoms + dense + [path]:
         order = min_fill_order(h)
-        assert widths._min_fill_order(h) == order
+        assert widths._min_fill(h)[0] == order
         width, td = treewidth_heuristic(h)
         ref = td_from_elimination_order(h, order)
         assert (width, td) == (ref.width(), ref)
+
+
+def test_treewidth_heuristic_links_min_fills_own_order():
+    # Min-fill eliminates once and hands its bags to the same linking as
+    # td_from_elimination_order, isolated vertices (several roots under an
+    # empty one) and string names included.
+    rng = random.Random(36)
+    named = [EDGE, TRIANGLE, K4, C4, C5, GRID3, EMPTY, Hypergraph.make([7, 8], [])]
+    randoms = [
+        random_hypergraph(rng, max_vertices=10, cover_all=rng.random() < 0.5)
+        for _ in range(200)
+    ]
+    xs = [f"x{i}" for i in range(12)]
+    lines = [Hypergraph.from_graph(list(zip(xs[:n], xs[1:n]))) for n in range(2, 13)]
+    for h in named + randoms + lines:
+        order, bags = widths._min_fill(h)
+        td = td_from_elimination_order(h, order)
+        assert treewidth_heuristic(h)[1] == td
+        assert tuple(bags) == td.bags[: len(order)]
 
 
 def test_treewidth_exact_limit():
@@ -207,6 +227,44 @@ def test_is_valid_td_accepts_triangle_bag():
     td = TreeDecomposition.make(0, [()], [frozenset({0, 1, 2})])
     assert is_valid_td(TRIANGLE, td)
     assert td.width() == 2
+
+
+def _mutated_bags(rng: random.Random, h: Hypergraph, td: TreeDecomposition):
+    """td with one bag changed: a vertex dropped or added, or two bags swapped."""
+    bags = list(td.bags)
+    t, u = rng.randrange(len(bags)), rng.randrange(len(bags))
+    kind = rng.randrange(3)
+    if kind == 0 and bags[t]:
+        bags[t] = bags[t] - {rng.choice(sorted(bags[t]))}
+    elif kind == 1:
+        bags[t] = bags[t] | {rng.choice(h.sorted_vertices())}
+    else:
+        bags[t], bags[u] = bags[u], bags[t]
+    return TreeDecomposition.make(td.root, td.children, bags)
+
+
+def test_is_valid_td_matches_the_per_vertex_search():
+    # One topmost bag per vertex is the same verdict as a search over the
+    # bags holding it, on valid decompositions and on mutated ones.
+    rng = random.Random(3080)
+    verdicts = []
+    for _ in range(150):
+        h = random_hypergraph(rng, max_vertices=8, cover_all=rng.random() < 0.7)
+        td = treewidth_heuristic(h)[1]
+        for td in (td, make_nice(h, td)):
+            assert is_valid_td(h, td) and is_valid_td_by_search(h, td)
+            for _ in range(4):
+                bad = _mutated_bags(rng, h, td)
+                verdicts.append(is_valid_td(h, bad))
+                assert verdicts[-1] == is_valid_td_by_search(h, bad)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # Every edge lies in a bag, but vertex 0's bags form two components, in
+    # two branches: nodes 0 and 1, and node 3 below node 2 (which lacks 0).
+    td = TreeDecomposition.make(
+        0, [(1, 2), (), (3,), ()], [{0, 1}, {0}, {1, 2}, {0, 2}]
+    )
+    assert not is_valid_td(TRIANGLE, td)
+    assert not is_valid_td_by_search(TRIANGLE, td)
 
 
 def test_tree_decomposition_make_rejects_cycles():
