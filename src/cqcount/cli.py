@@ -55,12 +55,13 @@ LIMITS_ENV_VAR = "CQCOUNT_LIMITS"
 # keep tables of 2**n entries, whatever share of the sets they solve, so a
 # 41-variable path under a limit of 64 asks for 2**41 and dies of MemoryError.
 # CPU s of each search on vertices x1, ..., xn, Python 3.11, 2-vCPU Xeon (37 MB
-# max RSS at 20 for each):
+# max RSS at 20 for each; fhw rows: the least of 9 fresh processes, as at 20
+# the time moves with the allocator's state):
 #   vertices                  14      16      18      20
 #   treewidth_exact, path   0.14    0.72    2.46    11.4
 #   treewidth_exact, cycle  0.006   0.009   0.022   0.042
-#   fhw_exact_small, path   0.002   0.003   0.006   0.015
-#   fhw_exact_small, cycle  0.027   0.043   0.070   0.120
+#   fhw_exact_small, path   0.002   0.003   0.005   0.012
+#   fhw_exact_small, cycle  0.009   0.016   0.026   0.056
 # The tables double with each vertex, and treewidth on a 14-vertex path still
 # solves 15,851 of its 16,384 sets, so the ceiling stays.
 VERTEX_LIMIT_CEILING = 20
@@ -105,6 +106,9 @@ REPORT_SCHEMA: dict = {
         {"required": ["estimate", "epsilon", "delta", "seed"]},
     ],
 }
+
+
+METHODS = ("exact", "fptras", "fhw")
 
 
 @dataclass
@@ -191,7 +195,25 @@ def _emit(doc: dict) -> None:
 def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
     """Count or estimate the answers; returns the report document."""
     start = time.monotonic()
+    # The configuration is checked in full before any file is read.
     limits = _limits(cfg.limits)
+    if cfg.method not in METHODS:
+        raise QueryValidationError(f"unknown method {cfg.method!r}")
+    if cfg.method == "fptras":
+        if cfg.epsilon is None or cfg.delta is None or cfg.seed is None:
+            raise QueryValidationError(
+                "method fptras needs --epsilon, --delta and --seed"
+            )
+        if not (0 < cfg.epsilon < 1) or not (0 < cfg.delta < 1):
+            raise QueryValidationError("epsilon and delta must lie in (0, 1)")
+        if cfg.delta / 2 == 0:
+            # The estimator runs at delta/2, which would round to 0.
+            raise QueryValidationError(f"delta {cfg.delta!r} is too small to halve")
+        if cfg.hom_backend not in reduction.HOM_BACKENDS:
+            raise QueryValidationError(
+                f"unknown hom backend {cfg.hom_backend!r}; "
+                f"use one of {reduction.HOM_BACKENDS}"
+            )
     q = load_query(query_path)
     d = load_database(db_path)
     q, _ = normalize_equalities(q)
@@ -203,15 +225,6 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             q, d, budget=limits["enum_budget"]
         )
     elif cfg.method == "fptras":
-        if cfg.epsilon is None or cfg.delta is None or cfg.seed is None:
-            raise QueryValidationError(
-                "method fptras needs --epsilon, --delta and --seed"
-            )
-        if not (0 < cfg.epsilon < 1) or not (0 < cfg.delta < 1):
-            raise QueryValidationError("epsilon and delta must lie in (0, 1)")
-        if cfg.delta / 2 == 0:
-            # The estimator runs at delta/2, which would round to 0.
-            raise QueryValidationError(f"delta {cfg.delta!r} is too small to halve")
         stats = reduction.OracleStats()
         estimate = reduction.approx_count_answers(
             q,
@@ -233,7 +246,7 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
             hom_backend=cfg.hom_backend,
             oracle_stats=stats.as_dict(),
         )
-    elif cfg.method == "fhw":
+    else:
         result = automata.count_answers_fhw_pipeline(
             q,
             d,
@@ -244,8 +257,6 @@ def cmd_count(query_path: str, db_path: str, cfg: RunConfig) -> dict:
         )
         report["count"] = result.count
         report["widths"] = {"fhw": str(result.fhw), "exact": result.exact}
-    else:
-        raise QueryValidationError(f"unknown method {cfg.method!r}")
 
     report["duration_seconds"] = time.monotonic() - start
     return report
@@ -343,7 +354,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--query", required=True, help="query file")
     p_count.add_argument("--db", required=True, help="database JSON file")
     p_count.add_argument(
-        "--method", required=True, choices=["exact", "fptras", "fhw"]
+        "--method", required=True, choices=list(METHODS)
     )
     p_count.add_argument("--epsilon", type=float, help="relative error (fptras)")
     p_count.add_argument("--delta", type=float, help="failure probability (fptras)")

@@ -537,13 +537,17 @@ def load_database(path: str | Path) -> Database:
 
 
 def database_to_doc(d: Database) -> dict:
-    """Canonical JSON-ready form: sorted relation names, sorted tuples."""
+    """Canonical JSON-ready form: sorted relation names, sorted tuples, an
+    integer before a string at each position."""
     return {
         "domain": list(d.domain),
         "relations": {
             sym.name: {
                 "arity": sym.arity,
-                "tuples": sorted(list(t) for t in d.relations[sym]),
+                "tuples": sorted(
+                    (list(t) for t in d.relations[sym]),
+                    key=lambda t: [(isinstance(v, str), v) for v in t],
+                ),
             }
             for sym in sorted(d.relations)
         },

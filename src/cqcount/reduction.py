@@ -957,6 +957,9 @@ def approx_count_answers(
     if initial_cap < 1:
         raise ValueError("initial_cap must be at least 1")
     ih = ImplicitAnswerHypergraph(q, d)
+    # Built now, so a misspelt backend raises on every database, even one
+    # whose boxes are all empty and never reach the evaluator.
+    ih.evaluator(backend)
     if stats is None:
         stats = OracleStats()
 

@@ -16,11 +16,12 @@ which tests/helpers.fractional_independent_set_number reads. The width
 searches take a bag's rho* as the sum over the connected components of its
 induced edges, since the LP splits along them; a component inside one edge
 has rho* 1, so only the others solve an LP, each shape once per search (its
-edges over its vertices' ranks). An alpha-acyclic hypergraph, which a GYO
-reduction recognises, has fractional hypertreewidth 1, and its search runs
-on the integer cost "1 if the bag lies inside an edge, else 2", with no LP
-at all. (The bag tables that the fhw pipeline builds along the chosen
-decomposition share one fact index per run; see automata.sol_bag.)
+edges over its vertices' ranks). rho* is the one bag cost of the fhw
+search, acyclic queries included: a bag inside one edge costs 1 before it
+is split, so the search on a tree whose vertex order puts each vertex after
+its parent, such as a path in order, solves no LP. (The bag tables that
+the fhw pipeline builds along the chosen decomposition share one fact
+index per run; see automata.sol_bag.)
 """
 
 from __future__ import annotations
@@ -394,13 +395,14 @@ def td_from_elimination_order(h: Hypergraph, order: Sequence) -> TreeDecompositi
 TW_EXACT_VERTEX_LIMIT = 16
 # The most vertices the exact fhw search takes before callers fall back to
 # min-fill: a search over vertex sets with one rho* per bag, summed over the
-# bag's connected parts; an acyclic query, such as a path, needs no rho* at
-# all. CPU ms per search on vertices x1, ..., xn, median of 11 (path: of 21),
-# Python 3.11, 2-vCPU Xeon:
+# bag's connected parts; a bag inside one edge costs 1 with no LP. CPU ms per
+# search on vertices x1, ..., xn, median of 11 (path: of 21), Python 3.11,
+# 2-vCPU Xeon (at 10 the names sort x1, x10, x2, ..., so the path's search
+# meets a two-edge part and solves one LP):
 #   vertices          6     7     8     9    10
-#   path            0.2   0.2   0.3   0.3   0.7
-#   cycle           3.6   5.5   6.9   8.0   9.8
-#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 16.0
+#   path            0.1   0.1   0.1   0.1   0.9
+#   cycle           1.2   1.6   2.0   2.6   3.3
+#   random hypergraph (tests/conftest.py, seed 5), 10 vertices, 10 edges: 9
 # Raising it would cost little, but it decides the "exact" flag of reports.
 FHW_EXACT_VERTEX_LIMIT = 8
 
@@ -587,7 +589,8 @@ def induced_hypergraph(h: Hypergraph, x: Iterable) -> Hypergraph:
 
 def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
     """rho* of the part of h induced on a bag, memoised per connected
-    component. No edge meets two components, so the packing LP splits and
+    component. A non-empty bag inside one edge has rho* 1 as it stands.
+    Otherwise no edge meets two components, so the packing LP splits and
     rho* adds over them; a component inside one edge has rho* 1, and only
     the others solve the LP. The sum is the same exact Fraction as the bag's
     own LP. A component's rho* is kept under its vertex set, and under its
@@ -607,6 +610,8 @@ def _rho_cache(h: Hypergraph) -> Callable[[frozenset], Fraction]:
         return r
 
     def rho(bag: frozenset) -> Fraction:
+        if bag and any(bag <= e for e in h.edges):
+            return Fraction(1)
         edges = {e & bag for e in h.edges} - {frozenset()}
         _refuse_uncovered(bag.difference(*edges))
         parts: list[frozenset] = []
@@ -632,43 +637,10 @@ def fhw_of_td(h: Hypergraph, td: TreeDecomposition) -> Fraction:
     return max((rho(b) for b in td.bags), default=Fraction(0))
 
 
-def _is_acyclic(h: Hypergraph) -> bool:
-    """GYO reduction: h is alpha-acyclic when dropping each vertex that lies
-    in one edge only, and each edge that lies inside another, leaves at most
-    one edge. A vertex in no edge makes h not acyclic here, as its rho* is
-    unbounded."""
-    if h.covered() != h.vertices:
-        return False
-    edges = list(h.edges)
-    while len(edges) > 1:
-        seen = Counter(v for e in edges for v in e)
-        edges = [frozenset(v for v in e if seen[v] > 1) for e in edges]
-        for i, e in enumerate(edges):
-            if any(e <= f for f in edges[:i] + edges[i + 1 :]):
-                del edges[i]
-                break
-        else:
-            return False
-    return True
-
-
 def fhw_exact_small(
     h: Hypergraph, vertex_limit: int = FHW_EXACT_VERTEX_LIMIT
 ) -> tuple[Fraction, TreeDecomposition]:
-    """Exact fractional hypertreewidth by exhausting elimination orders.
-
-    An acyclic h has width 1, and rho*(bag) = 1 exactly when the bag lies
-    inside an edge. So the cost "1 inside an edge, else 2" gives best 1 on
-    the same subsets as rho*, and the same lowest-vertex choices on them,
-    which the order is read from: the same decomposition, with no LP."""
-    edges = h.edges
-
-    def inside(bag: frozenset) -> int:
-        return 1 if any(bag <= e for e in edges) else 2
-
-    cost = inside if _is_acyclic(h) else _rho_cache(h)
-    value, order = _elimination_dp(h, cost, vertex_limit, "fhw_exact_small")
-    td = td_from_elimination_order(h, order)
-    if value is None:
-        return Fraction(0), td
-    return Fraction(value), td
+    """Exact fractional hypertreewidth by exhausting elimination orders,
+    each bag costing its rho* (_rho_cache)."""
+    value, order = _elimination_dp(h, _rho_cache(h), vertex_limit, "fhw_exact_small")
+    return Fraction(0) if value is None else value, td_from_elimination_order(h, order)

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -535,6 +536,26 @@ def fhw_exact_small_whole_bag(
     value, order = elimination_dp_every_subset(h, rho, vertex_limit, "fhw_exact_small")
     td = td_from_elimination_order(h, order)
     return (Fraction(0) if value is None else value), td
+
+
+def is_alpha_acyclic(h: Hypergraph) -> bool:
+    """GYO reduction: h is alpha-acyclic when dropping each vertex that lies
+    in one edge only, and each edge that lies inside another, leaves at most
+    one edge. A vertex in no edge makes h not acyclic here, as its rho* is
+    unbounded. Width 1 under fhw_exact_small is exactly this property."""
+    if h.covered() != h.vertices:
+        return False
+    edges = list(h.edges)
+    while len(edges) > 1:
+        seen = Counter(v for e in edges for v in e)
+        edges = [frozenset(v for v in e if seen[v] > 1) for e in edges]
+        for i, e in enumerate(edges):
+            if any(e <= f for f in edges[:i] + edges[i + 1 :]):
+                del edges[i]
+                break
+        else:
+            return False
+    return True
 
 
 def fractional_independent_set_number(h: Hypergraph) -> tuple[Fraction, dict]:

@@ -128,9 +128,9 @@ QUERIES = {
     # Three two-edge arms: the nice decomposition has two join nodes.
     "star": "q(x, b0, b1) :- E(x, a0), E(a0, b0), E(x, a1), E(a1, b1), "
             "E(x, a2), E(a2, b2)",
-    # Acyclic with a ternary atom and a free interior variable: the width
-    # search takes the GYO path, and forgetting y splits the slice DP's
-    # label groups.
+    # Acyclic with a ternary atom and a free interior variable: width 1,
+    # found by the same rho* search as any other query, and forgetting y
+    # splits the slice DP's label groups.
     "tern": "q(y, v) :- E(x, y), T(y, z, w), E(w, v)",
     # A 4-cycle with a chord still solves a packing LP for its bags.
     "chord": "q(a, c) :- E(a, b), E(b, c), E(c, d), E(d, a), E(a, c)",

@@ -223,13 +223,18 @@ def estimate(epsilon, delta):
     return estimate_edges(IH, None, epsilon, delta, random.Random(0))
 
 
-def count_by(method):
-    """cmd_count of PLAIN over DB under a RunConfig built in code."""
+def count_by(method, files=True, **fields):
+    """cmd_count of PLAIN over DB under a RunConfig built in code; with
+    files=False, on paths that do not exist."""
     with tempfile.TemporaryDirectory() as tmp:
         query, db = Path(tmp, "q.txt"), Path(tmp, "d.json")
-        query.write_text("phi(x, y) :- E(x, y)", encoding="utf-8")
-        dump_database(DB, db)
-        return cmd_count(str(query), str(db), RunConfig(method))
+        if files:
+            query.write_text("phi(x, y) :- E(x, y)", encoding="utf-8")
+            dump_database(DB, db)
+        return cmd_count(str(query), str(db), RunConfig(method, **fields))
+
+
+FPTRAS_NOPE = {"epsilon": 0.25, "delta": 0.1, "seed": 1, "hom_backend": "nope"}
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -331,6 +336,34 @@ def count_by(method):
     pytest.param(
         lambda: count_by("nope"), QueryValidationError, "unknown method 'nope'",
         id="run-config-method",
+    ),
+    pytest.param(
+        lambda: count_by("nope", files=False), QueryValidationError,
+        "unknown method 'nope'", id="run-config-method-no-files",
+    ),
+    pytest.param(
+        # An empty domain makes every box empty, so no box reaches the
+        # evaluator; the backend is checked before the first draw all the same.
+        lambda: approx_count_answers(
+            DISTINCT, Database.make([], {"E": (2, [])}), 0.25, 0.1, 1, backend="nope"
+        ),
+        ValueError, "unknown hom backend 'nope'; use one of ('bruteforce', 'td-dp')",
+        id="approx-backend-empty-domain",
+    ),
+    pytest.param(
+        lambda: count_by("fptras", **FPTRAS_NOPE), QueryValidationError,
+        "unknown hom backend 'nope'; use one of ('bruteforce', 'td-dp')",
+        id="run-config-backend",
+    ),
+    pytest.param(
+        lambda: count_by("fptras", files=False, **FPTRAS_NOPE), QueryValidationError,
+        "unknown hom backend 'nope'; use one of ('bruteforce', 'td-dp')",
+        id="run-config-backend-no-files",
+    ),
+    pytest.param(
+        lambda: count_by("fptras", files=False, epsilon=0.25, delta=0.1),
+        QueryValidationError, "method fptras needs --epsilon, --delta and --seed",
+        id="run-config-fptras-no-files",
     ),
 ])
 def test_library_preconditions_raise_their_error(call, error, message):

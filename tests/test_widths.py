@@ -31,6 +31,7 @@ from helpers import (
     elimination_dp_every_subset,
     fhw_exact_small_whole_bag,
     fractional_independent_set_number,
+    is_alpha_acyclic,
     is_valid_td_by_search,
     min_fill_order,
     mu_width,
@@ -601,25 +602,25 @@ def test_fhw_exact_small_matches_the_whole_bag_lp():
         value, td = fhw_exact_small(h)
         want, want_td = fhw_exact_small_whole_bag(h)
         assert value == want, seed
-        assert widths._is_acyclic(h) == (want == 1), seed
+        assert is_alpha_acyclic(h) == (want == 1), seed
         assert (td.root, td.bags, td.children) == (
             want_td.root, want_td.bags, want_td.children
         ), seed
 
 
-def test_fhw_exact_small_acyclic_path_matches_the_whole_bag_lp():
-    # Width 1 is exactly alpha-acyclicity, so the GYO test picks out the
-    # hypergraphs whose search runs on "inside an edge" costs with no LP.
-    # Each of those must get the whole-bag LP's width and decomposition. For
-    # the others, no elimination order keeps every bag inside an edge, and a
-    # bag outside every edge has rho* > 1, so their width is above 1 and they
-    # rightly take the rho* path, which the test above compares with the same
-    # reference. Up to 8 vertices, 2,810 seeds give over 2,000 acyclic ones.
+def test_fhw_exact_small_matches_the_whole_bag_lp_on_acyclic_hypergraphs():
+    # Width 1 is exactly alpha-acyclicity, which the GYO reduction of
+    # helpers.is_alpha_acyclic recognises. The test above reaches 5 vertices;
+    # this one checks acyclic hypergraphs of up to 8, where every bag of an
+    # optimal order lies inside an edge and costs rho* 1 with no LP. Each must
+    # get the whole-bag LP's width and decomposition. For the others no
+    # elimination order keeps every bag inside an edge, so their width is
+    # above 1. Up to 8 vertices, 2,810 seeds give over 2,000 acyclic ones.
     lps: dict = {}
     acyclic = 0
     for seed in range(2810):
         h = random_hypergraph(random.Random(seed), max_vertices=8)
-        if not widths._is_acyclic(h):
+        if not is_alpha_acyclic(h):
             width, _ = widths._elimination_dp(
                 h, lambda bag: 1 if any(bag <= e for e in h.edges) else 2, 8, "test"
             )
@@ -636,16 +637,15 @@ def test_fhw_exact_small_acyclic_path_matches_the_whole_bag_lp():
 
 
 def test_fhw_exact_small_uncovered_vertex_raises():
-    # A vertex in no edge makes the hypergraph not acyclic, so the search
-    # takes the rho* path and names the vertex as before, acyclic edges or not.
-    # The first bag the search costs that holds one is the lowest such vertex.
+    # A vertex in no edge has unbounded rho*, so the search names it,
+    # acyclic edges or not. The first bag the search costs that holds one is
+    # the lowest such vertex.
     for h, named in (
         (Hypergraph.make([0, 1, 2], [(0, 1)]), "[2]"),
         (Hypergraph.make(["a", "b", "c", "d"], [("a", "b", "c")]), "['d']"),
         (Hypergraph.make([0, 1, 2, 3], [(1, 2)]), "[0]"),
         (Hypergraph.make([0, 1, 2, 3], [(1, 2), (2, 3), (1, 3)]), "[0]"),
     ):
-        assert not widths._is_acyclic(h)
         with pytest.raises(
             UncoverableVertexError, match=re.escape(f"vertices in no hyperedge: {named}")
         ):
@@ -722,10 +722,12 @@ def test_elimination_dp_matches_every_subset_reference():
 
 @pytest.mark.parametrize("n", [8, 14, 20])
 def test_fhw_exact_small_on_a_path_costs_at_most_2n_bags(monkeypatch, n):
-    # On a path whose vertex order runs along it, each set's lowest vertex
-    # reaches the set's floor, so the search costs the n one-vertex bags and
-    # one more bag per set on the way down: 2n - 1 of the bags of all
-    # n * 2**(n-1) (set, vertex) pairs.
+    # On a tree whose vertex order puts each vertex after its parent, as on
+    # a path along its order or a star from its centre, each set's lowest
+    # vertex reaches the set's floor: its bag is itself and its parent. So
+    # the search costs the n one-vertex bags and one more bag per set on the
+    # way down: 2n - 1 of the bags of all n * 2**(n-1) (set, vertex) pairs.
+    # Every one of them lies inside an edge, so none solves an LP.
     asked = set()
     search = widths._elimination_dp
 
@@ -736,11 +738,23 @@ def test_fhw_exact_small_on_a_path_costs_at_most_2n_bags(monkeypatch, n):
 
         return search(h, cost, vertex_limit, what)
 
+    def no_lp(h):
+        raise AssertionError(f"LP solved on {sorted(h.vertices)}")
+
     monkeypatch.setattr(widths, "_elimination_dp", counting)
+    monkeypatch.setattr(widths, "fractional_edge_cover_number", no_lp)
     vs = [f"x{i:02d}" for i in range(n)]
-    value, td = fhw_exact_small(Hypergraph.from_graph(zip(vs, vs[1:])), vertex_limit=20)
-    assert value == 1 and td.n_nodes == n
-    assert len(asked) <= 2 * n, len(asked)
+    rng = random.Random(n)
+    trees = {
+        "path": zip(vs, vs[1:]),
+        "star": ((vs[0], v) for v in vs[1:]),
+        "tree": ((vs[rng.randrange(i)], vs[i]) for i in range(1, n)),
+    }
+    for shape, edges in trees.items():
+        asked.clear()
+        value, td = fhw_exact_small(Hypergraph.from_graph(edges), vertex_limit=20)
+        assert value == 1 and td.n_nodes == n, shape
+        assert len(asked) <= 2 * n, (shape, len(asked))
 
 
 # ---------------------------------------------------------------------------
