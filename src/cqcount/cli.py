@@ -273,13 +273,17 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
     """Width measures of the query hypergraph, with witness decompositions."""
     start = time.monotonic()
     limits = _limits(limits)
+    for measure in measures:
+        if measure not in ALL_MEASURES:
+            raise QueryValidationError(
+                f"unknown measure {measure!r}; known: {', '.join(ALL_MEASURES)}"
+            )
     q = load_query(query_path)
     q, _ = normalize_equalities(q)
     h = build_hypergraph(q)
 
     out: dict = {"query": q.name, "measures": {}}
     for measure in measures:
-        entry: dict = {}
         try:
             if measure == "tw":
                 vertex_limit = limits["tw_vertex_limit"]
@@ -292,7 +296,7 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
             elif measure == "fhw":
                 value, td, exact = automata.fhw_decomposition(h, limits["fhw_vertex_limit"])
                 entry = {"value": str(value), "exact": exact, "decomposition": td.to_doc()}
-            elif measure == "rho":
+            else:
                 value, weights = widths.fractional_edge_cover_number(h)
                 entry = {
                     "value": str(value),
@@ -301,10 +305,6 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
                         for e, w in weights.items()
                     },
                 }
-            else:
-                raise QueryValidationError(
-                    f"unknown measure {measure!r}; known: {', '.join(ALL_MEASURES)}"
-                )
         except UncoverableVertexError as exc:
             entry = {"error": "uncoverable-vertex", "detail": str(exc)}
         out["measures"][measure] = entry

@@ -6,9 +6,12 @@ Edge-freeness of a sub-box is decided by colour coding: the disequality graph
 is covered by cliques once, each sample draws one colouring of the domain per
 clique and pins the clique's i-th variable to colour class i, and each sample
 needs one homomorphism check between a decorated query structure and a
-decorated layered database structure. Counting then reduces to edge-freeness
-queries alone: an exact recursive halving counter and a random-walk estimator
-with median-of-means amplification sit on top. The walks of one estimate run
+decorated layered database structure. td-dp colour-codes every cover, and
+bruteforce only a cover of K2s: when a clique has three or more variables,
+bruteforce decides each box exactly and draws no sample (see
+edgefree_restricted). Counting then reduces to edge-freeness queries alone:
+an exact recursive halving counter and a random-walk estimator with
+median-of-means amplification sit on top. The walks of one estimate run
 share a cache of the halving tree (each split box maps to its children with
 an edge), bounded in size by the oracle's cap on distinct boxes.
 
@@ -19,8 +22,10 @@ samples and searches them up to the first witness. When the box cannot hold
 an answer it still draws them all, unsearched, so the random stream does not
 depend on which boxes are searched: a box with no witness before any
 colouring, or one that bruteforce proves answer-free (see
-edgefree_restricted). A clique of k >= 3 variables colours each value with
-one rng.randrange(k), decoded from the high byte of a 32-bit word
+edgefree_restricted). bruteforce runs only _pair_samples, as it decides a
+cover with a clique of k >= 3 exactly, so _block_samples and _mixed_samples
+colour-code for td-dp alone. A clique of k >= 3 variables colours each value
+with one rng.randrange(k), decoded from the high byte of a 32-bit word
 (_draw_values), which is why a clique has at most 255 variables. A sample
 whose colouring leaves some clique's colour class empty can hold no witness,
 so it is counted and drawn like any other but neither masked nor searched.
@@ -92,7 +97,8 @@ class OracleStats:
         a box with a witness there, one per colour sample its sampler drew:
         up to the first with a witness, or all of them. A sample counts
         whether or not it is searched (see edgefree_restricted and the
-        samplers);
+        samplers). A bruteforce box whose cover has a clique of k >= 3 draws
+        no sample, so it counts one hom call and no colourings;
     estimator_walks: random walks of the edge-count estimator;
     restarts: runs begun again with a larger simulation cap.
     """
@@ -214,6 +220,10 @@ class _Evaluator:
         self._sampler = {0: _mixed_samples, 2: _pair_samples}.get(
             self.one_size, _block_samples
         )
+        # Whether edgefree_restricted returns bruteforce's exact answer with
+        # no samples: a clique of k >= 3 takes k^k samples per round, each
+        # only repeating what the searches before colouring decided.
+        self.exact = backend == "bruteforce" and max(self.clique_sizes, default=0) > 2
 
         self._reps: dict[float, int] = {}  # repetitions() per delta_prime
         # The value indices of the last answer a bruteforce search returned:
@@ -693,8 +703,12 @@ def edgefree_restricted(
     no answer has no witness under any colouring either. td-dp keeps colour
     coding, as that search has no FPT bound. The evaluator's last answer,
     when it lies in the box, stands in for both searches, still counted.
-    The evaluator's sampler then draws the box's samples, searched only when
-    the box may hold an answer; a box with a witness before colouring counts
+    So bruteforce knows the exact answer before it samples. When its cover
+    has a clique of k >= 3 (ev.exact), it returns that answer and draws no
+    sample, once repetitions() has raised any BudgetExceededError; the k^k
+    samples per round would only repeat it, with one-sided error. Otherwise
+    the evaluator's sampler draws the box's samples, searched only when the
+    box may hold an answer; a box with a witness before colouring counts
     each sample drawn as a hom call, searched or not.
     """
     width = len(ih.domain)
@@ -726,6 +740,8 @@ def edgefree_restricted(
     if hom and known is None and backend == "bruteforce":
         known = found if ev.last is found else ev.answer_in(masks)
         search = known is not None
+    if ev.exact:
+        return known is None
     drawn = ev._sampler(ev, masks, box, known, rng, q_reps, width, search)
     stats.colourings_sampled += drawn or q_reps
     if hom:

@@ -42,7 +42,12 @@ from cqcount import (
 )
 from cqcount.homsolver import structure_hypergraph
 from cqcount.qmodel import oriented_disequalities
-from cqcount.reduction import ImplicitAnswerHypergraph, single_walk_estimate
+from cqcount.reduction import (
+    HOM_BACKENDS,
+    ImplicitAnswerHypergraph,
+    edgefree_restricted,
+    single_walk_estimate,
+)
 from cqcount.widths import induced_hypergraph
 
 from conftest import (
@@ -378,6 +383,7 @@ def test_c11_walk_estimator_accuracy():
 
 # ---------------------------------------------------------------------------
 # 12. Exhaustive clique colourings decide edge-freeness of restricted boxes
+#     on both backends, and bruteforce decides them with no colouring
 # ---------------------------------------------------------------------------
 
 def _clique_colourings(k: int, n_values: int):
@@ -408,16 +414,29 @@ def test_c12_clique_colouring_equals_edgefreeness():
             box = _sample_box(rng, d.domain, ih.ell)
             truth = not edgefree_bruteforce(ih, restricted_parts(ih, box))
             masks = layer_masks(ih, box)
-            colourful = any(
-                ev.compile(masks)(ev.red_masks(classes)) is not None
-                for classes in itertools.product(*families)
-            )
+            # td-dp colour-codes the box: some colouring has a witness
+            # exactly when it has an edge. bruteforce decides it with no
+            # colour sample, so its verdict must be the truth itself.
+            for backend in HOM_BACKENDS:
+                bev = ih.evaluator(backend)
+                search = bev.compile(masks)
+                colourful = any(
+                    search(bev.red_masks(classes)) is not None
+                    for classes in itertools.product(*families)
+                )
+                if colourful != truth:
+                    failures.append((seed, backend, box))
+            oracle_rng = random.Random(seed)
+            state = oracle_rng.getstate()
+            if edgefree_restricted(ih, masks, 0.5, oracle_rng) == truth:
+                failures.append((seed, "edgefree_restricted", box))
+            if oracle_rng.getstate() != state:
+                failures.append((seed, "edgefree_restricted drew", box))
             edges += truth
-            if colourful != truth:
-                failures.append((seed, box))
         if checked == 100:
             break
     if checked < 100:
         failures.append(("instances with a clique of size >= 3", checked))
-    _report(12, f"exhaustive clique colouring hom == edge-freeness, {checked}x20 "
-            f"boxes, {edges} with an edge", failures, t0, 300)
+    _report(12, f"exhaustive clique colouring hom == edge-freeness on both backends, "
+            f"and bruteforce's exact verdict, {checked}x20 boxes, {edges} with an edge",
+            failures, t0, 300)

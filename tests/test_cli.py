@@ -776,6 +776,35 @@ def test_analyze_subset_and_unknown_measure(capsys, tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def _no_width_work(monkeypatch):
+    """Make every width function that analyze calls fail the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a width measure was computed")
+
+    for name in ("treewidth_exact", "treewidth_heuristic", "fractional_edge_cover_number"):
+        monkeypatch.setattr(widths, name, no_work)
+    monkeypatch.setattr(automata, "fhw_decomposition", no_work)
+
+
+def test_analyze_checks_every_measure_before_computing_any(monkeypatch, capsys, tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("q(x) :- E(x, y)", encoding="utf-8")
+    _no_width_work(monkeypatch)
+    code, doc, err = run(capsys, ["analyze", "--query", str(q), "--measures", "tw,bogus"])
+    assert code == EXIT_VALIDATION and doc is None
+    assert err.strip() == "error: unknown measure 'bogus'; known: tw, fhw, rho"
+
+
+def test_analyze_checks_measures_before_reading_the_query(monkeypatch, capsys, tmp_path):
+    _no_width_work(monkeypatch)
+    missing = str(tmp_path / "nonexistent" / "q.txt")
+    with pytest.raises(QueryValidationError, match="unknown measure 'bogus'"):
+        cmd_analyze(missing, ["bogus"], {})
+    code, doc, err = run(capsys, ["analyze", "--query", missing, "--measures", "bogus"])
+    assert code == EXIT_VALIDATION and doc is None
+    assert err.strip() == "error: unknown measure 'bogus'; known: tw, fhw, rho"
+
+
 def test_analyze_limit_exceeded_is_inline(capsys, tmp_path):
     q = tmp_path / "big.txt"
     atoms = ", ".join(f"E(y{i}, y{i+1})" for i in range(10))

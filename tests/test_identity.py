@@ -13,9 +13,11 @@ identity.json holds one row per run:
 - clique: fptras runs, as in the fptras rows, whose disequality cliques
   have three or more variables: a K3 over domains wider than one 32-bit
   word, a K4 whose boxes draw several blocks of samples, a K3 with a pendant
-  K2 and two K3s. Their colourings are decoded from the high bytes of the
-  generator's 32-bit words, in an order that the Python version could in
-  principle change.
+  K2 and two K3s. On td-dp their colourings are decoded from the high bytes
+  of the generator's 32-bit words, in an order that the Python version
+  could in principle change. bruteforce decides their boxes exactly and
+  draws no colouring, so its rows pin the estimate and the counters of that
+  path: no colourings and one hom call per box with no empty layer.
 
 One process sees one string hash seed, so CI runs this file under two
 PYTHONHASHSEED values. A change that alters these outputs on purpose
@@ -49,7 +51,7 @@ from cqcount import (
     gen_li_hom,
     parse_query,
 )
-from cqcount.reduction import HOM_BACKENDS
+from cqcount.reduction import HOM_BACKENDS, ImplicitAnswerHypergraph
 
 from conftest import corpus_instance, plain_cq_instance
 from helpers import k3_with_pendant
@@ -231,9 +233,20 @@ def test_outputs_match_pinned_rows(name):
     assert len(got) == len(want), f"{name}: {len(want)} rows pinned, {len(got)} now"
 
 
+def exact_on_bruteforce(query: str) -> bool:
+    """Whether bruteforce decides the boxes of QUERIES[query] exactly, with
+    no colour sample: its disequality cover has a clique of three or more."""
+    q = parse_query(QUERIES[query])
+    ih = ImplicitAnswerHypergraph(q, Database.make([0], {"E": (2, [])}))
+    return ih.evaluator("bruteforce").exact
+
+
 def test_both_hom_backends_give_the_same_cli_report():
     # The two backends answer every search alike, so each pinned fptras run
-    # reports the same as on the other backend, apart from hom_backend.
+    # of a K2-only cover reports the same as on the other backend, apart
+    # from hom_backend. A cover with a clique of k >= 3 is colour-coded on
+    # td-dp only, so there the runs agree on the exit code, the error lines,
+    # the estimate and the counters that count no sample.
     runs: dict[tuple, dict] = {}
     for row in pinned()["cli"]:
         argv = list(row["argv"])
@@ -246,8 +259,18 @@ def test_both_hom_backends_give_the_same_cli_report():
         assert report.pop("hom_backend") == backend
         runs.setdefault(tuple(argv), {})[backend] = (row["exit"], report, row["errors"])
     assert len(runs) == 8
+    exact = 0
     for argv, by_backend in runs.items():
+        if exact_on_bruteforce(argv[argv.index("--query") + 1].removesuffix(".txt")):
+            exact += 1
+            keys = ("edgefree_calls", "estimator_walks", "restarts")
+            by_backend = {
+                backend: (code, report["estimate"],
+                          {k: report["oracle_stats"][k] for k in keys}, errors)
+                for backend, (code, report, errors) in by_backend.items()
+            }
         assert by_backend["bruteforce"] == by_backend["td-dp"], argv
+    assert exact == 6
 
 
 if __name__ == "__main__":

@@ -556,17 +556,38 @@ def _halving_boxes(ih: ImplicitAnswerHypergraph) -> list:
     return boxes
 
 
+def _run_sampler(ih, ev, masks, delta_prime, rng, search=True) -> int:
+    """ev's sampler run on the box directly, as edgefree_restricted runs it
+    where it colour-codes: the samples drawn up to and including the first
+    with a witness, or 0 when none has one."""
+    q_reps = ev.repetitions(delta_prime)
+    return ev._sampler(ev, masks, ev._box(masks), None, rng, q_reps, len(ih.domain), search)
+
+
 def _assert_same_draws(ih, backend, seed, delta_prime=0.05):
     # Skipping the colour searches of a box with no uncoloured witness must
     # leave the answer, the random stream and the sample count as they are.
+    # Where bruteforce decides a box exactly (ev.exact) it draws nothing and
+    # answers as the exact oracle; its sampler, run directly and searching
+    # only a box with an answer, as the colour-coded path would, must then
+    # answer and draw as the reference.
+    ev = ih.evaluator(backend)
+    truth = exact_oracle(ih)
     rng, ref_rng = derive_rng(77, seed), derive_rng(77, seed)
     for box in _halving_boxes(ih):
         stats, ref_stats = OracleStats(), OracleStats()
+        state = rng.getstate()
         got = edgefree_restricted(ih, box, delta_prime, rng, backend, stats)
         ref = edgefree_every_sample(ih, box, delta_prime, ref_rng, backend, ref_stats)
+        sampled = stats.colourings_sampled
+        if ev.exact and all(box):
+            assert got == truth(box), (seed, box)
+            assert rng.getstate() == state and sampled == 0, (seed, box)
+            drawn = _run_sampler(ih, ev, box, delta_prime, rng, search=not got)
+            got, sampled = not drawn, drawn or ev.repetitions(delta_prime)
         assert got == ref, (seed, backend, box)
         assert rng.getstate() == ref_rng.getstate(), (seed, backend, box)
-        assert stats.colourings_sampled == ref_stats.colourings_sampled
+        assert sampled == ref_stats.colourings_sampled
         assert stats.edgefree_calls == ref_stats.edgefree_calls
 
 
@@ -581,7 +602,8 @@ def test_edgefree_search_before_colouring_keeps_the_stream(backend):
 def test_edgefree_search_before_colouring_keeps_the_clique_draws(backend):
     # hampath(K4) is one K4 clique and the star K1,3 lihom one K3 clique, so
     # both draw blocks of randrange values, not the single K2 draw; the K3
-    # with a pendant K2 draws through both branches of _colour_classes.
+    # with a pendant K2 draws through both branches of _colour_classes. On
+    # bruteforce the samplers are run directly (see _assert_same_draws).
     ham = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
     star = ImplicitAnswerHypergraph(*gen_li_hom([(0, 1), (0, 2), (0, 3)], K4))
     mixed = ImplicitAnswerHypergraph(*k3_with_pendant())
@@ -704,33 +726,49 @@ def test_blocked_clique_samples_match_one_at_a_time(backend, where):
         at = {"first": 0, "block-end": block - 1, "next-block": block}[where]
         seed, box = _first_pinned_at(at)
     masks = layer_masks(ih, box)
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    stats, ref_stats = OracleStats(), OracleStats()
-    got = edgefree_restricted(ih, masks, 0.3, rng, backend, stats)
+    ev = ih.evaluator(backend)
+    ref_rng, ref_stats = random.Random(seed), OracleStats()
     ref = edgefree_every_sample(ih, masks, 0.3, ref_rng, backend, ref_stats)
-    # The reference makes no search before colouring.
-    ref_stats.hom_calls += 1
-    assert got == ref == (at is None)
-    assert stats == ref_stats
+    assert ref == (at is None)
+    assert ref_stats.colourings_sampled == (q_reps if at is None else at + 1)
+    # The sampler itself, on either backend's search.
+    rng = random.Random(seed)
+    assert _run_sampler(ih, ev, masks, 0.3, rng) == (0 if at is None else at + 1)
     assert rng.getstate() == ref_rng.getstate()
-    assert stats.colourings_sampled == (q_reps if at is None else at + 1)
+    # edgefree_restricted, where it colour-codes the box: bruteforce decides
+    # it exactly instead (see test_bruteforce_decides_clique_boxes_exactly).
+    if not ev.exact:
+        rng, stats = random.Random(seed), OracleStats()
+        assert edgefree_restricted(ih, masks, 0.3, rng, backend, stats) == ref
+        # The reference makes no search before colouring.
+        ref_stats.hom_calls += 1
+        assert stats == ref_stats
+        assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("backend", HOM_BACKENDS)
 def test_skipped_clique_box_draws_its_samples_in_chunks(backend):
     # hampath over the path 0-1-2-3-4 and x1 = x2 = 0: no hom at all, so
     # the box's q_reps K5 samples, several chunks of _BLOCK_VALUES values,
-    # are drawn but not searched.
+    # are drawn but not searched. bruteforce draws none of them, so there
+    # its sampler is run directly, unsearched.
     ih = ImplicitAnswerHypergraph(*gen_hampath([(i, i + 1) for i in range(4)], 5))
-    box = ((0,), (0,), range(5), range(5), range(5))
+    ev = ih.evaluator(backend)
+    masks = layer_masks(ih, ((0,), (0,), range(5), range(5), range(5)))
     q_reps = clique_repetitions([5], 0.3)
     assert q_reps * 5 > 2 * reduction._BLOCK_VALUES
     rng, ref_rng = random.Random(4), random.Random(4)
     stats, ref_stats = OracleStats(), OracleStats()
-    assert edgefree_restricted(ih, layer_masks(ih, box), 0.3, rng, backend, stats)
-    assert edgefree_every_sample(ih, layer_masks(ih, box), 0.3, ref_rng, backend, ref_stats)
+    assert edgefree_restricted(ih, masks, 0.3, rng, backend, stats)
+    assert edgefree_every_sample(ih, masks, 0.3, ref_rng, backend, ref_stats)
+    assert ref_stats.colourings_sampled == q_reps
+    if ev.exact:
+        assert rng.getstate() == random.Random(4).getstate()
+        assert stats.colourings_sampled == 0
+        assert _run_sampler(ih, ev, masks, 0.3, rng, search=False) == 0
+    else:
+        assert stats.colourings_sampled == q_reps
     assert rng.getstate() == ref_rng.getstate()
-    assert stats.colourings_sampled == ref_stats.colourings_sampled == q_reps
     assert stats.hom_calls == 1
 
 
@@ -874,7 +912,9 @@ def test_answer_search_finds_none_exactly_on_edge_free_boxes():
 
 def test_certified_box_keeps_answer_stats_and_stream():
     # A box that holds a plain hom but no answer takes no colour search on
-    # bruteforce, yet ends as the reference that searches every sample.
+    # bruteforce, yet ends as the reference that searches every sample. A
+    # cover with a clique of k >= 3 is decided with no draw at all, and its
+    # sampler, run directly and unsearched, ends as the reference.
     done = collections.Counter()
     for seed, (kind, ih, vs) in enumerate(_random_boxes(range(300))):
         ev = ih.evaluator("bruteforce")
@@ -888,12 +928,67 @@ def test_certified_box_keeps_answer_stats_and_stream():
         stats, ref_stats = OracleStats(), OracleStats()
         assert edgefree_restricted(ih, masks, 0.3, rng, "bruteforce", stats)
         assert edgefree_every_sample(ih, masks, 0.3, ref_rng, "bruteforce", ref_stats)
-        # The reference makes no search before colouring.
-        ref_stats.hom_calls += 1
-        assert stats == ref_stats
-        assert stats.hom_calls == 1 + clique_repetitions(ev.clique_sizes, 0.3)
+        q_reps = clique_repetitions(ev.clique_sizes, 0.3)
+        assert ref_stats.colourings_sampled == q_reps
+        if ev.exact:
+            assert stats == OracleStats(edgefree_calls=1, hom_calls=1)
+            assert rng.getstate() == random.Random(seed).getstate()
+            assert _run_sampler(ih, ev, masks, 0.3, rng, search=False) == 0
+        else:
+            # The reference makes no search before colouring.
+            ref_stats.hom_calls += 1
+            assert stats == ref_stats
+            assert stats.hom_calls == 1 + q_reps
         assert rng.getstate() == ref_rng.getstate()
     assert done == {"k2": 3, "clique": 3, "mixed": 3}
+
+
+def test_bruteforce_decides_clique_boxes_exactly():
+    # A cover with a clique of k >= 3 takes no colour sample on bruteforce:
+    # the box's answer is edgefree_bruteforce's, the generator is untouched,
+    # and a box counts one hom call (none with an empty layer) and no
+    # colouring. The K4 boxes hold an answer, and a witness but no answer
+    # (the walks 0-1-0-1); each runs twice, so the second time the answer
+    # the evaluator kept lies in the box or outside it.
+    ham = ImplicitAnswerHypergraph(*gen_hampath(K4, 4))
+    full, walks = ((0, 1, 2, 3),) * 4, ((0,), (0, 1, 2, 3), (0,), (0, 1, 2, 3))
+    cases = [(ham, vs) for vs in (full, walks, full, walks)]
+    cases += [(ih, vs) for kind, ih, vs in _random_boxes(range(300)) if kind != "k2"]
+    seen = collections.Counter()
+    for n, (ih, vs) in enumerate(cases):
+        ev = ih.evaluator("bruteforce")
+        assert ev.exact and max(ev.clique_sizes) >= 3
+        masks = layer_masks(ih, vs)
+        truth = edgefree_bruteforce(ih, restricted_parts(ih, vs))
+        rng = random.Random(n)
+        state = rng.getstate()
+        stats = OracleStats(edgefree_calls=5, colourings_sampled=7, hom_calls=11)
+        assert edgefree_restricted(ih, masks, 0.3, rng, "bruteforce", stats) == truth, n
+        assert rng.getstate() == state, n
+        assert stats == OracleStats(
+            edgefree_calls=6, colourings_sampled=7, hom_calls=11 + all(masks)
+        ), n
+        hom = all(masks) and ev.compile(masks)(()) is not None
+        seen["answer" if not truth else "witness, no answer" if hom else "no witness"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("k, delta_prime, message", [
+    (256, 0.5, "255 are supported"),
+    (4, math.ulp(0.0), "any finite number of samples"),
+])
+def test_exact_clique_box_still_raises_budget_errors(k, delta_prime, message):
+    # The exact path asks repetitions() first, so a clique of 256 variables
+    # and a delta_prime whose inverse overflows raise before any answer.
+    ih = ImplicitAnswerHypergraph(*gen_hampath([(i, i + 1) for i in range(k - 1)], k))
+    ev = ih.evaluator("bruteforce")
+    assert ev.exact and ev.clique_sizes == [k]
+    rng, stats = random.Random(0), OracleStats()
+    state = rng.getstate()
+    with pytest.raises(BudgetExceededError, match=message):
+        edgefree_restricted(ih, ih.full_box(), delta_prime, rng, "bruteforce", stats)
+    assert rng.getstate() == state
+    assert stats == OracleStats(edgefree_calls=1, hom_calls=1)
 
 
 def _full_answers(ih: ImplicitAnswerHypergraph) -> dict:
@@ -1121,20 +1216,31 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
     masks = layer_masks(ih, box)
     rng, stats = derive_rng(5, len(box[0])), OracleStats()
     got = edgefree_restricted(ih, masks, 0.3, rng, backend, stats)
+    sampled = stats.colourings_sampled
+    if ev.exact:
+        # bruteforce decides the box with no draw. Its sampler, run directly
+        # and searching only a box with an answer, draws the samples.
+        assert stats == OracleStats(edgefree_calls=1, hom_calls=1)
+        assert rng.getstate() == derive_rng(5, len(box[0])).getstate()
+        drawn_upto = _run_sampler(ih, ev, masks, 0.3, rng, search=not got)
+        sampled = drawn_upto or ev.repetitions(0.3)
+        assert got == (not drawn_upto)
     monkeypatch.undo()
     # The colourings drawn, one at a time from a twin generator, up to the
     # state the run left rng in.
     twin, drawn = derive_rng(5, len(box[0])), []
-    while twin.getstate() != rng.getstate() and len(drawn) <= stats.colourings_sampled:
+    while twin.getstate() != rng.getstate() and len(drawn) <= sampled:
         drawn.append(colour_classes(twin, 4, len(ih.domain)))
 
     # The reference sends every colouring through red_masks and the search,
     # and makes no search before colouring.
     ref_rng, ref_stats = derive_rng(5, len(box[0])), OracleStats()
     ref = edgefree_every_sample(ih, masks, 0.3, ref_rng, backend, ref_stats)
-    ref_stats.hom_calls += 1
     assert got == ref
-    assert stats == ref_stats
+    assert sampled == ref_stats.colourings_sampled
+    if not ev.exact:
+        ref_stats.hom_calls += 1
+        assert stats == ref_stats
     assert rng.getstate() == ref_rng.getstate()
     # The search before colouring, then one per distinct colouring with
     # every class non-empty, in the order first drawn, with its red masks.
@@ -1145,7 +1251,7 @@ def test_clique_search_runs_only_for_colourings_with_no_empty_class(
     else:
         assert searched == [()] + [ev.red_masks([classes]) for classes in distinct]
     assert len(searched) <= 1 + 4 * 3 * 2
-    assert len(drawn) == stats.colourings_sampled
+    assert len(drawn) == sampled
     assert len(full) < len(drawn) // 2
 
 
@@ -1545,8 +1651,11 @@ def test_approx_count_td_backend_agrees():
         a = approx_count_answers(q, d, 0.3, 0.2, seed=6, backend="bruteforce")
         b = approx_count_answers(q, d, 0.3, 0.2, seed=6, backend="td-dp")
         assert a == b
-    # hampath over paths: one K3 and one K4 disequality clique, so both
-    # backends must consume the per-value clique colour draws alike.
+    # hampath over paths: one K3 and one K4 disequality clique, which
+    # bruteforce decides with no colour sample and td-dp colour-codes, so
+    # the two agree on the estimate and on the counters that count no
+    # sample. The 17-variable path's one K2 is colour-coded on both, so
+    # both must consume its colour draws alike.
     cases = [
         (*gen_hampath([(i, i + 1) for i in range(n - 1)], n), 2) for n in (3, 4)
     ] + [(*_path17(), 12)]
@@ -1558,6 +1667,10 @@ def test_approx_count_td_backend_agrees():
                 q, d, 0.3, 0.2, seed=6, backend=backend, stats=stats
             )
             runs.append((est, stats.as_dict()))
+        if ImplicitAnswerHypergraph(q, d).evaluator("bruteforce").exact:
+            assert runs[0][1]["colourings_sampled"] == 0 < runs[1][1]["colourings_sampled"]
+            keys = ("edgefree_calls", "estimator_walks", "restarts")
+            runs = [(est, {k: stats[k] for k in keys}) for est, stats in runs]
         assert runs[0] == runs[1]
         assert runs[0][0] == expected
 
@@ -1589,8 +1702,11 @@ def _circulant(n: int) -> list[tuple[int, int]]:
 # was re-recorded when it became the searches run: a box with no witness
 # before colouring runs one search and skips its colour searches. Both
 # backends answer every search alike, so the td-dp rows repeat the
-# bruteforce numbers. The p3-c40 rows, recorded before skipped boxes drew
-# all their samples in one call, pin a domain wider than one 32-bit word.
+# bruteforce numbers, but for ham-p4: its cover is one K4, which bruteforce
+# decides with no colour sample, so its bruteforce row was re-recorded with
+# no colourings and one hom call per box. The p3-c40 rows, recorded before
+# skipped boxes drew all their samples in one call, pin a domain wider than
+# one 32-bit word.
 # The p3-c12 rows run out of their 50-query probe, so the walks run after
 # an exhausted probe (the exact count is 144).
 GOLDEN_RUNS = [
@@ -1604,7 +1720,7 @@ GOLDEN_RUNS = [
     ("p3-c40", P3, 40, "td-dp", 0, 471, (3543, 79470, 19621, 4470)),
     ("p3-c12", P3, 12, "bruteforce", 50, 143, (807, 16397, 5332, 4470)),
     ("p3-c12", P3, 12, "td-dp", 50, 143, (807, 16397, 5332, 4470)),
-    ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 53870, 25229, 0)),
+    ("ham-p4", P4, 4, "bruteforce", 20000, 2, (31, 0, 31, 0)),
     ("ham-p4", P4, 4, "td-dp", 20000, 2, (31, 53870, 25229, 0)),
 ]
 
