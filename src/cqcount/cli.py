@@ -109,6 +109,7 @@ REPORT_SCHEMA: dict = {
 
 
 METHODS = ("exact", "fptras", "fhw")
+GEN_KINDS = ("hampath", "lihom", "random")
 
 
 @dataclass
@@ -318,12 +319,17 @@ def cmd_analyze(query_path: str, measures: list[str], limits: dict) -> dict:
 
 def cmd_gen(kind: str, args: argparse.Namespace, out_dir: str) -> dict:
     """Write a query/database pair into out_dir; returns the file paths."""
+    # The kind is checked before any file or directory is touched.
+    if kind not in GEN_KINDS:
+        raise QueryValidationError(
+            f"unknown instance kind {kind!r}; known: {', '.join(GEN_KINDS)}"
+        )
     if kind == "hampath":
         edges = load_graph(args.graph)
         q, d = gen_hampath(edges, args.n)
     elif kind == "lihom":
         q, d = gen_li_hom(load_graph(args.pattern), load_graph(args.target))
-    elif kind == "random":
+    else:
         q, d = gen_random(
             args.vars, args.atoms, args.domain, args.p_neg, args.p_diseq, args.seed
         )

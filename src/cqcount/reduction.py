@@ -29,8 +29,9 @@ with one rng.randrange(k), decoded from the high byte of a 32-bit word
 (_draw_values), which is why a clique has at most 255 variables. A sample
 whose colouring leaves some clique's colour class empty can hold no witness,
 so it is counted and drawn like any other but neither masked nor searched.
-The bruteforce evaluator keeps the last answer a search of it returned; in a
-later box that holds it, that answer settles the search before colouring.
+The bruteforce evaluator keeps the last answer a search of it returned, and
+each later search whose domains hold that answer returns it at once: before
+colouring, under a colouring, and with every disequality enforced alike.
 
 A box is one value mask per layer (bit i is the domain's i-th value), the
 form the counters' `edgefree` callbacks, edgefree_restricted and the
@@ -227,7 +228,7 @@ class _Evaluator:
 
         self._reps: dict[float, int] = {}  # repetitions() per delta_prime
         # The value indices of the last answer a bruteforce search returned:
-        # a witness that meets every disequality (see answer_within).
+        # a witness that meets every disequality (see _bruteforce_search).
         self.last: tuple[int, ...] | None = None
 
         # One plan per run; self._search runs it under a box's domains.
@@ -261,17 +262,6 @@ class _Evaluator:
     def answer_in(self, layer_masks) -> tuple | None:
         """bruteforce only: an answer in the box, or None."""
         return self._bruteforce_search(self._box(layer_masks), distinct=True)
-
-    def answer_within(self, layer_masks) -> tuple[int, ...] | None:
-        """self.last when its free values lie in the box, else None: an
-        answer in the box, found by a search of any box."""
-        last = self.last
-        if last is None:
-            return None
-        for m, a in zip(layer_masks, last):
-            if not m >> a & 1:
-                return None
-        return last
 
     def compile(self, layer_masks):
         """The search of one box, as a callable colour_masks -> witness | None.
@@ -408,7 +398,19 @@ class _Evaluator:
 
     def _bruteforce_search(self, dom: list[int], distinct: bool = False) -> tuple | None:
         """Backtrack over the plan's levels under the domains dom; with
-        distinct, a witness also meets every disequality."""
+        distinct, a witness also meets every disequality.
+
+        self.last is only ever a witness that meets every atom and every
+        disequality, so wherever dom holds its values it is a witness here,
+        under colour masks and with distinct alike: the search returns it
+        before it backtracks."""
+        last = self.last
+        if last is not None:
+            for m, a in zip(dom, last):
+                if not m >> a & 1:
+                    break
+            else:
+                return last
         levels = self._plan
         n = len(levels)
         assigned = [0] * n
@@ -568,26 +570,24 @@ def _colour_classes(rng: random.Random, k: int, width: int) -> list[int]:
 
 
 # One sampler per cover shape, which _Evaluator picks by its one_size:
-# sampler(ev, masks, box, known, rng, q_reps, width, search) returns the
-# number of the box's q_reps colour samples it drew up to and including the
-# first with a witness, or 0 when none has one. With search false it draws
-# all q_reps samples, searches none and returns 0, so rng ends as a search
-# with no witness leaves it. masks are the box's layer masks, box its
-# per-variable domains (ev._box(masks)), and known an answer in the box
-# (value indices) or None.
+# sampler(ev, masks, box, rng, q_reps, width, search) returns the number of
+# the box's q_reps colour samples it drew up to and including the first with
+# a witness, or 0 when none has one. With search false it draws all q_reps
+# samples, searches none and returns 0, so rng ends as a search with no
+# witness leaves it. masks are the box's layer masks and box its per-variable
+# domains (ev._box(masks)).
 
 
-def _pair_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
+def _pair_samples(ev, masks, box, rng, q_reps, width, search) -> int:
     """The sampler of a cover of K2s only, which is ev.diseq_pos itself.
 
     Each K2 is one disequality (i, j), whose sample is one getrandbits
     draw: the red class, which i takes and j avoids. Unsearched, the
     samples come from the same 32-bit words, ceil(width / 32) per draw, in
-    calls of at most _BLOCK_VALUES words. A sample where the known answer
-    has i red and j blue holds a witness without a search. One that leaves
-    a variable no value of the box holds none, and is not searched. This
-    narrows the box as compile's callable does, inline, as a call per
-    sample would cost most of what the loop saves.
+    calls of at most _BLOCK_VALUES words. A sample that leaves a variable
+    no value of the box holds no witness, and is not searched. This narrows
+    the box as compile's callable does, inline, as a call per sample would
+    cost most of what the loop saves.
     """
     draw = rng.getrandbits
     if not search:
@@ -595,28 +595,19 @@ def _pair_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
         for start in range(0, words, _BLOCK_VALUES):
             draw(32 * min(_BLOCK_VALUES, words - start))
         return 0
-    run = ev._search
-    # (i, j, mask, keep): the known answer survives red when red & mask is
-    # keep, its value at i red and at j not; with mask 0 it never does.
-    rows = [
-        (i, j, 1 << known[i] | 1 << known[j], 1 << known[i])
-        if known is not None
-        else (i, j, 0, 1)
-        for i, j in ev.diseq_pos
-    ]
+    run, pairs = ev._search, ev.diseq_pos
     for t in range(1, q_reps + 1):
-        dom, survives = list(box), True
-        for i, j, mask, keep in rows:
+        dom = list(box)
+        for i, j in pairs:
             red = draw(width)
             dom[i] &= red
             dom[j] &= ~red
-            survives = survives and red & mask == keep
-        if survives or all(dom) and run(dom) is not None:
+        if all(dom) and run(dom) is not None:
             return t
     return 0
 
 
-def _block_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
+def _block_samples(ev, masks, box, rng, q_reps, width, search) -> int:
     """The sampler of a cover whose cliques all have one size k >= 3.
 
     The samples are drawn many at a time from the same words as one at a
@@ -656,7 +647,7 @@ def _block_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
     return 0
 
 
-def _mixed_samples(ev, masks, box, known, rng, q_reps, width, search) -> int:
+def _mixed_samples(ev, masks, box, rng, q_reps, width, search) -> int:
     """The sampler of a cover whose cliques differ in size: one sample at
     a time, each drawing its cliques' colourings in cover order with
     _colour_classes' draws, which an unsearched sample makes without
@@ -699,17 +690,17 @@ def edgefree_restricted(
     colour masks: with no disequalities that is the exact answer, and since
     a colouring only narrows the domains, a box with no witness there has
     none under any colouring. On bruteforce, a box with a witness there is
-    searched once more with every disequality enforced (answer_in); one with
-    no answer has no witness under any colouring either. td-dp keeps colour
-    coding, as that search has no FPT bound. The evaluator's last answer,
-    when it lies in the box, stands in for both searches, still counted.
-    So bruteforce knows the exact answer before it samples. When its cover
-    has a clique of k >= 3 (ev.exact), it returns that answer and draws no
-    sample, once repetitions() has raised any BudgetExceededError; the k^k
-    samples per round would only repeat it, with one-sided error. Otherwise
-    the evaluator's sampler draws the box's samples, searched only when the
-    box may hold an answer; a box with a witness before colouring counts
-    each sample drawn as a hom call, searched or not.
+    searched once more with every disequality enforced (answer_in), unless
+    that witness is the evaluator's last answer, which meets them all; one
+    with no answer has no witness under any colouring either. td-dp keeps
+    colour coding, as that search has no FPT bound. So bruteforce knows the
+    exact answer before it samples. When its cover has a clique of k >= 3
+    (ev.exact), it returns that answer and draws no sample, once
+    repetitions() has raised any BudgetExceededError; the k^k samples per
+    round would only repeat it, with one-sided error. Otherwise the
+    evaluator's sampler draws the box's samples, searched only when the box
+    may hold an answer; a box with a witness before colouring counts each
+    sample drawn as a hom call, searched or not.
     """
     width = len(ih.domain)
     if len(masks) != ih.ell:
@@ -724,27 +715,23 @@ def edgefree_restricted(
     ev = ih._evaluators.get(backend) or ih.evaluator(backend)
     box = ev._box(masks)
     stats.hom_calls += 1
-    # A known answer in the box stands in for the search before colouring.
-    known = ev.answer_within(masks)
-    found = ev._search(box) if known is None and all(box) else None
-    hom = known is not None or found is not None
+    found = ev._search(box) if all(box) else None
     if not ev.cliques:
-        return not hom
+        return found is None
     q_reps = ev._reps.get(delta_prime) or ev.repetitions(delta_prime)
     # A colour search only finds answers, so where bruteforce finds none in
     # the box, each of its samples would be searched and found empty. A
     # witness that meets every disequality is such an answer: the search
-    # above found one exactly when it made it ev.last, as an earlier ev.last
-    # already missed the box. Otherwise answer_in looks for one.
-    search = hom
-    if hom and known is None and backend == "bruteforce":
-        known = found if ev.last is found else ev.answer_in(masks)
-        search = known is not None
+    # above returns one exactly when it is ev.last, which it either was
+    # already or became there. Otherwise answer_in looks for one.
+    search = found is not None
+    if search and backend == "bruteforce":
+        search = found is ev.last or ev.answer_in(masks) is not None
     if ev.exact:
-        return known is None
-    drawn = ev._sampler(ev, masks, box, known, rng, q_reps, width, search)
+        return not search
+    drawn = ev._sampler(ev, masks, box, rng, q_reps, width, search)
     stats.colourings_sampled += drawn or q_reps
-    if hom:
+    if found is not None:
         stats.hom_calls += drawn or q_reps
     return not drawn
 

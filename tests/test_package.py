@@ -3,6 +3,7 @@ from it."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import math
 import random
@@ -32,7 +33,7 @@ from cqcount import (
     parse_query,
     sol_bag,
 )
-from cqcount.cli import RunConfig, cmd_count
+from cqcount.cli import RunConfig, cmd_count, cmd_gen
 from cqcount.lp import solve_min
 from cqcount.qmodel import Database, Query, RelationSymbol, iter_solutions
 from cqcount.widths import induced_hypergraph
@@ -234,6 +235,17 @@ def count_by(method, files=True, **fields):
         return cmd_count(str(query), str(db), RunConfig(method, **fields))
 
 
+def gen_into_new_dir(kind):
+    """cmd_gen of kind into a directory that does not exist, which must
+    still not exist when cmd_gen raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out")
+        try:
+            return cmd_gen(kind, argparse.Namespace(), str(out))
+        finally:
+            assert not out.exists()
+
+
 FPTRAS_NOPE = {"epsilon": 0.25, "delta": 0.1, "seed": 1, "hom_backend": "nope"}
 
 
@@ -364,6 +376,11 @@ FPTRAS_NOPE = {"epsilon": 0.25, "delta": 0.1, "seed": 1, "hom_backend": "nope"}
         lambda: count_by("fptras", files=False, epsilon=0.25, delta=0.1),
         QueryValidationError, "method fptras needs --epsilon, --delta and --seed",
         id="run-config-fptras-no-files",
+    ),
+    pytest.param(
+        lambda: gen_into_new_dir("bogus"), QueryValidationError,
+        "unknown instance kind 'bogus'; known: hampath, lihom, random",
+        id="gen-kind",
     ),
 ])
 def test_library_preconditions_raise_their_error(call, error, message):

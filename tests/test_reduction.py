@@ -561,7 +561,7 @@ def _run_sampler(ih, ev, masks, delta_prime, rng, search=True) -> int:
     where it colour-codes: the samples drawn up to and including the first
     with a witness, or 0 when none has one."""
     q_reps = ev.repetitions(delta_prime)
-    return ev._sampler(ev, masks, ev._box(masks), None, rng, q_reps, len(ih.domain), search)
+    return ev._sampler(ev, masks, ev._box(masks), rng, q_reps, len(ih.domain), search)
 
 
 def _assert_same_draws(ih, backend, seed, delta_prime=0.05):
@@ -650,7 +650,7 @@ def test_skipped_k2_box_draws_in_calls_of_at_most_block_values_words(n, q_reps):
 
     rng, one = Counted(n), random.Random(n)
     masks = [1, (1 << n) - 1, 1 << 10]
-    assert reduction._pair_samples(ev, masks, ev._box(masks), None, rng, q_reps, n, False) == 0
+    assert reduction._pair_samples(ev, masks, ev._box(masks), rng, q_reps, n, False) == 0
     words = (n + 31) // 32 * q_reps
     one.getrandbits(32 * words)
     assert rng.getstate() == one.getstate()
@@ -810,7 +810,7 @@ def test_sampler_draws_alike_whether_it_searches_or_not(backend):
         states = []
         for search in (True, False):
             rng = random.Random(len(ih.domain))
-            drawn = sampler(ev, masks, ev._box(masks), None, rng, q_reps, len(ih.domain), search)
+            drawn = sampler(ev, masks, ev._box(masks), rng, q_reps, len(ih.domain), search)
             assert drawn == 0, (ih.query, search)
             states.append(rng.getstate())
         assert states[0] == states[1], ih.query
@@ -829,16 +829,20 @@ def test_clique_over_255_variables_is_a_budget_error_before_any_draw():
     assert rng.getstate() == state
 
 
-def _spy_searches(monkeypatch, ev):
+def _spy_searches(monkeypatch, ev, returned=None):
     """Record the domains of each ev._search call, the one seam every search
     of a box but answer_in's goes through, and the masks of each
-    ev.answer_in call."""
+    ev.answer_in call; and, given a list returned, what each ev._search call
+    returned."""
     searched, answered = [], []
     search, answer_in = ev._search, ev.answer_in
 
     def counted_search(dom):
         searched.append(list(dom))
-        return search(dom)
+        found = search(dom)
+        if returned is not None:
+            returned.append(found)
+        return found
 
     def counted_answer_in(masks):
         answered.append(list(masks))
@@ -1062,20 +1066,22 @@ def _first_keeping(index, a: int, b: int, at: int) -> int:
 
 
 def test_known_answer_in_box_settles_it_without_a_search(monkeypatch):
-    # (0, 1, 2) is an answer of P3 lihom over C4. Held by ev.last, it stands
-    # in for the search before colouring and for answer_in; the first
-    # sample keeps 0 red and 2 blue, so it holds a witness unsearched.
+    # (0, 1, 2) is an answer of P3 lihom over C4. Held by ev.last, it is
+    # what the search before colouring returns, so answer_in does not run;
+    # the first sample keeps 0 red and 2 blue, so its search returns it too.
     ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
     ev = ih.evaluator("bruteforce")
     index = {w: i for i, w in enumerate(ih.domain)}
-    ev.last = (index[0], index[1], index[2])
-    searched, answered = _spy_searches(monkeypatch, ev)
+    last = ev.last = (index[0], index[1], index[2])
+    returned = []
+    searched, answered = _spy_searches(monkeypatch, ev, returned)
     seed = _first_keeping(index, 0, 2, 0)
     masks = layer_masks(ih, [ih.domain] * 3)
     rng, ref_rng = random.Random(seed), random.Random(seed)
     stats, ref_stats = OracleStats(), OracleStats()
     assert not edgefree_restricted(ih, masks, 0.05, rng, stats=stats)
-    assert searched == answered == []
+    assert len(searched) == 2 and searched[0] == ev._box(masks) and answered == []
+    assert all(found is last for found in returned) and ev.last is last
     assert stats == OracleStats(edgefree_calls=1, colourings_sampled=1, hom_calls=2)
     monkeypatch.undo()
     assert not edgefree_every_sample(ih, masks, 0.05, ref_rng, stats=ref_stats)
@@ -1086,57 +1092,109 @@ def test_k2_sample_that_empties_a_domain_runs_no_search(monkeypatch):
     # x0 = 0 and x2 = 2 on P3 lihom over C4: a sample leaves both a value
     # only with 0 red and 2 blue, here first at the third sample. The two
     # before it are not searched. The search before colouring finds the
-    # answer (0, 1, 2), which the third sample keeps, so it is not searched
-    # either.
+    # answer (0, 1, 2) and keeps it as ev.last, and the third sample's
+    # search returns that tuple itself.
     ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
     ev = ih.evaluator("bruteforce")
     index = {w: i for i, w in enumerate(ih.domain)}
-    searched, answered = _spy_searches(monkeypatch, ev)
+    returned = []
+    searched, answered = _spy_searches(monkeypatch, ev, returned)
     seed = _first_keeping(index, 0, 2, 2)
     masks = layer_masks(ih, ((0,), (1, 3), (2,)))
     stats = OracleStats()
     assert not edgefree_restricted(ih, masks, 0.05, random.Random(seed), stats=stats)
     assert stats == OracleStats(edgefree_calls=1, colourings_sampled=3, hom_calls=4)
     assert ev.last == (index[0], index[1], index[2])
-    assert searched == [ev._box(masks)]
+    assert len(searched) == 2 and searched[0] == ev._box(masks)
+    assert len(returned) == 2 and all(found is ev.last for found in returned)
     assert answered == []
 
 
 def test_box_settled_by_its_own_search_runs_no_second_search(monkeypatch):
     # x0 = 0, x1 = 1 and x2 = 2 on P3 lihom over C4: the search before
     # colouring finds the answer (0, 1, 2) and keeps it as ev.last, which
-    # settles the box; neither answer_in nor a second answer_within runs.
+    # settles the box: answer_in does not run, and the one sample searched,
+    # the first to keep 0 red and 2 blue, returns that tuple itself.
     ih = ImplicitAnswerHypergraph(*gen_li_hom(P3, C4))
     ev = ih.evaluator("bruteforce")
     index = {w: i for i, w in enumerate(ih.domain)}
-    calls, within = [], []
-    search, answer_within = ev._bruteforce_search, ev.answer_within
+    calls, returned = [], []
+    search = ev._bruteforce_search
 
     def counted_search(dom, distinct=False):
         calls.append(distinct)
-        return search(dom, distinct)
-
-    def counted_within(masks):
-        within.append(list(masks))
-        return answer_within(masks)
+        returned.append(search(dom, distinct))
+        return returned[-1]
 
     monkeypatch.setattr(ev, "_bruteforce_search", counted_search)
     monkeypatch.setattr(ev, "_search", counted_search)
-    monkeypatch.setattr(ev, "answer_within", counted_within)
     masks = layer_masks(ih, ((0,), (1,), (2,)))
     for at in range(3):
         ev.last = None
-        del calls[:], within[:]
+        del calls[:], returned[:]
         stats = OracleStats()
         seed = _first_keeping(index, 0, 2, at)
         assert not edgefree_restricted(ih, masks, 0.05, random.Random(seed), stats=stats)
         assert ev.last == (index[0], index[1], index[2])
-        # The search before colouring only, with no distinct=True search
-        # (answer_in), and one answer_within per call.
-        assert calls == [False] and len(within) == 1, at
+        # The search before colouring and the sample's, with no
+        # distinct=True search (answer_in); the sample's returns ev.last.
+        assert calls == [False, False], at
+        assert returned[0] is returned[1] is ev.last, at
         assert stats == OracleStats(
             edgefree_calls=1, colourings_sampled=at + 1, hom_calls=at + 2
         )
+
+
+def _seeded_run(q, d, seed, monkeypatch, forget):
+    """approx_count_answers on bruteforce: the estimate, its OracleStats, the
+    end state of every generator it derives, and how many searches returned
+    the answer the evaluator already held. With forget, ev.last is cleared
+    before every search, so none can return a held answer."""
+    plain = reduction._Evaluator._bruteforce_search
+    rngs, hits = [], [0]
+
+    def search(self, dom, distinct=False):
+        if forget:
+            self.last = None
+        last = self.last
+        found = plain(self, dom, distinct)
+        hits[0] += found is not None and found is last
+        return found
+
+    def derived(*path):
+        rngs.append(derive_rng(*path))
+        return rngs[-1]
+
+    monkeypatch.setattr(reduction._Evaluator, "_bruteforce_search", search)
+    monkeypatch.setattr(reduction, "derive_rng", derived)
+    stats = OracleStats()
+    got = approx_count_answers(q, d, 0.3, 0.2, seed=seed, stats=stats)
+    monkeypatch.undo()
+    return (got, stats, [rng.getstate() for rng in rngs]), hits[0]
+
+
+def test_runs_end_alike_whatever_answer_the_search_holds(monkeypatch):
+    # ev.last is a pure cache: a run whose searches never return a held
+    # answer gives the same estimate, counters and generator states as
+    # one where they do, under every cover shape.
+    named = [gen_li_hom(P3, C4), gen_li_hom(P4, _circulant(7)), gen_hampath(K4, 4),
+             gen_hampath(list(itertools.combinations(range(5), 2)), 5), k3_with_pendant()]
+    corpus = [corpus_instance(30_000 + seed, max_vars=5, max_diseq=10, max_neg=2)
+              for seed in range(300)]
+    seen = collections.Counter()
+    for seed, (q, d) in enumerate(named + corpus):
+        ev = ImplicitAnswerHypergraph(q, d).evaluator("bruteforce")
+        if not ev.cliques:
+            continue
+        run, hits = _seeded_run(q, d, seed, monkeypatch, forget=False)
+        forgot, none = _seeded_run(q, d, seed, monkeypatch, forget=True)
+        assert run == forgot, seed
+        assert none == 0
+        kind = {2: "k2", 0: "mixed"}.get(ev.one_size, "clique")
+        seen[kind] += hits > 0
+        seen["negated"] += hits > 0 and bool(q.negated_predicates)
+        seen["ternary"] += hits > 0 and any(len(idxs) == 3 for idxs, _, _ in ev.higher)
+    assert min(seen[k] for k in ("k2", "clique", "mixed", "negated", "ternary")) >= 5, seen
 
 
 @pytest.mark.parametrize("text,sizes", [
