@@ -29,7 +29,6 @@ from .errors import (
     UncoverableVertexError,
     UnsupportedQueryError,
 )
-from .homsolver import Structure, hom_exists_td
 from .qmodel import (
     Database,
     Query,

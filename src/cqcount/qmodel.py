@@ -675,6 +675,19 @@ def gen_li_hom(
     return q, d
 
 
+# GEN_FACT_BUDGET caps the candidate facts of gen_random, the sum of
+# domain_size ** arity over its relation symbols, of which it keeps 20-70%.
+# One arity-3 symbol, CPU time and max RSS of gen_random alone (min of 3) and
+# of `cqcount gen random`, which also writes the database, Python 3.11,
+# 2-vCPU Xeon:
+#      64,000: 0.03 s  26 MB    gen 0.3 s  36 MB
+#     262,144: 0.13 s  40 MB    gen 1.5 s  80 MB
+#     512,000: 0.42 s  62 MB    gen 2.5 s 136 MB
+#   1,000,000: 0.87 s 106 MB    gen 4.2 s 267 MB
+# 2**18 keeps `gen random` within about 1.5 s and 80 MB.
+GEN_FACT_BUDGET = 262_144
+
+
 def gen_random(
     n_vars: int,
     n_atoms: int,
@@ -688,7 +701,9 @@ def gen_random(
     Every variable occurs in at least one atom and every relation symbol in
     at least one atom; atoms are negated independently with probability
     p_neg, and each unordered variable pair becomes a disequality with
-    probability p_diseq. Identical seeds give identical instances.
+    probability p_diseq. Identical seeds give identical instances. More than
+    GEN_FACT_BUDGET candidate facts, the tuples the facts are drawn from,
+    raise BudgetExceededError before any fact is drawn.
     """
     if n_vars < 1 or n_atoms < 1 or domain_size < 1:
         raise QueryValidationError("gen_random needs n_vars, n_atoms, domain_size >= 1")
@@ -700,6 +715,11 @@ def gen_random(
 
     n_syms = rng.randint(1, n_atoms)
     symbols = [RelationSymbol(f"R{i}", rng.randint(1, max_ar)) for i in range(1, n_syms + 1)]
+    candidates = sum(domain_size**sym.arity for sym in symbols)
+    if candidates > GEN_FACT_BUDGET:
+        raise BudgetExceededError(
+            f"{candidates} candidate facts exceed the budget of {GEN_FACT_BUDGET}"
+        )
     total_slots = 0
     atom_syms = []
     for i in range(n_atoms):

@@ -53,10 +53,10 @@ search once per run over that form, when the evaluator is built.
 holding its forward checks into later neighbours and the atoms over three or
 more variables it completes; `td-dp` runs one dynamic program along a nice
 tree decomposition of the query, built once and flattened into postorder
-steps over the same bitmask tables. Tests pin both against the paper's
-explicit structures, plain and decorated, which tests/helpers.py builds and
-checks by a backtracking search and by homsolver.hom_exists_td, the paper's
-DP over explicit structures.
+steps over the same bitmask tables, which hom_exists_td runs. Tests pin
+both against the paper's explicit structures, plain and decorated, which
+tests/helpers.py builds and checks by a backtracking search and by the
+paper's DP over explicit structures.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ import statistics
 from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceededError, QueryValidationError
-from .homsolver import hom_exists_td  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .qmodel import (
     Database,
     Query,
@@ -232,9 +231,12 @@ class _Evaluator:
         self.last: tuple[int, ...] | None = None
 
         # One plan per run; self._search runs it under a box's domains.
+        # td-dp binds the module's hom_exists_td here, when the evaluator is
+        # built, so a wrapper put in its place (perfbench/spans.py) sees
+        # every search.
         if backend == "td-dp":
             self._plan = self._plan_td(q, pos)
-            self._search = self._td_search
+            self._search = functools.partial(hom_exists_td, self._plan)
         else:
             self._plan = self._plan_bruteforce(ih.ell)
             self._search = self._bruteforce_search
@@ -333,43 +335,6 @@ class _Evaluator:
                 plan.append(("introduce", x, row.index(x), nbrs, atoms))
         return plan
 
-    def _td_search(self, dom: list[int]) -> tuple | None:
-        """Run the td-dp plan under the domains dom; () if a homomorphism
-        exists. Stops at the first empty table, since the root's is then
-        empty too."""
-        tables: list[set[tuple]] = []
-        for step in self._plan:
-            kind = step[0]
-            if kind == "leaf":
-                tables.append({()})
-                continue
-            if kind == "join":
-                table = tables.pop() & tables.pop()
-            elif kind == "forget":
-                p = step[1]
-                table = {row[:p] + row[p + 1 :] for row in tables.pop()}
-            else:
-                _, x, p, nbrs, atoms = step
-                table = set()
-                for row in tables.pop():
-                    m = dom[x]
-                    for cp, sup in nbrs:
-                        m &= sup[row[cp]]
-                    head, tail = row[:p], row[p:]
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        new = head + (low.bit_length() - 1,) + tail
-                        if not atoms or all(
-                            (tuple(new[i] for i in idxs) in facts) != negated
-                            for idxs, facts, negated in atoms
-                        ):
-                            table.add(new)
-            if not table:
-                return None
-            tables.append(table)
-        return ()
-
     def _plan_bruteforce(self, ell: int) -> list[tuple]:
         """The bruteforce search as one (x, fwd, atoms, neq) level per
         variable x: free variables in layer order, then existential ones by
@@ -459,6 +424,43 @@ class _Evaluator:
             stack.append((k, m, cur))
             k, m, cur = k + 1, nxt[levels[k + 1][0]], nxt
 
+
+def hom_exists_td(plan: list[tuple], dom: list[int]) -> tuple | None:
+    """The td-dp search: run plan, an evaluator's _plan_td, under the domains
+    dom; () if a homomorphism exists, else None. Stops at the first empty
+    table, since the root's is then empty too."""
+    tables: list[set[tuple]] = []
+    for step in plan:
+        kind = step[0]
+        if kind == "leaf":
+            tables.append({()})
+            continue
+        if kind == "join":
+            table = tables.pop() & tables.pop()
+        elif kind == "forget":
+            p = step[1]
+            table = {row[:p] + row[p + 1 :] for row in tables.pop()}
+        else:
+            _, x, p, nbrs, atoms = step
+            table = set()
+            for row in tables.pop():
+                m = dom[x]
+                for cp, sup in nbrs:
+                    m &= sup[row[cp]]
+                head, tail = row[:p], row[p:]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    new = head + (low.bit_length() - 1,) + tail
+                    if not atoms or all(
+                        (tuple(new[i] for i in idxs) in facts) != negated
+                        for idxs, facts, negated in atoms
+                    ):
+                        table.add(new)
+        if not table:
+            return None
+        tables.append(table)
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from cqcount import Database, Hypergraph, Query, Structure
+from cqcount import Database, Hypergraph, Query
 from cqcount.qmodel import RelationSymbol
+
+from helpers import Structure
 
 
 def corpus_query(

@@ -13,18 +13,19 @@ from typing import Mapping
 
 from cqcount import (
     Database,
+    DecompositionError,
     LimitExceededError,
     OracleStats,
+    PairValidationError,
     Query,
     RelationSymbol,
-    Structure,
     TreeAutomaton,
     edgefree_restricted,
     enumerate_answers_bruteforce,
+    is_valid_td,
     parse_query,
     validate_pair,
 )
-from cqcount.homsolver import _check_signatures
 from cqcount.qmodel import _require_normalized, oriented_disequalities
 from cqcount.reduction import ImplicitAnswerHypergraph, clique_repetitions
 from cqcount.widths import (
@@ -70,6 +71,33 @@ def structure_size(s: Structure) -> int:
 # ---------------------------------------------------------------------------
 # The paper's explicit constructions, test oracles for the implicit evaluator
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Structure:
+    """A finite relational structure."""
+
+    universe: tuple
+    relations: dict[RelationSymbol, frozenset[tuple]]
+
+    @property
+    def signature(self) -> frozenset[RelationSymbol]:
+        return frozenset(self.relations)
+
+
+def structure_hypergraph(s: Structure) -> Hypergraph:
+    """Vertices are universe elements; one edge per tuple's element set."""
+    edges = {
+        frozenset(t) for facts in s.relations.values() for t in facts
+    }
+    return Hypergraph(frozenset(s.universe), frozenset(edges))
+
+
+def _check_signatures(a: Structure, b: Structure) -> None:
+    missing = a.signature - b.signature
+    if missing:
+        names = ", ".join(f"{s.name}/{s.arity}" for s in sorted(missing))
+        raise PairValidationError(f"target structure lacks relations: {names}")
+
 
 def complement_symbol(sym: RelationSymbol) -> RelationSymbol:
     """Marker symbol for the complement relation; '!' cannot occur in user names."""
@@ -151,6 +179,75 @@ def hom_exists_bruteforce(a: Structure, b: Structure, domains=None) -> bool:
         return False
 
     return extend(0)
+
+
+def hom_exists_td_explicit(
+    a: Structure,
+    b: Structure,
+    td: TreeDecomposition,
+    domains=None,
+) -> bool:
+    """The paper's dynamic program over a nice tree decomposition of the
+    source structure, the reference for the td-dp backend.
+
+    `domains` optionally restricts the allowed images of each source element;
+    the default is the whole target universe.
+    """
+    _check_signatures(a, b)
+    if not td.is_nice():
+        raise DecompositionError("decomposition must be nice")
+    if not is_valid_td(structure_hypergraph(a), td):
+        raise DecompositionError("decomposition is not valid for the source structure")
+
+    constraints = []
+    for sym, facts in a.relations.items():
+        bfacts = b.relations[sym]
+        for t in facts:
+            constraints.append((t, frozenset(t), bfacts))
+
+    def allowed(x):
+        return domains[x] if domains is not None else b.universe
+
+    bag_order = [sorted(td.bags[t], key=_vkey) for t in range(td.n_nodes)]
+    tables: dict[int, set[tuple]] = {}
+    for t in td.postorder():
+        kids = td.children[t]
+        bag = td.bags[t]
+        order = bag_order[t]
+        if not kids:
+            tables[t] = {()}
+        elif len(kids) == 2:
+            left = tables.pop(kids[0])
+            right = tables.pop(kids[1])
+            tables[t] = left & right
+        else:
+            c = kids[0]
+            corder = bag_order[c]
+            ctable = tables.pop(c)
+            diff = bag ^ td.bags[c]
+            (x,) = diff
+            if x in bag:  # introduce
+                checks = [
+                    (tt, bf)
+                    for tt, scope, bf in constraints
+                    if x in scope and scope <= bag
+                ]
+                out = set()
+                for row in ctable:
+                    base = dict(zip(corder, row))
+                    for v in allowed(x):
+                        base[x] = v
+                        if all(
+                            tuple(base[y] for y in tt) in bf for tt, bf in checks
+                        ):
+                            out.add(tuple(base[y] for y in order))
+                tables[t] = out
+            else:  # forget
+                idx = corder.index(x)
+                tables[t] = {
+                    row[:idx] + row[idx + 1 :] for row in ctable
+                }
+    return bool(tables[td.root])
 
 
 def build_hat_A(q: Query) -> Structure:

@@ -33,14 +33,12 @@ from cqcount import (
     fractional_edge_cover_number,
     gen_hampath,
     gen_li_hom,
-    hom_exists_td,
     is_valid_td,
     make_nice,
     normalize_equalities,
     treewidth_exact,
     treewidth_heuristic,
 )
-from cqcount.homsolver import structure_hypergraph
 from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     HOM_BACKENDS,
@@ -65,9 +63,11 @@ from helpers import (
     edgefree_bruteforce,
     exact_oracle,
     hom_exists_bruteforce,
+    hom_exists_td_explicit,
     layer_masks,
     query_size,
     restricted_parts,
+    structure_hypergraph,
     structure_size,
 )
 
@@ -295,9 +295,9 @@ def test_c08_hom_backends_equivalent():
             failures.append(("bruteforce", trial))
         h = structure_hypergraph(a)
         _, td = treewidth_exact(h)
-        if hom_exists_td(a, b, make_nice(h, td)) != expected:
+        if hom_exists_td_explicit(a, b, make_nice(h, td)) != expected:
             failures.append(("td-dp", trial))
-    _report(8, "hom_exists_td == hom_exists_bruteforce == exhaustive, 500 pairs",
+    _report(8, "hom_exists_td_explicit == hom_exists_bruteforce == exhaustive, 500 pairs",
             failures, t0, 300)
 
 

@@ -249,10 +249,14 @@ def _gen_random(n_vars, n_atoms, p_neg):
     # One atom has at most three variable slots.
     (_gen_random(5, 1, 0), EXIT_VALIDATION,
      "infeasible parameters: 1 atoms provide only 3 variable slots for 5 variables"),
+    # Seed 1 draws one symbol of arity 3: 65**3 candidate facts, past
+    # qmodel.GEN_FACT_BUDGET.
+    (["gen", "random", "--vars", "3", "--atoms", "1", "--domain", "65", "--seed", "1"],
+     EXIT_BUDGET, "274625 candidate facts exceed the budget of 262144"),
 ], ids=["query-not-an-atom", "query-no-operator", "query-free-var-merged", "gen-self-loop",
         "gen-vertex-out-of-range", "gen-hampath-n-1", "gen-vertex-not-integer",
         "gen-empty-pattern", "gen-no-variables", "gen-probability-above-1",
-        "gen-too-few-slots"])
+        "gen-too-few-slots", "gen-past-fact-budget"])
 def test_bad_input_ends_in_one_error_line(capsys, tmp_path, instance, argv, want, message):
     for name, text in FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

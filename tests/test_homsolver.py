@@ -11,19 +11,18 @@ import pytest
 from cqcount import (
     BudgetExceededError,
     Database,
+    DecompositionError,
     LimitExceededError,
-    Structure,
+    TreeDecomposition,
     UnsupportedQueryError,
     count_answers_bruteforce,
     enumerate_answers_bruteforce,
-    hom_exists_td,
     make_nice,
     parse_query,
     sol_bag,
     treewidth_exact,
 )
 from cqcount.automata import fhw_decomposition
-from cqcount.homsolver import structure_hypergraph
 from cqcount.qmodel import RelationSymbol, build_hypergraph, iter_solutions
 from cqcount.widths import _vkey
 
@@ -34,11 +33,14 @@ from conftest import (
     random_structure_pair,
 )
 from helpers import (
+    Structure,
     build_A,
     build_B,
     complement_symbol,
     hom_exists_bruteforce,
+    hom_exists_td_explicit,
     query_size,
+    structure_hypergraph,
     structure_size,
 )
 
@@ -100,7 +102,7 @@ def test_backends_agree_with_exhaustive_enumeration():
         a, b = random_structure_pair(rng)
         expected = hom_exists_exhaustive(a, b)
         assert hom_exists_bruteforce(a, b) == expected
-        assert hom_exists_td(a, b, _nice_td_of(a)) == expected
+        assert hom_exists_td_explicit(a, b, _nice_td_of(a)) == expected
 
 
 def test_backends_respect_domain_restrictions():
@@ -113,7 +115,7 @@ def test_backends_respect_domain_restrictions():
         }
         expected = hom_exists_exhaustive(a, b, domains)
         assert hom_exists_bruteforce(a, b, domains) == expected
-        assert hom_exists_td(a, b, _nice_td_of(a), domains) == expected
+        assert hom_exists_td_explicit(a, b, _nice_td_of(a), domains) == expected
 
 
 def test_hom_signature_mismatch_rejected():
@@ -130,10 +132,16 @@ def test_hom_td_requires_nice_decomposition():
     b = Structure((0, 1), {RelationSymbol("E", 2): frozenset({(0, 1)})})
     h = structure_hypergraph(a)
     _, td = treewidth_exact(h)  # not nice: no empty root chain
-    from cqcount import DecompositionError
-
     with pytest.raises(DecompositionError):
-        hom_exists_td(a, b, td)
+        hom_exists_td_explicit(a, b, td)
+
+
+def test_hom_td_invalid_td_raises_its_error():
+    edge = Structure((0, 1), {RelationSymbol("E", 2): frozenset({(0, 1)})})
+    empty_td = TreeDecomposition.make(0, [()], [()])
+    with pytest.raises(DecompositionError) as info:
+        hom_exists_td_explicit(edge, edge, empty_td)
+    assert str(info.value) == "decomposition is not valid for the source structure"
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,25 @@ from cqcount import (
     Hypergraph,
     ImplicitAnswerHypergraph,
     QueryValidationError,
-    Structure,
     TreeDecomposition,
     UnsupportedQueryError,
     approx_count_answers,
     build_automaton,
     dump_database,
     estimate_edges,
-    hom_exists_td,
+    gen_hampath,
+    gen_li_hom,
     normalize_equalities,
     parse_query,
     sol_bag,
 )
+from cqcount import reduction
 from cqcount.cli import RunConfig, cmd_count, cmd_gen
 from cqcount.lp import solve_min
 from cqcount.qmodel import Database, Query, RelationSymbol, iter_solutions
 from cqcount.widths import induced_hypergraph
+
+from helpers import k3_with_pendant
 
 PACKAGE_DIR = Path(cqcount.__file__).parent
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -179,37 +182,51 @@ def test_every_top_level_name_of_the_package_has_a_reader():
     assert unread == []
 
 
-def package_imports(source: str) -> set[str]:
-    """Submodules of cqcount that a module of the package imports."""
-    dotted = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            dotted += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            base = ".".join(filter(None, ["cqcount" if node.level else "", node.module]))
-            dotted += [base] + [f"{base}.{alias.name}" for alias in node.names]
-    return {name.split(".")[1] for name in dotted if name.startswith("cqcount.")}
+def test_every_td_dp_search_calls_reduction_hom_exists_td(monkeypatch):
+    # perfbench/spans.py traces td-dp's searches by wrapping the module
+    # attribute reduction.hom_exists_td, so every search an evaluator runs
+    # must go through it: the search before colouring, _pair_samples' (a
+    # cover of K2s) and compile's callable (cliques of one size k >= 3, and
+    # mixed). bruteforce runs its own search and never calls it.
+    counted = []
+    real = reduction.hom_exists_td
 
+    def counting(plan, dom):
+        counted.append(None)
+        return real(plan, dom)
 
-def test_package_imports_sees_relative_and_absolute_imports():
-    src = "from . import a, b\nfrom .c import d\nimport cqcount.e, os\nfrom cqcount.f import g\n"
-    assert package_imports(src) == {"a", "b", "c", "e", "f"}
+    searches = []
+    init = reduction._Evaluator.__init__
 
+    def counting_init(self, ih, backend):
+        init(self, ih, backend)
+        search = self._search
 
-def test_only_reduction_and_the_package_import_homsolver():
-    # homsolver holds only code that no pipeline runs, kept because the
-    # benchmark wraps reduction.hom_exists_td by name; no other module may
-    # come to depend on it.
-    importers = sorted(
-        path.name
-        for path in PACKAGE_DIR.glob("*.py")
-        if "homsolver" in package_imports(path.read_text(encoding="utf-8"))
-    )
-    assert importers == ["__init__.py", "reduction.py"]
+        def counted_search(dom):
+            searches.append(None)
+            return search(dom)
+
+        self._search = counted_search
+
+    monkeypatch.setattr(reduction, "hom_exists_td", counting)
+    monkeypatch.setattr(reduction._Evaluator, "__init__", counting_init)
+    circulant = [(i, (i + j) % 7) for i in range(7) for j in (1, 2)]
+    covers = {
+        "k2": gen_li_hom([(0, 1), (1, 2)], circulant),
+        "k3": gen_hampath([(0, 1), (1, 2)], 3),
+        "mixed": k3_with_pendant(),
+    }
+    for backend in ("td-dp", "bruteforce"):
+        for cover, (q, d) in covers.items():
+            counted.clear()
+            searches.clear()
+            approx_count_answers(q, d, 0.25, 0.1, seed=7, backend=backend)
+            assert searches, (backend, cover)
+            expected = len(searches) if backend == "td-dp" else 0
+            assert len(counted) == expected, (backend, cover)
 
 
 E = RelationSymbol("E", 2)
-EDGE = Structure((0, 1), {E: frozenset({(0, 1)})})
 EMPTY_TD = TreeDecomposition.make(0, [()], [()])
 PLAIN = parse_query("phi(x, y) :- E(x, y)")
 DISTINCT = parse_query("phi(x, y) :- E(x, y), x != y")
@@ -277,11 +294,6 @@ FPTRAS_NOPE = {"epsilon": 0.25, "delta": 0.1, "seed": 1, "hom_backend": "nope"}
         lambda: next(iter_solutions(parse_query("phi(x) :- E(x, y), x = y"), DB)),
         QueryValidationError, "query still contains equalities; normalize first",
         id="iter-solutions-equality",
-    ),
-    pytest.param(
-        lambda: hom_exists_td(EDGE, EDGE, EMPTY_TD),
-        DecompositionError, "decomposition is not valid for the source structure",
-        id="hom-td-invalid-td",
     ),
     pytest.param(
         lambda: sol_bag(PLAIN, DB, ("z",)),

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cqcount import (
+    BudgetExceededError,
     ContradictionError,
     Database,
     DatabaseParseError,
@@ -29,6 +30,7 @@ from cqcount import (
     parse_query,
     validate_pair,
 )
+from cqcount import qmodel
 from cqcount.qmodel import RelationSymbol, database_to_doc
 
 from conftest import corpus_instance
@@ -373,6 +375,30 @@ def test_gen_random_deterministic_and_valid():
     q, d = a
     validate_pair(q, d)
     assert parse_query(format_query(q)) == q
+
+
+def test_gen_random_past_its_fact_budget_draws_no_fact(monkeypatch):
+    # At its budget the instance is the one drawn without it; one candidate
+    # fact past it raises before any relation draws its density.
+    q, d = gen_random(4, 3, 5, 0.3, 0.3, 7)
+    candidates = sum(len(d.domain) ** sym.arity for sym in d.relations)
+    monkeypatch.setattr(qmodel, "GEN_FACT_BUDGET", candidates)
+    assert gen_random(4, 3, 5, 0.3, 0.3, 7) == (q, d)
+    densities = []
+    uniform = random.Random.uniform
+
+    def counting(self, a, b):
+        densities.append((a, b))
+        return uniform(self, a, b)
+
+    monkeypatch.setattr(random.Random, "uniform", counting)
+    monkeypatch.setattr(qmodel, "GEN_FACT_BUDGET", candidates - 1)
+    with pytest.raises(BudgetExceededError) as info:
+        gen_random(4, 3, 5, 0.3, 0.3, 7)
+    assert str(info.value) == (
+        f"{candidates} candidate facts exceed the budget of {candidates - 1}"
+    )
+    assert densities == []
 
 
 def test_gen_random_plain_when_probabilities_zero():

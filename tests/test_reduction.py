@@ -25,8 +25,7 @@ from cqcount import (
     gen_li_hom,
     parse_query,
 )
-from cqcount import homsolver, reduction, widths
-from cqcount.homsolver import hom_exists_td, structure_hypergraph
+from cqcount import reduction, widths
 from cqcount.qmodel import oriented_disequalities
 from cqcount.reduction import (
     HOM_BACKENDS,
@@ -42,6 +41,7 @@ from cqcount.reduction import (
 from cqcount.widths import make_nice, treewidth_heuristic
 
 from conftest import corpus_instance
+import helpers
 from helpers import (
     answers,
     box_values,
@@ -55,10 +55,12 @@ from helpers import (
     edgefree_general,
     exact_oracle,
     hom_exists_bruteforce,
+    hom_exists_td_explicit,
     k3_with_pendant,
     layer_masks,
     query_size,
     restricted_parts,
+    structure_hypergraph,
     structure_size,
     vertices,
 )
@@ -257,7 +259,7 @@ def _halving_tree(ih: ImplicitAnswerHypergraph) -> list[tuple]:
     return boxes
 
 
-def _assert_td_plan_matches_hom_exists_td(q, d):
+def _assert_searches_match_the_explicit_dp(q, d):
     # Both backends' compiled searches against the paper's DP over the query
     # and database structures, on a decomposition of its own, for every box
     # of the halving tree and every red mask of each disequality. A
@@ -277,7 +279,7 @@ def _assert_td_plan_matches_hom_exists_td(q, d):
                 red_set = {w for i, w in enumerate(d.domain) if red >> i & 1}
                 domains[x] &= red_set
                 domains[y] -= red_set
-            expected = hom_exists_td(a, b, nice, domains)
+            expected = hom_exists_td_explicit(a, b, nice, domains)
             witnesses = [search(list(reds)) for search in searches]
             for backend, witness in zip(HOM_BACKENDS, witnesses):
                 assert (witness is not None) == expected, (backend, box, reds)
@@ -294,7 +296,7 @@ def _assert_td_plan_matches_hom_exists_td(q, d):
 def test_td_plan_matches_hom_exists_td_on_corpus():
     # Seeds 0-39 hold atoms of arity 3, repeated variables and negated atoms.
     for seed in range(40):
-        _assert_td_plan_matches_hom_exists_td(*corpus_instance(seed))
+        _assert_searches_match_the_explicit_dp(*corpus_instance(seed))
 
 
 def test_td_plan_matches_hom_exists_td_on_hand_cases():
@@ -307,7 +309,7 @@ def test_td_plan_matches_hom_exists_td_on_hand_cases():
         Database.make([0, 1, 2], {"E": (2, [(0, 1)]), "F": (2, [(1, 2)])}),
     )
     for q, d in [_path17(), star] + HAND_ATOMS:
-        _assert_td_plan_matches_hom_exists_td(q, d)
+        _assert_searches_match_the_explicit_dp(q, d)
 
 
 def test_td_backend_checks_its_decomposition_once(monkeypatch):
@@ -324,7 +326,7 @@ def test_td_backend_checks_its_decomposition_once(monkeypatch):
             nice_checks.append(td)
         return real(h, td)
 
-    for mod in (widths, homsolver, reduction):
+    for mod in (widths, helpers, reduction):
         monkeypatch.setattr(mod, "is_valid_td", counting, raising=False)
     q, d = gen_li_hom(P3, _circulant(7))
     stats = OracleStats()
